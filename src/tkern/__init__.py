@@ -98,7 +98,6 @@ from .rational import (
     as_symbol,
     circle_conjugate,
     classify_roots,
-    constant,
     format_complex,
     format_rational,
     monomial,

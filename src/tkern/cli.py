@@ -319,12 +319,8 @@ _EXPR_FLAGS = {
 
 def _add_global_flags(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--json", action="store_true", default=True if not suppress else d,
-        help="JSON output (default)",
-    )
     parser.add_argument("--text", action="store_true", default=False if not suppress else d,
-                        help="plain text output")
+                        help="plain text output instead of JSON")
     parser.add_argument("--tol", type=float, default=1e-8 if not suppress else d)
     parser.add_argument("--seed", type=int, default=42 if not suppress else d)
     parser.add_argument("--report", metavar="PATH", default=None if not suppress else d,

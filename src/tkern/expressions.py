@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BlaschkeParameterOutOfDisc, ExpressionSyntaxError
-from .rational import RationalFunction, ToeplitzSymbol, as_symbol, monomial
+from .rational import RationalFunction, monomial
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -83,12 +83,6 @@ class SymbolExpression:
 
     def to_rational(self) -> RationalFunction:
         return _lower(self.tree, self.variable)
-
-    def to_symbol(self) -> ToeplitzSymbol:
-        return as_symbol(self.to_rational())
-
-    def canonical(self) -> str:
-        return print_tree(self.tree)
 
 
 class _Lexer:

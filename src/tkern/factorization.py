@@ -23,9 +23,7 @@ from .errors import (
 from .rational import (
     EPS_CIRCLE,
     EPS_ROOT,
-    ComplexPolynomial,
     RationalFunction,
-    ToeplitzSymbol,
     as_rational,
     as_symbol,
     monomial,
@@ -63,16 +61,10 @@ class BlaschkeProduct:
         return sum(m for _, m in self.zeros)
 
     def to_rational(self) -> RationalFunction:
-        num = ComplexPolynomial([self.constant])
-        den = ComplexPolynomial([1.0])
-        for a, m in self.zeros:
-            for _ in range(m):
-                num = num * ComplexPolynomial([-a, 1.0])
-                den = den * ComplexPolynomial([1.0, -np.conj(a)])
-        return RationalFunction(num, den)
-
-    def to_symbol(self) -> ToeplitzSymbol:
-        return ToeplitzSymbol(self.to_rational())
+        # on the circle (1 - conj(a) z) = z conj(z - a), so the product is
+        # constant * p / (z**degree * conj(p)) with p = prod (z - a)
+        p = RationalFunction._from_roots(1.0, self.zeros)
+        return self.constant * p / (monomial(self.degree) * p.circle_conjugate())
 
     def __call__(self, z):
         return self.to_rational()(z)
@@ -118,22 +110,10 @@ def inner_outer(f) -> InnerOuterFactorization:
             "poles inside or on the unit circle: not in the disc Hardy space"
         )
     zc = f.zero_classification()
-
-    # Outer factor built directly: inside zeros swapped for their
-    # reflected denominators, everything else untouched.
-    out_num = ComplexPolynomial([f.num.lead])
-    for r, m in zc.on_circle + zc.outside:
-        for _ in range(m):
-            out_num = out_num * ComplexPolynomial([-r, 1.0])
-    for a, m in zc.inside:
-        for _ in range(m):
-            out_num = out_num * ComplexPolynomial([1.0, -np.conj(a)])
-    outer0 = RationalFunction(out_num, f.den)
-
-    v = complex(outer0(0.0))
-    u = v / abs(v)  # outer0(0) != 0: no inside zeros, no pole at 0
-    inner = BlaschkeProduct(u, zc.inside)
-    return InnerOuterFactorization(inner, outer0 / u)
+    outer = f / BlaschkeProduct(1.0, zc.inside).to_rational()
+    v = complex(outer(0.0))
+    u = v / abs(v)  # outer(0) != 0: no inside zeros, no pole at 0
+    return InnerOuterFactorization(BlaschkeProduct(u, zc.inside), outer / u)
 
 
 def wiener_hopf(s) -> WienerHopfFactorization:
@@ -150,37 +130,15 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     zc = s.value.zero_classification()
     pc = s.value.pole_classification()
 
-    lead = s.value.num.lead / s.value.den.lead
+    # plus(0) = 1: an outside root r enters plus as (1 - z/r) = (z - r)/(-r)
+    gain = 1.0 + 0j
     for r, m in zc.outside:
-        lead *= (-r) ** m
+        gain *= (-r) ** m
     for r, m in pc.outside:
-        lead /= (-r) ** m
-
-    minus_num = ComplexPolynomial([lead])
-    minus_den = ComplexPolynomial([1.0])
-    for r, m in zc.inside:
-        for _ in range(m):
-            minus_num = minus_num * ComplexPolynomial([-r, 1.0])
-    for r, m in pc.inside:
-        for _ in range(m):
-            minus_den = minus_den * ComplexPolynomial([-r, 1.0])
-    shift = pc.count_inside() - zc.count_inside()
-    minus = RationalFunction(minus_num, minus_den) * monomial(shift)
-
-    plus_num = ComplexPolynomial([1.0])
-    plus_den = ComplexPolynomial([1.0])
-    for r, m in pc.outside:
-        for _ in range(m):
-            plus_num = plus_num * ComplexPolynomial([1.0, -1.0 / r])
-    for r, m in zc.outside:
-        for _ in range(m):
-            plus_den = plus_den * ComplexPolynomial([1.0, -1.0 / r])
-    plus = RationalFunction(plus_num, plus_den)
-
-    scale = complex(plus(0.0))
-    plus = plus / scale
-    minus = minus / scale
-    return WienerHopfFactorization(minus, s.winding, plus)
+        gain /= (-r) ** m
+    plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
+    k = s.winding
+    return WienerHopfFactorization(s.value * plus * monomial(-k), k, plus)
 
 
 def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:

@@ -119,15 +119,11 @@ _INV_NUM = ComplexPolynomial([1j, -1.0])
 _INV_DEN = ComplexPolynomial([1j, 1.0])
 
 
-def cayley_function(f, p: int = 2) -> RationalFunction:
-    """Weighted transfer of a line function to the circle.
-
-    Only the square-integrable case p = 2 is implemented:
+def cayley_function(f) -> RationalFunction:
+    """Weighted transfer of a square-integrable line function to the circle:
     2 sqrt(pi) (1+z)^-1 f(i(1-z)/(1+z)), reduced. Isometric from L2 of the
     line (Lebesgue measure) to L2 of the circle (normalized measure).
     """
-    if p != 2:
-        raise ValueError("only the p = 2 transfer is implemented")
     f = _as_halfplane(f)
     if f.value.is_zero:
         return RationalFunction(0.0)

@@ -56,9 +56,6 @@ class ToeplitzKernel:
             raise ZeroFunction("the trivial kernel has no maximal vector")
         return self.basis[-1]
 
-    def contains(self, f) -> bool:
-        return in_kernel(f, self.symbol)
-
 
 @dataclass(frozen=True)
 class MaximalityCertificate:

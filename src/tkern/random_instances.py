@@ -89,11 +89,6 @@ def random_conjugate_outer(rng, zeros=1, poles=1) -> RationalFunction:
     return random_outer(rng, zeros, poles).circle_conjugate()
 
 
-def random_invertible_analytic(rng, zeros=1, poles=1) -> RationalFunction:
-    """Zero/pole free on the closed disc along with its reciprocal."""
-    return random_outer(rng, zeros, poles)
-
-
 def random_halfplane_hardy(rng, den_degree=2):
     """Random rational in the Hardy space of the upper half-plane: all
     poles in the open lower half-plane, decay at infinity."""

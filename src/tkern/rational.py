@@ -2,14 +2,19 @@
 
 Everything downstream (factorizations, kernels, multipliers) is built on
 three types defined here: ``ComplexPolynomial`` (coefficient lists in
-ascending degree order), ``RationalFunction`` (reduced quotients with a
-monic denominator), and ``ToeplitzSymbol`` (a rational function read on the
-unit circle, with cached invertibility and winding number).
+ascending degree order), ``RationalFunction`` (a gain with its zeros and
+poles), and ``ToeplitzSymbol`` (a rational function read on the unit
+circle, with cached invertibility and winding number).
 
 Conventions:
-  * denominators are monic; all scalar freedom lives in the numerator;
-  * quotients are reduced by cancelling numerator/denominator roots that
-    match within ``EPS_ROOT``;
+  * a rational function is stored in factored form, as its gain and its
+    zeros and poles with multiplicity; its coefficients, with a monic
+    denominator, are derived on demand and cached;
+  * products, quotients, powers and circle conjugation merge the root
+    multisets; only coefficient input and sums find roots (``poly_roots``);
+  * roots that match within ``EPS_ROOT`` (relative) are one root, so
+    matching numerator/denominator roots cancel and the quotient is
+    always reduced;
   * roots are classified against the unit circle with band ``EPS_CIRCLE``.
 """
 
@@ -159,20 +164,17 @@ class ComplexPolynomial:
             n >>= 1
         return out
 
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree < 1:
-            return ComplexPolynomial()
-        return ComplexPolynomial(npoly.polyder(self.coeffs))
-
     def conj_coeffs(self) -> "ComplexPolynomial":
         """Coefficient-wise conjugate (same powers of the variable)."""
         return ComplexPolynomial(np.conj(self.coeffs))
 
-    def monic(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(self.coeffs / self.lead)
-
     @staticmethod
     def from_roots(roots, lead: complex = 1.0) -> "ComplexPolynomial":
+        """lead * prod (z - r) over ``roots`` (bare roots or (root,
+        multiplicity) pairs). The degree is the root count: the expanded
+        coefficients are not trimmed, however small the leading one."""
+        if lead == 0:
+            return ComplexPolynomial()
         flat = []
         for item in roots:
             if isinstance(item, tuple):
@@ -180,9 +182,11 @@ class ComplexPolynomial:
                 flat.extend([r] * int(m))
             else:
                 flat.append(item)
-        if not flat:
-            return ComplexPolynomial([complex(lead)])
-        return ComplexPolynomial(complex(lead) * npoly.polyfromroots(np.asarray(flat, dtype=complex)))
+        c = complex(lead) * npoly.polyfromroots(np.asarray(flat, dtype=complex))
+        c.setflags(write=False)
+        p = object.__new__(ComplexPolynomial)
+        object.__setattr__(p, "coeffs", c)
+        return p
 
     # -- comparison / display ----------------------------------------------
 
@@ -347,59 +351,62 @@ def _sorted_roots(pairs):
     return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
-def _deflate(coeffs: np.ndarray, r: complex, times: int) -> np.ndarray:
-    """Divide a coefficient array by (z - r) ``times`` times, discarding
-    the (near-zero) remainders."""
-    for _ in range(times):
-        coeffs = npoly.polydiv(coeffs, np.array([-r, 1.0], dtype=complex))[0]
-    return coeffs
+def _roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
+    return poly_roots(p) if p.degree >= 1 else []
 
 
-def _cancel_common_roots(num: ComplexPolynomial, den: ComplexPolynomial):
-    """Cancel numerator/denominator root clusters that match within
-    EPS_ROOT by synthetic deflation of the original coefficient arrays
-    (which keeps the uncancelled structure exact). Returns
-    (num_coeffs, den_coeffs, cancelled_any)."""
-    nroots = poly_roots(num)
-    droots = poly_roots(den)
-    num_c, den_c = num.coeffs, den.coeffs
-    den_left = [[r, m] for r, m in droots]
-    cancelled = False
-    for rn, mn in nroots:
-        for slot in den_left:
-            if slot[1] == 0:
-                continue
-            tol = EPS_ROOT * max(1.0, abs(rn), abs(slot[0]))
-            if abs(rn - slot[0]) <= tol:
-                take = min(mn, slot[1])
-                # deflate at the better-determined root: the one seen with
-                # the smaller multiplicity (simple roots are the sharpest)
-                if mn < slot[1]:
-                    r = rn
-                elif slot[1] < mn:
-                    r = slot[0]
-                else:
-                    r = 0.5 * (rn + slot[0])
-                num_c = _deflate(num_c, r, take)
-                den_c = _deflate(den_c, r, take)
-                slot[1] -= take
-                mn -= take
-                cancelled = True
-                if mn == 0:
-                    break
-        # leftover numerator multiplicity stays in num_c untouched
-    return num_c, den_c, cancelled
+def _matches(a, b):
+    """Index pairs (i, j) with roots a[i] and b[j] within EPS_ROOT
+    (relative), in row-major order."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    tol = EPS_ROOT * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
+    return zip(*np.nonzero(np.abs(np.subtract.outer(a, b)) <= tol))
+
+
+def _merge(roots) -> list[list]:
+    """A root multiset as [root, multiplicity] slots; roots that match
+    within EPS_ROOT fold into one slot at their weighted mean."""
+    slots = [[complex(r), int(m)] for r, m in roots if m > 0]
+    points = [r for r, _ in slots]
+    for i, j in _matches(points, points):
+        (ri, mi), (rj, mj) = slots[i], slots[j]
+        if i < j and mi and mj:
+            if ri != rj:
+                slots[i][0] = (ri * mi + rj * mj) / (mi + mj)
+            slots[i][1] += mj
+            slots[j][1] = 0
+    return slots
+
+
+def _reduce(zeros, poles) -> tuple[tuple, tuple]:
+    """Merge each multiset, cancel zero/pole pairs that match within
+    EPS_ROOT, and sort what is left."""
+    zs, ps = _merge(zeros), _merge(poles)
+    for i, j in _matches([r for r, _ in zs], [r for r, _ in ps]):
+        take = min(zs[i][1], ps[j][1])
+        zs[i][1] -= take
+        ps[j][1] -= take
+
+    def packed(slots):
+        return tuple(_sorted_roots((r, m) for r, m in slots if m))
+
+    return packed(zs), packed(ps)
 
 
 class RationalFunction:
-    """Reduced quotient of two complex polynomials with monic denominator.
+    """A rational function in factored form: gain * prod (z - a)**m over
+    its zeros a, divided by prod (z - b)**n over its poles b.
 
-    Construction reduces the quotient: common roots (within ``EPS_ROOT``)
-    are cancelled, shared powers of z are stripped exactly, and the
-    denominator is normalized to be monic.
+    The gain and the two root multisets, each a tuple of (root,
+    multiplicity) pairs, are the whole state. Zeros and poles that match
+    within ``EPS_ROOT`` cancel, so the quotient is always reduced. The
+    coefficients ``num`` and ``den`` (monic) are derived on first use and
+    cached. Only coefficient input and sums find roots; products,
+    quotients, powers and circle conjugation merge the multisets.
     """
 
-    __slots__ = ("num", "den", "_zeros", "_poles")
+    __slots__ = ("_gain", "_zeros", "_poles", "_num", "_den")
 
     def __init__(self, num, den=1.0):
         num = ComplexPolynomial._coerce(num)
@@ -407,13 +414,23 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero:
-            num, den = ComplexPolynomial(), ComplexPolynomial([1.0])
+            self._assign(0j, (), ())
         else:
-            num, den = _reduce_quotient(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_zeros", None)
-        object.__setattr__(self, "_poles", None)
+            self._assign(num.lead / den.lead, _roots(num), _roots(den))
+
+    @classmethod
+    def _from_roots(cls, gain, zeros=(), poles=()) -> "RationalFunction":
+        """Package-internal constructor from known roots: no root finding."""
+        out = object.__new__(cls)
+        out._assign(gain, zeros, poles)
+        return out
+
+    def _assign(self, gain, zeros, poles) -> None:
+        gain = complex(gain)
+        zeros, poles = ((), ()) if gain == 0 else _reduce(zeros, poles)
+        state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_num": None, "_den": None}
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -421,34 +438,46 @@ class RationalFunction:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def num(self) -> ComplexPolynomial:
+        if self._num is None:
+            object.__setattr__(self, "_num", ComplexPolynomial.from_roots(self._zeros, self._gain))
+        return self._num
+
+    @property
+    def den(self) -> ComplexPolynomial:
+        if self._den is None:
+            object.__setattr__(self, "_den", ComplexPolynomial.from_roots(self._poles))
+        return self._den
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._gain == 0
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return not self._zeros and not self._poles
 
     def constant_value(self) -> complex:
         if not self.is_constant:
             raise ValueError("not a constant rational function")
-        return 0j if self.is_zero else complex(self.num.coeffs[0] / self.den.coeffs[0])
+        return self._gain
 
     def __call__(self, z):
-        if self.is_zero:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-        return self.num(z) / self.den(z)
+        # product form: stays accurate near clustered roots, where Horner's
+        # rule on the expanded coefficients does not
+        z = np.asarray(z, dtype=complex)
+        out = np.full(z.shape, self._gain)
+        for r, m in self._zeros:
+            out *= (z - r) ** m
+        for r, m in self._poles:
+            out /= (z - r) ** m
+        return out[()]
 
     def zeros(self) -> list[tuple[complex, int]]:
-        if self._zeros is None:
-            zs = [] if self.num.degree < 1 else poly_roots(self.num)
-            object.__setattr__(self, "_zeros", zs)
-        return self._zeros
+        return list(self._zeros)
 
     def poles(self) -> list[tuple[complex, int]]:
-        if self._poles is None:
-            ps = [] if self.den.degree < 1 else poly_roots(self.den)
-            object.__setattr__(self, "_poles", ps)
-        return self._poles
+        return list(self._poles)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -456,9 +485,9 @@ class RationalFunction:
     def _coerce(other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, ComplexPolynomial):
-            return RationalFunction(other)
-        return RationalFunction(ComplexPolynomial._coerce(other))
+        if np.isscalar(other) or isinstance(other, complex):
+            return RationalFunction._from_roots(other)
+        return RationalFunction(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -466,16 +495,21 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        # common reduced denominator: add numerators directly instead of
-        # manufacturing (and then re-cancelling) its square
-        if self.den.is_close(other.den, 1e-12):
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        # over the least common denominator, so that only the summed
+        # numerator needs root finding; cancelling the two pole multisets
+        # against each other leaves the poles that each side lacks
+        pad, other_pad = _reduce(other._poles, self._poles)
+        num = ComplexPolynomial.from_roots(self._zeros + pad, self._gain) + (
+            ComplexPolynomial.from_roots(other._zeros + other_pad, other._gain)
+        )
+        if num.is_zero:
+            return RationalFunction._from_roots(0.0)
+        return RationalFunction._from_roots(num.lead, _roots(num), self._poles + pad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._from_roots(-self._gain, self._zeros, self._poles)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -485,7 +519,9 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._from_roots(
+            self._gain * other._gain, self._zeros + other._zeros, self._poles + other._poles
+        )
 
     __rmul__ = __mul__
 
@@ -493,40 +529,49 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDenominator("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction._from_roots(
+            self._gain / other._gain, self._zeros + other._poles, self._poles + other._zeros
+        )
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
         n = int(n)
-        if n == 0:
-            return RationalFunction(1.0)
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDenominator("negative power of the zero function")
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num**n, self.den**n)
+        if n < 0 and self.is_zero:
+            raise ZeroDenominator("negative power of the zero function")
+        zeros, poles = (self._zeros, self._poles) if n >= 0 else (self._poles, self._zeros)
+        k = abs(n)
+        return RationalFunction._from_roots(
+            self._gain**n, [(r, m * k) for r, m in zeros], [(r, m * k) for r, m in poles]
+        )
 
     # -- circle structure ----------------------------------------------------
 
     def circle_conjugate(self) -> "RationalFunction":
         """The rational function agreeing with conj(self(z)) on |z| = 1.
 
-        For coefficients c_j the result realizes sum conj(c_j) z^(-j),
-        cleared to a single reduced quotient. Involution.
+        On the circle conj(z - r) = -conj(r) (z - 1/conj(r)) / z, so each
+        root r != 0 reflects to 1/conj(r), the gain takes a factor
+        -conj(r) per zero and its inverse per pole, and the degree
+        difference becomes a power of z. Involution.
         """
         if self.is_zero:
             return self
-        m = max(self.num.degree, self.den.degree)
-
-        def rev(p):
-            out = np.zeros(m + 1, dtype=complex)
-            for j, cj in enumerate(p.coeffs):
-                out[m - j] = np.conj(cj)
-            return out
-
-        return RationalFunction(rev(self.num), rev(self.den))
+        gain = self._gain.conjugate()
+        zeros, poles = [], []
+        for r, m in self._zeros:
+            if r != 0:
+                gain *= (-r.conjugate()) ** m
+                zeros.append((1 / r.conjugate(), m))
+        for r, m in self._poles:
+            if r != 0:
+                gain /= (-r.conjugate()) ** m
+                poles.append((1 / r.conjugate(), m))
+        shift = sum(m for _, m in self._poles) - sum(m for _, m in self._zeros)
+        zeros.append((0j, max(shift, 0)))
+        poles.append((0j, max(-shift, 0)))
+        return RationalFunction._from_roots(gain, zeros, poles)
 
     def zero_classification(self) -> "RootClassification":
         return classify_roots(self.zeros())
@@ -596,38 +641,6 @@ class RationalFunction:
 
     def __str__(self):
         return format_rational(self)
-
-
-def _reduce_quotient(num: ComplexPolynomial, den: ComplexPolynomial):
-    # Strip shared powers of z exactly before any root finding.
-    nscale, dscale = np.max(np.abs(num.coeffs)), np.max(np.abs(den.coeffs))
-    nlead = 0
-    while nlead < num.coeffs.size - 1 and abs(num.coeffs[nlead]) <= EPS_COEFF * nscale:
-        nlead += 1
-    dlead = 0
-    while dlead < den.coeffs.size - 1 and abs(den.coeffs[dlead]) <= EPS_COEFF * dscale:
-        dlead += 1
-    shift = min(nlead, dlead)
-    if shift:
-        num = ComplexPolynomial(num.coeffs[shift:])
-        den = ComplexPolynomial(den.coeffs[shift:])
-
-    if den.degree == 0:
-        return ComplexPolynomial(num.coeffs / den.coeffs[0]), ComplexPolynomial([1.0])
-    if num.degree == 0:
-        lead = den.lead
-        return ComplexPolynomial(num.coeffs / lead), ComplexPolynomial(den.coeffs / lead)
-
-    num_c, den_c, cancelled = _cancel_common_roots(num, den)
-    if not cancelled:
-        lead = den.lead
-        return ComplexPolynomial(num.coeffs / lead), ComplexPolynomial(den.coeffs / lead)
-    new_num = ComplexPolynomial(num_c)
-    new_den = ComplexPolynomial(den_c)
-    if new_den.degree == 0:
-        return ComplexPolynomial(new_num.coeffs / new_den.coeffs[0]), ComplexPolynomial([1.0])
-    lead = new_den.lead
-    return ComplexPolynomial(new_num.coeffs / lead), ComplexPolynomial(new_den.coeffs / lead)
 
 
 @dataclass(frozen=True)
@@ -763,17 +776,7 @@ def winding_number(s) -> int:
 
 def monomial(k: int) -> RationalFunction:
     """z**k as a rational function; negative k gives 1/z**(-k)."""
-    if k >= 0:
-        c = np.zeros(k + 1, dtype=complex)
-        c[k] = 1.0
-        return RationalFunction(c)
-    c = np.zeros(-k + 1, dtype=complex)
-    c[-k] = 1.0
-    return RationalFunction([1.0], c)
-
-
-def constant(c) -> RationalFunction:
-    return RationalFunction([complex(c)])
+    return RationalFunction._from_roots(1.0, [(0j, max(k, 0))], [(0j, max(-k, 0))])
 
 
 Z = monomial(1)

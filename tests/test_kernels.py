@@ -185,6 +185,29 @@ def test_backward_shift_of_blaschke_product_is_maximal(rng):
         assert cert.is_maximal
 
 
+def _spread_zeros(n, seed=5):
+    radii = np.linspace(0.1, 0.45, n)
+    angles = 2 * np.pi * np.random.default_rng(seed).random(n)
+    return [(complex(a), 1) for a in radii * np.exp(1j * angles)]
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [[(0.5, 8)], [(0.5, 16)], [(0.5, 32)], _spread_zeros(24)],
+    ids=["B(0.5)^8", "B(0.5)^16", "B(0.5)^32", "24-distinct-zeros"],
+)
+def test_high_degree_model_space(zeros):
+    # conj(theta) has the model space of theta as its kernel: a multiple
+    # root must not split into a ring of simple ones, and tiny coefficients
+    # must not be trimmed away
+    theta = BlaschkeProduct(1.0, zeros)
+    s = as_symbol(theta.to_rational().circle_conjugate())
+    K = kernel(s)
+    assert K.dimension == theta.degree
+    assert all(in_kernel(b, s) for b in K.basis)
+    assert is_maximal(K.maximal_vector(), s).is_maximal
+
+
 def test_reproducing_kernel_is_not_maximal():
     cert = is_maximal(RationalFunction([1.0, 0.5]), monomial(-2))
     assert not cert.is_maximal

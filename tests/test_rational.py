@@ -4,7 +4,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+import tkern.rational
 from tkern import (
+    BlaschkeProduct,
     ClassificationWarning,
     ComplexPolynomial,
     NotInvertibleOnCircle,
@@ -12,8 +14,12 @@ from tkern import (
     ZeroPolynomial,
     as_symbol,
     circle_conjugate,
+    in_kernel,
+    inner_outer,
+    kernel,
     monomial,
     poly_roots,
+    wiener_hopf,
     winding_number,
 )
 from tkern.oracle import winding_by_quadrature
@@ -224,6 +230,36 @@ def test_powers_match_repeated_products(rng):
         1 + np.max(np.abs(r(z) ** -2.0))
     )
     assert (r**0).is_close(RationalFunction([1.0]))
+
+
+def test_products_and_factorizations_find_no_roots(monkeypatch):
+    # zeros and poles are the source of truth: once values exist, only
+    # coefficient input and sums may call the root finder
+    f = RationalFunction([0.5, -2.0, 1.0], [3.0, 1.0])
+    g = RationalFunction([1.0, 0.4], [-4.0, 1.0])
+    s = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))
+    theta = BlaschkeProduct(1j, [(0.3, 2), (-0.2j, 1)])
+
+    def refuse(p):
+        raise AssertionError("root finding after construction")
+
+    monkeypatch.setattr(tkern.rational, "poly_roots", refuse)
+    z = 0.8 * circle(16)
+    fz, gz = f(z), g(z)
+    assert np.allclose((f * g)(z), fz * gz)
+    assert np.allclose((f / g)(z), fz / gz)
+    assert np.allclose((f**3)(z), fz**3)
+    assert np.allclose((g**-2)(z), gz**-2.0)
+    assert np.allclose(f.circle_conjugate()(circle(16)), np.conj(f(circle(16))))
+    assert np.allclose(monomial(-3)(z), z**-3.0)
+    blaschke = 1j * ((z - 0.3) / (1 - 0.3 * z)) ** 2 * (z + 0.2j) / (1 - 0.2j * z)
+    assert np.allclose(theta.to_rational()(z), blaschke)
+    io = inner_outer(f)
+    assert io.inner.degree == 1 and np.allclose(io.reconstruct()(z), fz)
+    wh = wiener_hopf(s)
+    assert wh.index == -3 and np.allclose(wh.reconstruct()(z), s(z))
+    K = kernel(s)
+    assert K.dimension == 3 and all(in_kernel(b, s) for b in K.basis)
 
 
 def test_division_by_zero_function_rejected():
