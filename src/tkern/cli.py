@@ -87,14 +87,6 @@ def _complex_raw(c):
     return [float(c.real), float(c.imag)]
 
 
-def _parse_rational(text: str, variable: str = "z") -> RationalFunction:
-    return parse_expression(text, variable=variable).to_rational()
-
-
-def _parse_symbol(text: str):
-    return as_symbol(_parse_rational(text))
-
-
 def _kernel_result(K, verify_inline: bool, tol: float):
     result = {
         "dimension": K.dimension,
@@ -116,17 +108,17 @@ def _kernel_result(K, verify_inline: bool, tol: float):
 
 
 def _cmd_kernel(args):
-    K = kernel(_parse_symbol(args.symbol))
+    K = kernel(as_symbol(args.symbol))
     return _kernel_result(K, args.verify_inline, args.tol)
 
 
 def _cmd_dim(args):
-    s = _parse_symbol(args.symbol)
+    s = as_symbol(args.symbol)
     return {"dimension": kernel(s).dimension, "winding": s.winding}, False
 
 
 def _cmd_minkernel(args):
-    v, K = minimal_kernel(_parse_rational(args.vector))
+    v, K = minimal_kernel(args.vector)
     result, _ = _kernel_result(K, False, args.tol)
     result["symbol"] = format_rational(v.value)
     result["symbol_raw"] = _rational_raw(v.value)
@@ -134,7 +126,7 @@ def _cmd_minkernel(args):
 
 
 def _cmd_maximal(args):
-    cert = is_maximal(_parse_rational(args.vector), _parse_symbol(args.symbol))
+    cert = is_maximal(args.vector, as_symbol(args.symbol))
     witness = None if cert.failure_witness is None else format_complex(cert.failure_witness)
     return {
         "is_maximal": cert.is_maximal,
@@ -146,9 +138,8 @@ def _cmd_maximal(args):
 
 
 def _cmd_factor(args):
-    f = _parse_rational(args.f)
     if args.mode == "inner-outer":
-        io = inner_outer(f)
+        io = inner_outer(args.f)
         return {
             "inner_constant": format_complex(io.inner.constant),
             "inner_constant_raw": _complex_raw(io.inner.constant),
@@ -159,7 +150,7 @@ def _cmd_factor(args):
             "outer": format_rational(io.outer),
             "outer_raw": _rational_raw(io.outer),
         }, False
-    wh = wiener_hopf(as_symbol(f))
+    wh = wiener_hopf(as_symbol(args.f))
     return {
         "minus": format_rational(wh.minus),
         "minus_raw": _rational_raw(wh.minus),
@@ -170,8 +161,7 @@ def _cmd_factor(args):
 
 
 def _cmd_mult(args):
-    w = _parse_rational(args.w)
-    g, h = _parse_symbol(args.g), _parse_symbol(args.h)
+    w, g, h = args.w, as_symbol(args.g), as_symbol(args.h)
     via_vector = is_multiplier(w, g, h)
     via_smirnov = smirnov_multiplier_test(w, g, h)
     return {
@@ -194,25 +184,25 @@ def _space_result(ms):
 
 
 def _cmd_m2(args):
-    return _space_result(multiplier_space(_parse_symbol(args.g), _parse_symbol(args.h))), False
+    return _space_result(multiplier_space(as_symbol(args.g), as_symbol(args.h))), False
 
 
 def _cmd_minf(args):
     return _space_result(
-        multiplier_space_bounded(_parse_symbol(args.g), _parse_symbol(args.h))
+        multiplier_space_bounded(as_symbol(args.g), as_symbol(args.h))
     ), False
 
 
 def _cmd_include(args):
-    return {"includes": includes(_parse_symbol(args.g), _parse_symbol(args.h))}, False
+    return {"includes": includes(as_symbol(args.g), as_symbol(args.h))}, False
 
 
 def _cmd_equal(args):
-    return {"equal": equals(_parse_symbol(args.g), _parse_symbol(args.h))}, False
+    return {"equal": equals(as_symbol(args.g), as_symbol(args.h))}, False
 
 
 def _cmd_equiv(args):
-    witness = is_equivalent(_parse_symbol(args.g1), _parse_symbol(args.g2))
+    witness = is_equivalent(as_symbol(args.g1), as_symbol(args.g2))
     if witness is None:
         return {"equivalent": False, "h_minus": None, "h_plus": None}, False
     return {
@@ -225,10 +215,10 @@ def _cmd_equiv(args):
 
 
 def _cmd_crofoot(args):
-    theta = blaschke_from_rational(_parse_rational(args.theta))
+    theta = blaschke_from_rational(args.theta)
     if theta is None:
         raise PreconditionViolation("theta does not reduce to a finite Blaschke product")
-    phi = crofoot_companion(theta, _parse_rational(args.w))
+    phi = crofoot_companion(theta, args.w)
     if phi is None:
         return {"companion": None}, False
     return {
@@ -246,9 +236,7 @@ def _cmd_crofoot(args):
 
 
 def _cmd_surjective(args):
-    report = is_surjective_multiplier(
-        _parse_rational(args.w), _parse_symbol(args.g), _parse_symbol(args.h)
-    )
+    report = is_surjective_multiplier(args.w, as_symbol(args.g), as_symbol(args.h))
     return {
         "holds": report.holds,
         "outer_ok": report.outer_ok,
@@ -259,11 +247,11 @@ def _cmd_surjective(args):
 
 
 def _cmd_rigid(args):
-    return {"rigid": is_rigid(_parse_rational(args.p))}, False
+    return {"rigid": is_rigid(args.p)}, False
 
 
 def _cmd_cayley(args):
-    f = HalfPlaneRational(_parse_rational(args.f, variable="s"))
+    f = HalfPlaneRational(args.f)
     if args.mode == "function":
         out = cayley_function(f)
     else:
@@ -352,13 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_inputs(args) -> dict:
+def _lower_inputs(args) -> dict:
+    """Parse and lower each expression flag once, replacing its text in
+    ``args`` with the rational value, and return the envelope's canonical
+    inputs."""
     inputs = {}
     variable = "s" if args.command == "cayley" else "z"
     for flag, dest in _EXPR_FLAGS[args.command]:
-        inputs[flag.lstrip("-")] = format_rational(
-            _parse_rational(getattr(args, dest), variable=variable)
-        )
+        value = parse_expression(getattr(args, dest), variable=variable).to_rational()
+        setattr(args, dest, value)
+        inputs[flag.lstrip("-")] = format_rational(value)
     if getattr(args, "mode", None):
         inputs["mode"] = args.mode
     if getattr(args, "suite", None):
@@ -383,7 +374,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            inputs = _canonical_inputs(args)
+            inputs = _lower_inputs(args)
             result, mismatch = _COMMANDS[args.command](args)
         doc = {
             "command": args.command,

@@ -3,9 +3,12 @@
 Vectors move through the weighted isometry
 ``(V f)(z) = 2 sqrt(pi) (1+z)^-1 f(i(1-z)/(1+z))`` which maps L2 of the
 line onto L2 of the circle and preserves the Hardy spaces; bounded
-symbols move through the unweighted composition. Half-plane multiplier
-questions are answered entirely by conjugation with the disc engine:
-there is no independent half-plane Toeplitz machinery here.
+symbols move through the unweighted composition. Every composition with
+the Cayley map or its inverse moves the zeros and poles through the
+Moebius map and never expands coefficients, so multiple roots stay
+exact. Half-plane multiplier questions are answered entirely by
+conjugation with the disc engine: there is no independent half-plane
+Toeplitz machinery here.
 """
 
 from __future__ import annotations
@@ -14,17 +17,17 @@ import numpy as np
 
 from .errors import NotSquareIntegrable, UnboundedSymbol
 from .multipliers import is_multiplier
-from .rational import (
-    ComplexPolynomial,
-    RationalFunction,
-    ToeplitzSymbol,
-    as_rational,
-)
+from .rational import RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
 
 # Imaginary-part tolerance below which a pole counts as real.
 _REAL_AXIS_TOL = 1e-9
 
 _SQRT_PI = float(np.sqrt(np.pi))
+
+# Moebius data (a, b, c, d) of the Cayley map s = i(1-z)/(1+z) and of its
+# inverse z = (i-s)/(i+s), each as (a w + b)/(c w + d).
+_CAYLEY = (-1j, 1j, 1.0, 1.0)
+_INVERSE = (-1.0, 1j, 1.0, 1j)
 
 
 class HalfPlaneRational:
@@ -50,16 +53,20 @@ class HalfPlaneRational:
             if abs(p.imag) <= _REAL_AXIS_TOL * (1.0 + abs(p))
         ]
 
+    def _pole_excess(self) -> int:
+        """Pole count minus zero count: the order of vanishing at infinity."""
+        return sum(m for _, m in self.value.poles()) - sum(m for _, m in self.value.zeros())
+
     def decays_at_infinity(self) -> bool:
-        return self.value.num.degree < self.value.den.degree
+        return self.value.is_zero or self._pole_excess() > 0
 
     def bounded_at_infinity(self) -> bool:
-        return self.value.num.degree <= self.value.den.degree
+        return self._pole_excess() >= 0
 
     def in_l2_line(self) -> bool:
         """Square-integrable on the real line: no real poles and decay
         at least like 1/s at infinity."""
-        return (not self.real_poles()) and (self.value.is_zero or self.decays_at_infinity())
+        return (not self.real_poles()) and self.decays_at_infinity()
 
     def in_hardy_plus(self) -> bool:
         """Hardy space of the upper half-plane: square-integrable with all
@@ -71,10 +78,15 @@ class HalfPlaneRational:
         return all(p.imag < 0 for p, _ in self.value.poles())
 
     def conjugate_on_line(self) -> "HalfPlaneRational":
-        """The rational function agreeing with conj(f(s)) for real s:
-        coefficient-wise conjugation."""
+        """The rational function agreeing with conj(f(s)) for real s: the
+        conjugate gain with every zero and pole conjugated."""
+        v = self.value
         return HalfPlaneRational(
-            RationalFunction(self.value.num.conj_coeffs(), self.value.den.conj_coeffs())
+            RationalFunction._from_roots(
+                v._gain.conjugate(),
+                [(r.conjugate(), m) for r, m in v.zeros()],
+                [(r.conjugate(), m) for r, m in v.poles()],
+            )
         )
 
     def __mul__(self, other):
@@ -93,32 +105,6 @@ def _as_halfplane(f) -> HalfPlaneRational:
     return f if isinstance(f, HalfPlaneRational) else HalfPlaneRational(f)
 
 
-def _lift(p: ComplexPolynomial, mnum: ComplexPolynomial, mden: ComplexPolynomial, m: int):
-    """mden**m * p(mnum/mden) as a polynomial (requires deg p <= m)."""
-    acc = ComplexPolynomial([0.0])
-    for j, cj in enumerate(p.coeffs):
-        acc = acc + cj * (mnum**j) * (mden ** (m - j))
-    return acc
-
-
-def _compose_mobius(r: RationalFunction, mnum, mden) -> RationalFunction:
-    """r(M(z)) for the Moebius map M = mnum/mden (both linear)."""
-    mnum = ComplexPolynomial._coerce(mnum)
-    mden = ComplexPolynomial._coerce(mden)
-    if r.is_zero:
-        return RationalFunction(0.0)
-    m = max(r.num.degree, r.den.degree)
-    return RationalFunction(_lift(r.num, mnum, mden, m), _lift(r.den, mnum, mden, m))
-
-
-# Moebius data of the Cayley map s = i(1-z)/(1+z) and its inverse
-# z = (i-s)/(i+s).
-_CAYLEY_NUM = ComplexPolynomial([1j, -1j])
-_CAYLEY_DEN = ComplexPolynomial([1.0, 1.0])
-_INV_NUM = ComplexPolynomial([1j, -1.0])
-_INV_DEN = ComplexPolynomial([1j, 1.0])
-
-
 def cayley_function(f) -> RationalFunction:
     """Weighted transfer of a square-integrable line function to the circle:
     2 sqrt(pi) (1+z)^-1 f(i(1-z)/(1+z)), reduced. Isometric from L2 of the
@@ -131,12 +117,10 @@ def cayley_function(f) -> RationalFunction:
         raise NotSquareIntegrable(
             "function has a real pole or insufficient decay at infinity"
         )
-    # the decay degree absorbs the (1+z)^-1 weight analytically: lift the
-    # numerator one Moebius power short of the denominator
-    m = f.value.den.degree
-    num = _lift(f.value.num, _CAYLEY_NUM, _CAYLEY_DEN, m - 1)
-    den = _lift(f.value.den, _CAYLEY_NUM, _CAYLEY_DEN, m)
-    return 2.0 * _SQRT_PI * RationalFunction(num, den)
+    # f decays, so the composition vanishes at z = -1 and the weight's
+    # pole there cancels
+    weight = RationalFunction._from_roots(2.0 * _SQRT_PI, (), [(-1.0, 1)])
+    return weight * _compose_mobius(f.value, *_CAYLEY)
 
 
 def cayley_symbol(g) -> ToeplitzSymbol:
@@ -145,20 +129,20 @@ def cayley_symbol(g) -> ToeplitzSymbol:
     g = _as_halfplane(g)
     if g.value.is_zero or g.real_poles() or not g.bounded_at_infinity():
         raise UnboundedSymbol("symbol must be bounded on the real line and nonzero")
-    return ToeplitzSymbol(_compose_mobius(g.value, _CAYLEY_NUM, _CAYLEY_DEN))
+    return ToeplitzSymbol(_compose_mobius(g.value, *_CAYLEY))
 
 
 def transfer_multiplier(w) -> RationalFunction:
     """Unweighted composition used for multiplier candidates; no
     boundedness requirement (integrability defects surface through the
     Carleson checks on the disc)."""
-    return _compose_mobius(_as_halfplane(w).value, _CAYLEY_NUM, _CAYLEY_DEN)
+    return _compose_mobius(_as_halfplane(w).value, *_CAYLEY)
 
 
 def inverse_cayley_symbol(G) -> HalfPlaneRational:
     """Pull a disc function back to the half-plane variable:
     G((i-s)/(i+s)), reduced."""
-    return HalfPlaneRational(_compose_mobius(as_rational(G), _INV_NUM, _INV_DEN))
+    return HalfPlaneRational(_compose_mobius(as_rational(G), *_INVERSE))
 
 
 def halfplane_multiplier_test(w, g, h) -> bool:

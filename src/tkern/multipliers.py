@@ -47,8 +47,10 @@ class MultiplierSpace:
 
     ``test_symbol`` is the reduction of (1/z) * h / g; the space is its
     Toeplitz kernel. ``carleson_filtered`` records that every basis
-    element was checked against the Carleson condition for the source
-    kernel (no element is ever dropped at rational scale).
+    element satisfies the Carleson condition for the source kernel. This
+    holds by construction: both kernels consist of rational Hardy-space
+    functions, which have no poles on the closed disc, and neither has a
+    product of two of them.
     """
 
     source: ToeplitzSymbol
@@ -163,12 +165,9 @@ def multiplier_space(g, h) -> MultiplierSpace:
         raise UndefinedQuotient(str(exc)) from exc
     if not t.circle_invertible:
         raise NotInvertibleOnCircle("reduced multiplier test symbol has circle zeros or poles")
-    space = kernel(t)
-    Kg = kernel(g)
-    kept = tuple(b for b in space.basis if carleson_check(b, Kg))
-    if len(kept) != len(space.basis):  # cannot happen for rational data
-        space = ToeplitzKernel(space.symbol, len(kept), kept)
-    return MultiplierSpace(g, h, t, space, carleson_filtered=True)
+    if not g.circle_invertible:
+        raise NotInvertibleOnCircle("source symbol has circle zeros or poles")
+    return MultiplierSpace(g, h, t, kernel(t), carleson_filtered=True)
 
 
 def multiplier_space_bounded(g, h) -> MultiplierSpace:

@@ -75,7 +75,7 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     ResolutionWarning is issued if the cap is reached first.
     """
     f = as_rational(f)
-    if as_rational(f).pole_classification().on_circle:
+    if f.pole_classification().on_circle:
         raise PoleOnCircle("Fourier coefficients need a pole-free boundary")
     _check_circle_distance(f)
     if f.is_zero:
@@ -83,10 +83,7 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
 
     def extract(m):
         hat = np.fft.fft(boundary_sampling(f, m).values) / m
-        out = np.empty(2 * N + 1, dtype=complex)
-        for j in range(-N, N + 1):
-            out[N + j] = hat[j % m]
-        return out
+        return hat[np.arange(-N, N + 1) % m]
 
     m = 256
     while m < max(4 * N, 4):

@@ -4,14 +4,16 @@ Everything downstream (factorizations, kernels, multipliers) is built on
 three types defined here: ``ComplexPolynomial`` (coefficient lists in
 ascending degree order), ``RationalFunction`` (a gain with its zeros and
 poles), and ``ToeplitzSymbol`` (a rational function read on the unit
-circle, with cached invertibility and winding number).
+circle, with its invertibility and winding number computed from the
+roots on each access).
 
 Conventions:
   * a rational function is stored in factored form, as its gain and its
     zeros and poles with multiplicity; its coefficients, with a monic
     denominator, are derived on demand and cached;
-  * products, quotients, powers and circle conjugation merge the root
-    multisets; only coefficient input and sums find roots (``poly_roots``);
+  * products, quotients, powers, circle conjugation and Moebius
+    composition move or merge the root multisets; only coefficient input
+    and sums find roots (``poly_roots``);
   * roots that match within ``EPS_ROOT`` (relative) are one root, so
     matching numerator/denominator roots cancel and the quotient is
     always reduced;
@@ -134,39 +136,6 @@ class ComplexPolynomial:
         return ComplexPolynomial(npoly.polyadd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexPolynomial(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return ComplexPolynomial()
-        return ComplexPolynomial(npoly.polymul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are rational functions")
-        out = ComplexPolynomial([1.0])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conj_coeffs(self) -> "ComplexPolynomial":
-        """Coefficient-wise conjugate (same powers of the variable)."""
-        return ComplexPolynomial(np.conj(self.coeffs))
 
     @staticmethod
     def from_roots(roots, lead: complex = 1.0) -> "ComplexPolynomial":
@@ -403,7 +372,8 @@ class RationalFunction:
     within ``EPS_ROOT`` cancel, so the quotient is always reduced. The
     coefficients ``num`` and ``den`` (monic) are derived on first use and
     cached. Only coefficient input and sums find roots; products,
-    quotients, powers and circle conjugation merge the multisets.
+    quotients, powers, circle conjugation and Moebius composition move or
+    merge the multisets.
     """
 
     __slots__ = ("_gain", "_zeros", "_poles", "_num", "_den")
@@ -767,6 +737,36 @@ def circle_conjugate(r):
     if isinstance(r, ToeplitzSymbol):
         return r.conjugate()
     return as_rational(r).circle_conjugate()
+
+
+def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
+    """r(M(z)) for the Moebius map M(z) = (a z + b)/(c z + d), c != 0.
+
+    M(z) - p = ((a - c p) z + (b - d p))/(c z + d), so each root p moves
+    to (d p - b)/(a - c p) and puts a - c p into the gain; a root at a/c
+    (the image of infinity) leaves only the constant b - d p. The degree
+    difference becomes a power of c z + d. No root finding.
+    """
+    if r.is_zero:
+        return r
+
+    def move(roots):
+        factor, moved = 1.0, []
+        for p, m in roots:
+            if abs(p - a / c) <= EPS_ROOT * max(1.0, abs(p)):
+                factor *= (b - d * p) ** m
+            else:
+                factor *= (a - c * p) ** m
+                moved.append(((d * p - b) / (a - c * p), m))
+        return factor, moved
+
+    zero_factor, zeros = move(r._zeros)
+    pole_factor, poles = move(r._poles)
+    shift = sum(m for _, m in r._poles) - sum(m for _, m in r._zeros)
+    zeros.append((-d / c, max(shift, 0)))
+    poles.append((-d / c, max(-shift, 0)))
+    gain = r._gain * zero_factor / pole_factor * c**shift
+    return RationalFunction._from_roots(gain, zeros, poles)
 
 
 def winding_number(s) -> int:

@@ -1,6 +1,8 @@
 """Cayley bridge: isometric vector transfer, symbol transfer, conjugated
 multiplier tests."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -117,6 +119,22 @@ def test_round_trip_recovers_symbol(rng):
         back = inverse_cayley_symbol(cayley_symbol(g).value)
         assert back.value.num.is_close(g.value.num, 1e-9)
         assert back.value.den.is_close(g.value.den, 1e-9)
+
+
+@pytest.mark.parametrize("k", [8, 12, 16, 24, 32])
+def test_high_multiplicity_roots_transfer_exactly(k):
+    # expanding the Moebius composition into coefficients splits a k-fold
+    # root into a ring of simple roots; moving roots keeps it whole
+    V = cayley_function(HalfPlaneRational(RationalFunction([1.0], [1j, 1.0]) ** k))
+    exact = np.pi * comb(2 * k - 2, k - 1) / 4 ** (k - 1)
+    assert abs(circle_norm_squared(V) - exact) <= 1e-6 * exact
+    theta = HalfPlaneRational(RationalFunction([-1j, 1.0], [1j, 1.0]) ** k)
+    G = cayley_symbol(theta)
+    assert G.value.is_close((-1) ** k * monomial(k))
+    back = inverse_cayley_symbol(G).value
+    [(zero, zm)], [(pole, pm)] = back.zeros(), back.poles()
+    assert zm == pm == k
+    assert abs(zero - 1j) <= 1e-9 and abs(pole + 1j) <= 1e-9
 
 
 def test_backward_shift_test_function_transfers_to_maximal_vector():

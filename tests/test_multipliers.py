@@ -6,6 +6,7 @@ import pytest
 from tkern import (
     BlaschkeProduct,
     CarlesonFailure,
+    NotInvertibleOnCircle,
     NotOuter,
     RationalFunction,
     TrivialKernel,
@@ -138,6 +139,15 @@ def test_space_from_kz_to_kz2():
     assert ms.test_symbol.value.is_close(monomial(-2))
     assert ms.dimension == 2
     assert ms.carleson_filtered
+
+
+def test_space_rejects_source_with_circle_zero():
+    # the test symbol h / (z g) = 1/z^2 is fine; the source's circle zero
+    # is what leaves the space undefined
+    g = RationalFunction([-1.0, 1.0]) * monomial(-2)
+    h = RationalFunction([-1.0, 1.0]) * monomial(-3)
+    with pytest.raises(NotInvertibleOnCircle):
+        multiplier_space(g, h)
 
 
 def test_space_elements_are_multipliers(rng):

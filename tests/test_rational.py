@@ -9,16 +9,21 @@ from tkern import (
     BlaschkeProduct,
     ClassificationWarning,
     ComplexPolynomial,
+    HalfPlaneRational,
     NotInvertibleOnCircle,
     RationalFunction,
     ZeroPolynomial,
     as_symbol,
+    cayley_function,
+    cayley_symbol,
     circle_conjugate,
     in_kernel,
     inner_outer,
+    inverse_cayley_symbol,
     kernel,
     monomial,
     poly_roots,
+    transfer_multiplier,
     wiener_hopf,
     winding_number,
 )
@@ -41,6 +46,17 @@ def test_double_root_detected_as_multiplicity_two():
     assert len(roots) == 1
     r, m = roots[0]
     assert m == 2 and abs(r - 0.5) < 1e-7
+
+
+@pytest.mark.parametrize("root", [0.5, 2.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_multiple_root_from_expanded_coefficients(k, root):
+    # eigenvalues split a k-fold root into a ring of radius ~eps**(1/k);
+    # the near-multiple refinement has to merge it back
+    p = ComplexPolynomial(npoly.polyfromroots([root] * k))
+    [(r, m)] = poly_roots(p)
+    assert m == k and abs(r - root) < 1e-7 * max(1.0, abs(root))
+    assert (RationalFunction(p) / RationalFunction([-root, 1.0]) ** k).is_constant
 
 
 def test_planted_roots_recovered(rng):
@@ -239,6 +255,8 @@ def test_products_and_factorizations_find_no_roots(monkeypatch):
     g = RationalFunction([1.0, 0.4], [-4.0, 1.0])
     s = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))
     theta = BlaschkeProduct(1j, [(0.3, 2), (-0.2j, 1)])
+    line_f = HalfPlaneRational(RationalFunction([0.5, 1.0]) * RationalFunction(1.0, [1j, 1.0]) ** 2)
+    line_g = HalfPlaneRational(RationalFunction([-1j, 1.0], [1j, 1.0]) ** 2)
 
     def refuse(p):
         raise AssertionError("root finding after construction")
@@ -260,6 +278,14 @@ def test_products_and_factorizations_find_no_roots(monkeypatch):
     assert wh.index == -3 and np.allclose(wh.reconstruct()(z), s(z))
     K = kernel(s)
     assert K.dimension == 3 and all(in_kernel(b, s) for b in K.basis)
+    cz = 1j * (1 - z) / (1 + z)
+    weighted = 2 * np.sqrt(np.pi) / (1 + z) * line_f(cz)
+    assert np.allclose(cayley_function(line_f)(z), weighted)
+    assert np.allclose(cayley_symbol(line_g)(z), line_g(cz))
+    assert np.allclose(transfer_multiplier(line_f)(z), line_f(cz))
+    x = np.linspace(-3.0, 3.0, 7)
+    assert np.allclose(inverse_cayley_symbol(cayley_symbol(line_g))(x), line_g(x))
+    assert np.allclose(line_f.conjugate_on_line()(x), np.conj(line_f(x)))
 
 
 def test_division_by_zero_function_rejected():
