@@ -3,7 +3,7 @@
 Every subcommand prints one JSON document on standard output (or a plain
 text rendering with --text); human-readable logs go to standard error.
 Exit codes: 0 success, 1 verification mismatch, 2 parse or precondition
-errors (with a JSON error object).
+errors (with a JSON error object), 141 standard output closed early.
 
 Report envelope:
 
@@ -349,7 +349,7 @@ def _lower_inputs(args) -> dict:
     for flag, dest in _EXPR_FLAGS[args.command]:
         value = parse_expression(getattr(args, dest), variable=variable).to_rational()
         setattr(args, dest, value)
-        inputs[flag.lstrip("-")] = format_rational(value)
+        inputs[flag.lstrip("-")] = format_rational(value, variable=variable)
     if getattr(args, "mode", None):
         inputs["mode"] = args.mode
     if getattr(args, "suite", None):
@@ -390,14 +390,26 @@ def main(argv=None) -> int:
             "message": str(exc),
             "position": getattr(exc, "position", None),
         }
-        print(json.dumps(err))
-        return 2
-    out = _render_text(doc) if args.text else json.dumps(doc, indent=2)
-    print(out)
+        return _emit(json.dumps(err), 2)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(doc, fh, indent=2)
-    return 1 if mismatch else 0
+    out = _render_text(doc) if args.text else json.dumps(doc, indent=2)
+    return _emit(out, 1 if mismatch else 0)
+
+
+def _emit(text: str, code: int) -> int:
+    """Print ``text`` and return ``code``, or 141 (128 + SIGPIPE) when
+    standard output was closed early, as by ``tk ... | head``."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -87,15 +87,18 @@ class EquivalenceWitness:
 
 
 def kernel(s) -> ToeplitzKernel:
-    """The kernel of the Toeplitz operator with rational symbol ``s``."""
+    """The kernel of the Toeplitz operator with rational symbol ``s``,
+    computed once per symbol value: the kernel is kept on the symbol and
+    later calls with the same ``ToeplitzSymbol`` return it."""
     s = as_symbol(s)
-    w = s.winding  # raises NotInvertibleOnCircle when undefined
-    if w >= 0:
-        return ToeplitzKernel(s, 0, ())
-    wh = wiener_hopf(s)
-    plus = wh.plus
-    basis = tuple(plus * monomial(j) for j in range(-w))
-    return ToeplitzKernel(s, -w, basis)
+    if s._kernel is None:
+        w = s.winding  # raises NotInvertibleOnCircle when undefined
+        basis = ()
+        if w < 0:
+            plus = wiener_hopf(s).plus
+            basis = tuple(plus * monomial(j) for j in range(-w))
+        object.__setattr__(s, "_kernel", ToeplitzKernel(s, len(basis), basis))
+    return s._kernel
 
 
 def in_kernel(f, s) -> bool:

@@ -151,7 +151,14 @@ class ComplexPolynomial:
                 flat.extend([r] * int(m))
             else:
                 flat.append(item)
-        c = complex(lead) * npoly.polyfromroots(np.asarray(flat, dtype=complex))
+        n = len(flat)
+        c = np.zeros(n + 1, dtype=complex)
+        c[n] = 1.0
+        # multiply in place by one (z - r) at a time; the monic product of
+        # the first k factors fills c[n - k:], in ascending order
+        for k, r in enumerate(flat):
+            c[n - k - 1 : n] -= r * c[n - k :]
+        c *= lead
         c.setflags(write=False)
         p = object.__new__(ComplexPolynomial)
         object.__setattr__(p, "coeffs", c)
@@ -209,55 +216,53 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     if c.size < 2:
         return _sorted_roots(out)
 
+    # one Newton step on every isolated root, all roots at once
     raw = npoly.polyroots(c)
-    dp = npoly.polyder(c)
-    polished = []
-    for i, r in enumerate(raw):
-        others = np.delete(raw, i)
-        isolated = others.size == 0 or np.min(np.abs(others - r)) > POLISH_ISOLATION * max(
-            1.0, abs(r)
-        )
-        if isolated:
-            val = npoly.polyval(r, c)
-            der = npoly.polyval(r, dp)
-            if der != 0:
-                step = val / der
-                if abs(step) < 0.5 * (1.0 + abs(r)):
-                    cand = r - step
-                    if abs(npoly.polyval(cand, c)) < abs(val):
-                        r = cand
-        polished.append(complex(r))
+    size = np.abs(raw)
+    gap = np.abs(raw[:, None] - raw)
+    np.fill_diagonal(gap, np.inf)
+    isolated = gap.min(axis=1) > POLISH_ISOLATION * np.maximum(1.0, size)
+    val = npoly.polyval(raw, c)
+    der = npoly.polyval(raw, c[1:] * np.arange(1, c.size))
+    with np.errstate(all="ignore"):  # a zero derivative: ``accept`` drops the step
+        step = val / der
+        cand = raw - step
+        better = np.abs(npoly.polyval(cand, c)) < np.abs(val)
+    accept = isolated & (der != 0) & (np.abs(step) < 0.5 * (1.0 + size)) & better
+    polished = np.where(accept, cand, raw)
 
-    clusters = _cluster_roots(polished)
+    clusters = _cluster_roots(polished, EPS_ROOT)
     out.extend(_resolve_near_multiple_groups(clusters, c))
     return _sorted_roots(out)
 
 
-def _group_points(points, tol_factor):
-    """Single-linkage grouping of complex points at a relative tolerance."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            tol = tol_factor * max(1.0, abs(points[i]), abs(points[j]))
-            if abs(points[i] - points[j]) <= tol:
-                parent[find(i)] = find(j)
-
+def _group_points(points, tol_factor) -> list[list[complex]]:
+    """Single-linkage grouping of complex points at a relative tolerance.
+    Groups come in the order of their first member, members in input
+    order."""
+    p = np.asarray(points, dtype=complex)
+    size = np.maximum(1.0, np.abs(p))
+    linked = np.abs(p[:, None] - p) <= tol_factor * np.maximum.outer(size, size)
+    # transitive closure by repeated squaring: row i ends up marking
+    # every point in the group of point i
+    while True:
+        wider = linked @ linked
+        if np.array_equal(wider, linked):
+            break
+        linked = wider
     groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
+    for point, first in zip(p.tolist(), linked.argmax(axis=1).tolist()):
+        groups.setdefault(first, []).append(point)
     return list(groups.values())
 
 
-def _cluster_roots(roots) -> list[tuple[complex, int]]:
-    return [(complex(np.mean(g)), len(g)) for g in _group_points(roots, EPS_ROOT)]
+def _cluster_roots(roots, tol_factor) -> list[tuple[complex, int]]:
+    """Each single-linkage group of ``roots`` as (mean, group size); a
+    lone root is kept as it is."""
+    return [
+        (g[0], 1) if len(g) == 1 else (complex(np.mean(g)), len(g))
+        for g in _group_points(roots, tol_factor)
+    ]
 
 
 def _refine_factor(parent: np.ndarray, factor: np.ndarray, rounds: int = 4) -> np.ndarray:
@@ -311,8 +316,7 @@ def _resolve_near_multiple_groups(clusters, coeffs) -> list[tuple[complex, int]]
         sub = npoly.polyroots(factor)
         # noise floor of an m-fold root: below it the subroots are one root
         noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
-        for sg in _group_points(list(sub), noise):
-            out.append((complex(np.mean(sg)), len(sg)))
+        out.extend(_cluster_roots(sub, noise))
     return out
 
 
@@ -327,6 +331,8 @@ def _roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
 def _matches(a, b):
     """Index pairs (i, j) with roots a[i] and b[j] within EPS_ROOT
     (relative), in row-major order."""
+    if not a or not b:
+        return ()
     a = np.array(a, dtype=complex)
     b = np.array(b, dtype=complex)
     tol = EPS_ROOT * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
@@ -337,6 +343,8 @@ def _merge(roots) -> list[list]:
     """A root multiset as [root, multiplicity] slots; roots that match
     within EPS_ROOT fold into one slot at their weighted mean."""
     slots = [[complex(r), int(m)] for r, m in roots if m > 0]
+    if len(slots) < 2:
+        return slots
     points = [r for r, _ in slots]
     for i, j in _matches(points, points):
         (ri, mi), (rj, mj) = slots[i], slots[j]
@@ -666,16 +674,18 @@ class ToeplitzSymbol:
     powers of 1/z). ``circle_invertible`` is true exactly when the reduced
     value has no zeros and no poles on the circle; the winding number
     (zeros inside minus poles inside, with multiplicity) is defined only
-    in that case.
+    in that case. ``kernels.kernel`` stores the symbol's kernel in the
+    private ``_kernel`` slot on first use.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_kernel")
 
     def __init__(self, value):
         value = RationalFunction._coerce(value)
         if value.is_zero:
             raise ZeroFunction("the zero symbol is rejected")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ToeplitzSymbol is immutable")
@@ -689,14 +699,13 @@ class ToeplitzSymbol:
 
     @property
     def winding(self) -> int:
-        if not self.circle_invertible:
+        zc = self.value.zero_classification()
+        pc = self.value.pole_classification()
+        if zc.on_circle or pc.on_circle:
             raise NotInvertibleOnCircle(
                 "symbol has a zero or pole on the unit circle; winding undefined"
             )
-        return (
-            self.value.zero_classification().count_inside()
-            - self.value.pole_classification().count_inside()
-        )
+        return zc.count_inside() - pc.count_inside()
 
     def conjugate(self) -> "ToeplitzSymbol":
         return ToeplitzSymbol(self.value.circle_conjugate())
@@ -804,7 +813,7 @@ def format_complex(c, digits: int = 12) -> str:
     return f"{re:.{digits}g}{sign}{abs(im):.{digits}g}i"
 
 
-def format_polynomial(p: ComplexPolynomial, digits: int = 12) -> str:
+def format_polynomial(p: ComplexPolynomial, digits: int = 12, variable: str = "z") -> str:
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
         return "0"
@@ -818,7 +827,7 @@ def format_polynomial(p: ComplexPolynomial, digits: int = 12) -> str:
         if j == 0:
             terms.append(f"({cs})" if needs_parens else cs)
             continue
-        zpow = "z" if j == 1 else f"z^{j}"
+        zpow = variable if j == 1 else f"{variable}^{j}"
         if cs == "1":
             terms.append(zpow)
         elif cs == "-1":
@@ -835,12 +844,12 @@ def format_polynomial(p: ComplexPolynomial, digits: int = 12) -> str:
     return out
 
 
-def format_rational(r: RationalFunction, digits: int = 12) -> str:
+def format_rational(r: RationalFunction, digits: int = 12, variable: str = "z") -> str:
     r = RationalFunction._coerce(r)
-    num = format_polynomial(r.num, digits)
+    num = format_polynomial(r.num, digits, variable)
     if r.den.degree == 0 and abs(r.den.coeffs[0] - 1.0) <= 1e-13:
         return num
-    den = format_polynomial(r.den, digits)
+    den = format_polynomial(r.den, digits, variable)
     nwrap = f"({num})" if (" " in num) else num
     dwrap = f"({den})" if (" " in den or "*" in den or "^" in den) else f"({den})"
     return f"{nwrap}/{dwrap}"

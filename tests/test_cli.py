@@ -1,7 +1,9 @@
 """CLI contract: envelope schema, exit codes, canonical printing."""
 
 import importlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +145,60 @@ def test_tolerance_flag_lands_in_envelope(capsys):
     assert doc["tolerances"]["tol"] == 1e-6
     _, doc = run_cli(["dim", "--symbol", "zbar", "--tol", "1e-5"], capsys)
     assert doc["tolerances"]["tol"] == 1e-5
+
+
+def test_cayley_inputs_keep_the_half_plane_variable(capsys):
+    _, doc = run_cli(["cayley", "--mode", "symbol", "--f", "(s-1i)/(s+1i)"], capsys)
+    assert "s" in doc["inputs"]["f"] and "z" not in doc["inputs"]["f"]
+    assert doc["result"]["result"] == "-z"
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # a pipe whose reader is gone, as after `tk ... | head -2` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    report = tmp_path / "report.json"
+    env = {k: v for k, v in os.environ.items() if k != "TK_LOG"}
+    argv = ["verify", "--suite", "paper-examples", "--report", str(report)]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tkern", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+    assert json.loads(report.read_text())["result"]["failed"] == 0
+
+
+def _imported_top_level(args):
+    """Top-level names of every module that ``python -X importtime
+    <args>`` tries to import, read from the import-time report on
+    stderr; a failed attempt (``copy`` probes for ``org``) is listed too."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import tkern"], ["-m", "tkern", "dim", "--symbol", "zbar^2"]],
+    ids=["import", "cli"],
+)
+def test_runtime_imports_only_numpy(args):
+    # jsonschema, scipy, sympy and mpmath are installed for the tests;
+    # none of them may reach the runtime import graph
+    baseline = _imported_top_level(["-c", "pass"])
+    tried = _imported_top_level(args) - baseline - set(sys.stdlib_module_names)
+    loaded = {name for name in tried if importlib.util.find_spec(name) is not None}
+    assert loaded == {"tkern", "numpy"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tkern.kernels
 from tkern import (
     BlaschkeProduct,
     CarlesonFailure,
@@ -105,6 +106,26 @@ def test_two_route_agreement(rng):
             int(rng.integers(0, 2)),
         )
         assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
+
+
+def test_two_route_check_factors_the_source_once(monkeypatch):
+    # the source kernel is kept on its symbol, so the maximal-vector route
+    # and the conjugate-Smirnov route share one Wiener-Hopf factorization
+    factored = []
+    wiener_hopf = tkern.kernels.wiener_hopf
+
+    def counting(s):
+        factored.append(s)
+        return wiener_hopf(s)
+
+    monkeypatch.setattr(tkern.kernels, "wiener_hopf", counting)
+    g = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))
+    h = as_symbol(monomial(-4))
+    w = RationalFunction([1, 1])
+    assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
+    assert len(factored) == 1
+    assert kernel(g) is kernel(g)
+    assert len(factored) == 1
 
 
 def test_composition_of_multipliers(rng):

@@ -1,5 +1,7 @@
 """Core rational arithmetic: roots, reduction, circle conjugation, winding."""
 
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -79,6 +81,79 @@ def test_roots_then_reexpansion_reproduces_coefficients(rng, degree):
     rebuilt = ComplexPolynomial.from_roots(poly_roots(p), lead=lead)
     scale = np.max(np.abs(p.coeffs))
     assert np.max(np.abs(rebuilt.coeffs - p.coeffs)) < 1e-8 * scale
+
+
+def _separated_roots(rng, n, gap=1e-3):
+    roots = []
+    while len(roots) < n:
+        r = rng.uniform(0.1, 4.0) * np.exp(2j * np.pi * rng.random())
+        if all(abs(r - q) >= gap for q in roots):
+            roots.append(r)
+    return np.array(roots)
+
+
+def test_separated_roots_recovered_as_simple_roots():
+    rng = np.random.default_rng(2016)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        planted = _separated_roots(rng, n)
+        found = poly_roots(ComplexPolynomial(npoly.polyfromroots(planted)))
+        assert [m for _, m in found] == [1] * n
+        dist = np.abs(planted[:, None] - np.array([r for r, _ in found]))
+        assert len(set(dist.argmin(axis=1).tolist())) == n
+        assert np.all(dist.min(axis=1) <= 1e-9 * np.abs(planted))
+
+
+@pytest.mark.parametrize("degree", range(1, 49))
+def test_from_roots_matches_numpy_expansion(degree):
+    rng = np.random.default_rng(degree)
+    roots = rng.uniform(0.1, 4.0, degree) * np.exp(2j * np.pi * rng.random(degree))
+    lead = 0.7 - 0.4j
+    c = ComplexPolynomial.from_roots(list(roots), lead=lead).coeffs
+    expected = lead * npoly.polyfromroots(roots)
+    assert c.size == degree + 1
+    assert np.max(np.abs(c - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_from_roots_keeps_high_multiplicity_degree():
+    p = ComplexPolynomial.from_roots([(2.0, 32)])
+    assert p.degree == 32
+    # every partial product of (z - 2) has integer coefficients below 2**53
+    expected = [math.comb(32, j) * (-2) ** (32 - j) for j in range(33)]
+    assert p.coeffs.tolist() == [complex(e) for e in expected]
+
+
+def _group_points_by_pairs(points, tol_factor):
+    # reference: union-find over every pair; a dict keeps the groups in the
+    # order of their first member
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):
+            b = points[j]
+            if abs(a - b) <= tol_factor * max(1.0, abs(a), abs(b)):
+                parent[find(j)] = find(i)
+    groups = {}
+    for i, a in enumerate(points):
+        groups.setdefault(find(i), []).append(a)
+    return list(groups.values())
+
+
+def test_group_points_matches_pairwise_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        # a few centres with jittered copies, so chains and singletons mix
+        centres = 2.0 * (rng.random(3) - 0.5 + 1j * (rng.random(3) - 0.5))
+        points = centres[rng.integers(0, 3, n)] + 1e-3 * (rng.random(n) + 1j * rng.random(n))
+        points = points.tolist()
+        for tol in (1e-7, 5e-4, 1e-2):
+            assert tkern.rational._group_points(points, tol) == _group_points_by_pairs(points, tol)
 
 
 def test_zero_polynomial_has_no_roots():
