@@ -22,7 +22,6 @@ from .errors import (
 )
 from .rational import (
     EPS_CIRCLE,
-    EPS_ROOT,
     RationalFunction,
     as_rational,
     as_symbol,
@@ -143,21 +142,9 @@ def wiener_hopf(s) -> WienerHopfFactorization:
 
 def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:
     """True when every zero of ``alpha`` appears among ``theta``'s zeros
-    with at least the same multiplicity (matched within EPS_ROOT)."""
-    remaining = [[a, m] for a, m in theta.zeros]
-    for a, m in alpha.zeros:
-        for slot in remaining:
-            if slot[1] == 0:
-                continue
-            if abs(a - slot[0]) <= EPS_ROOT * max(1.0, abs(a)):
-                take = min(m, slot[1])
-                slot[1] -= take
-                m -= take
-                if m == 0:
-                    break
-        if m > 0:
-            return False
-    return True
+    with at least the same multiplicity: theta's zeros over alpha's, with
+    roots matched within EPS_ROOT, leave no pole."""
+    return not RationalFunction._from_roots(1.0, theta.zeros, alpha.zeros).poles()
 
 
 def blaschke_from_rational(r, tol: float = 1e-8):

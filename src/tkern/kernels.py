@@ -118,10 +118,6 @@ def in_kernel(f, s) -> bool:
     return q.in_hardy2()
 
 
-def _kernel_certificate(f, s) -> RationalFunction:
-    return (monomial(1) * as_symbol(s).value * as_rational(f)).circle_conjugate()
-
-
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
     """The smallest Toeplitz kernel containing ``k``.
 
@@ -143,9 +139,10 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
-    The certificate circle_conjugate(z * s * k) must be a Hardy-space
-    function (that is membership of k in the kernel) with no zeros in the
-    open unit disc (that is outerness, hence maximality).
+    k and the certificate circle_conjugate(z * s * k) must be Hardy-space
+    functions (that is membership of k in the kernel), and the certificate
+    must have no zeros in the open unit disc (that is outerness, hence
+    maximality).
     """
     k = as_rational(k)
     s = as_symbol(s)
@@ -153,9 +150,9 @@ def is_maximal(k, s) -> MaximalityCertificate:
         raise NotInvertibleOnCircle("maximality test needs a circle-invertible symbol")
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
-    if not in_kernel(k, s):
+    cert = (monomial(1) * s.value * k).circle_conjugate()
+    if not (k.in_hardy2() and cert.in_hardy2()):
         raise NotInKernel("vector is not in the kernel of the symbol")
-    cert = _kernel_certificate(k, s)
     inside_zeros = cert.zero_classification().inside
     if inside_zeros:
         return MaximalityCertificate(k, cert, False, failure_witness=inside_zeros[0][0])

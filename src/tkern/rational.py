@@ -38,7 +38,7 @@ from .errors import (
 
 # Relative trim threshold for floating-point junk in coefficient lists.
 EPS_COEFF = 1e-12
-# Relative tolerance for clustering roots into multiplicities and for
+# Relative tolerance for folding roots into multiplicities and for
 # cancelling matching numerator/denominator roots.
 EPS_ROOT = 1e-7
 # Half-width of the "on the unit circle" classification band.
@@ -46,15 +46,15 @@ EPS_CIRCLE = 1e-9
 # Roots with | |root|-1 | inside [EPS_CIRCLE, NEAR_CIRCLE) trigger a
 # ClassificationWarning: the band cannot prove they are off the circle.
 NEAR_CIRCLE = 1e-6
-# Newton polish is applied only to roots at least this far (relative) from
-# their nearest neighbor: polishing members of a split multiple-root
-# cluster moves them asymmetrically and ruins re-expanded products.
-POLISH_ISOLATION = 1e-5
-# Roots closer than this (relative) are treated as one near-multiple group
-# whose monic factor is re-derived by Newton refinement on the factor
-# coefficients; eigenvalues alone are not backward-stable enough there.
-# Genuinely distinct roots caught by the net re-separate when the refined
-# factor is re-rooted, so the radius errs on the large side.
+# The one grouping radius (relative) of root finding, applied to the
+# Newton-stepped eigenvalues. A root with no other root this close is
+# simple and is reported with its step. Closer roots form a near-multiple
+# group whose monic factor is re-derived by Newton refinement on the factor
+# coefficients: eigenvalues alone are not backward-stable enough there,
+# and the step moves the members of a split multiple root asymmetrically,
+# which ruins re-expanded products. Genuinely distinct roots caught by the
+# net re-separate when the refined factor is re-rooted, so the radius errs
+# on the large side.
 COARSE_CLUSTER = 1e-2
 
 
@@ -184,55 +184,50 @@ class ComplexPolynomial:
 
 
 def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
-    """All roots of ``p`` with multiplicities.
+    """All roots of ``p`` with multiplicities, sorted lexicographically by
+    (real, imaginary) part.
 
-    Companion-matrix eigenvalues; isolated roots get one Newton polish
-    step, roots within ``EPS_ROOT`` (relative) cluster into multiplicities,
-    and near-multiple groups are re-derived from a Newton-refined monic
-    factor so that re-expanded products of the reported roots reproduce
-    the coefficients. Output is sorted lexicographically by (real,
-    imaginary) part.
+    Only exactly zero low-order coefficients give roots at the origin. The
+    other roots are companion-matrix eigenvalues, each given one Newton
+    step and then grouped once at ``COARSE_CLUSTER`` (relative). A lone
+    root is reported as it is. A near-multiple group is re-derived from its
+    Newton-refined monic factor, so that re-expanded products of the
+    reported roots reproduce the coefficients; the factor's roots that
+    match within the noise floor of an m-fold root fold into one root.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
     c = p.coeffs
-    if c.size == 1:
-        return []
-
-    # Exact roots at the origin: strip leading near-zero coefficients.
-    scale = np.max(np.abs(c))
-    k0 = 0
-    while k0 < c.size - 1 and abs(c[k0]) <= EPS_COEFF * scale:
-        k0 += 1
-    out: list[tuple[complex, int]] = []
-    if k0:
-        out.append((0j, k0))
-        c = c[k0:]
-
+    k0 = int(np.flatnonzero(c)[0])
+    out: list[tuple[complex, int]] = [(0j, k0)] if k0 else []
+    c = c[k0:]
     if c.size == 2:
         out.append((complex(-c[0] / c[1]), 1))
-        return _sorted_roots(out)
-    if c.size < 2:
+    if c.size <= 2:
         return _sorted_roots(out)
 
-    # one Newton step on every isolated root, all roots at once
+    # one Newton step on every eigenvalue, all at once, before grouping:
+    # it also pulls in the eigenvalue ring of a multiple root, which can
+    # start out wider than COARSE_CLUSTER
     raw = npoly.polyroots(c)
-    size = np.abs(raw)
-    gap = np.abs(raw[:, None] - raw)
-    np.fill_diagonal(gap, np.inf)
-    isolated = gap.min(axis=1) > POLISH_ISOLATION * np.maximum(1.0, size)
     val = npoly.polyval(raw, c)
     der = npoly.polyval(raw, c[1:] * np.arange(1, c.size))
     with np.errstate(all="ignore"):  # a zero derivative: ``accept`` drops the step
         step = val / der
         cand = raw - step
         better = np.abs(npoly.polyval(cand, c)) < np.abs(val)
-    accept = isolated & (der != 0) & (np.abs(step) < 0.5 * (1.0 + size)) & better
-    polished = np.where(accept, cand, raw)
-
-    clusters = _cluster_roots(polished, EPS_ROOT)
-    out.extend(_resolve_near_multiple_groups(clusters, c))
+    accept = (der != 0) & (np.abs(step) < 0.5 * (1.0 + np.abs(raw))) & better
+    for group in _group_points(np.where(accept, cand, raw), COARSE_CLUSTER):
+        if len(group) == 1:
+            out.append((group[0], 1))
+            continue
+        m = len(group)
+        factor = _refine_factor(c, npoly.polyfromroots(group))
+        # noise floor of an m-fold root: below it the subroots are one root
+        noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
+        sub = _merge(((r, 1) for r in npoly.polyroots(factor)), noise)
+        out.extend((r, k) for r, k in sub if k)
     return _sorted_roots(out)
 
 
@@ -254,15 +249,6 @@ def _group_points(points, tol_factor) -> list[list[complex]]:
     for point, first in zip(p.tolist(), linked.argmax(axis=1).tolist()):
         groups.setdefault(first, []).append(point)
     return list(groups.values())
-
-
-def _cluster_roots(roots, tol_factor) -> list[tuple[complex, int]]:
-    """Each single-linkage group of ``roots`` as (mean, group size); a
-    lone root is kept as it is."""
-    return [
-        (g[0], 1) if len(g) == 1 else (complex(np.mean(g)), len(g))
-        for g in _group_points(roots, tol_factor)
-    ]
 
 
 def _refine_factor(parent: np.ndarray, factor: np.ndarray, rounds: int = 4) -> np.ndarray:
@@ -300,53 +286,30 @@ def _refine_factor(parent: np.ndarray, factor: np.ndarray, rounds: int = 4) -> n
     return factor
 
 
-def _resolve_near_multiple_groups(clusters, coeffs) -> list[tuple[complex, int]]:
-    """Re-derive roots inside each coarse near-multiple group from a
-    Newton-refined monic factor, so that re-expanded products of reported
-    roots reproduce the polynomial's coefficients."""
-    points = [r for r, m in clusters for _ in range(m)]
-    out: list[tuple[complex, int]] = []
-    for group in _group_points(points, COARSE_CLUSTER):
-        if len(group) == 1:
-            out.append((group[0], 1))
-            continue
-        m = len(group)
-        factor = npoly.polyfromroots(np.asarray(group, dtype=complex))
-        factor = _refine_factor(np.asarray(coeffs, dtype=complex), factor)
-        sub = npoly.polyroots(factor)
-        # noise floor of an m-fold root: below it the subroots are one root
-        noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
-        out.extend(_cluster_roots(sub, noise))
-    return out
-
-
 def _sorted_roots(pairs):
     return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
-def _roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
-    return poly_roots(p) if p.degree >= 1 else []
-
-
-def _matches(a, b):
-    """Index pairs (i, j) with roots a[i] and b[j] within EPS_ROOT
+def _matches(a, b, tol_factor=EPS_ROOT):
+    """Index pairs (i, j) with roots a[i] and b[j] within ``tol_factor``
     (relative), in row-major order."""
     if not a or not b:
         return ()
     a = np.array(a, dtype=complex)
     b = np.array(b, dtype=complex)
-    tol = EPS_ROOT * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
+    tol = tol_factor * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
     return zip(*np.nonzero(np.abs(np.subtract.outer(a, b)) <= tol))
 
 
-def _merge(roots) -> list[list]:
+def _merge(roots, tol_factor=EPS_ROOT) -> list[list]:
     """A root multiset as [root, multiplicity] slots; roots that match
-    within EPS_ROOT fold into one slot at their weighted mean."""
+    within ``tol_factor`` (relative) fold into one slot at their weighted
+    mean, leaving the slots they came from at multiplicity 0."""
     slots = [[complex(r), int(m)] for r, m in roots if m > 0]
     if len(slots) < 2:
         return slots
     points = [r for r, _ in slots]
-    for i, j in _matches(points, points):
+    for i, j in _matches(points, points, tol_factor):
         (ri, mi), (rj, mj) = slots[i], slots[j]
         if i < j and mi and mj:
             if ri != rj:
@@ -394,7 +357,7 @@ class RationalFunction:
         if num.is_zero:
             self._assign(0j, (), ())
         else:
-            self._assign(num.lead / den.lead, _roots(num), _roots(den))
+            self._assign(num.lead / den.lead, poly_roots(num), poly_roots(den))
 
     @classmethod
     def _from_roots(cls, gain, zeros=(), poles=()) -> "RationalFunction":
@@ -482,7 +445,7 @@ class RationalFunction:
         )
         if num.is_zero:
             return RationalFunction._from_roots(0.0)
-        return RationalFunction._from_roots(num.lead, _roots(num), self._poles + pad)
+        return RationalFunction._from_roots(num.lead, poly_roots(num), self._poles + pad)
 
     __radd__ = __add__
 
@@ -635,18 +598,8 @@ class RootClassification:
     on_circle: tuple
     outside: tuple
 
-    @property
-    def all_roots(self):
-        return self.inside + self.on_circle + self.outside
-
     def count_inside(self) -> int:
         return sum(m for _, m in self.inside)
-
-    def count_on_circle(self) -> int:
-        return sum(m for _, m in self.on_circle)
-
-    def count_outside(self) -> int:
-        return sum(m for _, m in self.outside)
 
 
 def classify_roots(roots) -> RootClassification:
@@ -851,5 +804,4 @@ def format_rational(r: RationalFunction, digits: int = 12, variable: str = "z") 
         return num
     den = format_polynomial(r.den, digits, variable)
     nwrap = f"({num})" if (" " in num) else num
-    dwrap = f"({den})" if (" " in den or "*" in den or "^" in den) else f"({den})"
-    return f"{nwrap}/{dwrap}"
+    return f"{nwrap}/({den})"

@@ -160,6 +160,12 @@ def test_degree_obstruction():
     assert not blaschke_divides(alpha, theta)
 
 
+def test_multiplicity_spread_over_near_equal_zeros_divides():
+    theta = BlaschkeProduct(1.0, [(0.3, 1), (0.3 + 1e-9, 1)])
+    assert blaschke_divides(BlaschkeProduct(1.0, [(0.3, 2)]), theta)
+    assert not blaschke_divides(BlaschkeProduct(1.0, [(0.3, 3)]), theta)
+
+
 def test_random_subproduct_divides(rng):
     for _ in range(20):
         theta = random_blaschke(rng, 5)

@@ -234,6 +234,14 @@ def test_vector_outside_kernel_rejected():
         is_maximal(RationalFunction(0.0), monomial(-2))
 
 
+def test_vector_with_a_pole_in_the_disc_is_not_in_the_kernel():
+    # circle_conjugate(z * zbar^2 * k) = z^2/(1 - 0.5 z) is in the Hardy
+    # space, but k = 1/(z - 0.5) is not
+    k = RationalFunction([1.0], [-0.5, 1.0])
+    with pytest.raises(NotInKernel):
+        is_maximal(k, monomial(-2))
+
+
 # -- inclusion, equality, equivalence -------------------------------------------
 
 

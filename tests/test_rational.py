@@ -19,11 +19,13 @@ from tkern import (
     cayley_function,
     cayley_symbol,
     circle_conjugate,
+    equals,
     in_kernel,
     inner_outer,
     inverse_cayley_symbol,
     kernel,
     monomial,
+    parse_expression,
     poly_roots,
     transfer_multiplier,
     wiener_hopf,
@@ -59,6 +61,15 @@ def test_multiple_root_from_expanded_coefficients(k, root):
     [(r, m)] = poly_roots(p)
     assert m == k and abs(r - root) < 1e-7 * max(1.0, abs(root))
     assert (RationalFunction(p) / RationalFunction([-root, 1.0]) ** k).is_constant
+
+
+@pytest.mark.parametrize("root", [1.5, 2.0, -1.3 - 0.3j])
+def test_seven_fold_root_split_wider_than_the_grouping_radius(root):
+    # the eigenvalues of the expanded (z - root)^7 form a ring whose
+    # neighbours lie more than COARSE_CLUSTER apart; the Newton step taken
+    # before grouping pulls them back into one group
+    [(r, m)] = poly_roots(ComplexPolynomial(npoly.polyfromroots([root] * 7)))
+    assert m == 7 and abs(r - root) < 1e-7 * abs(root)
 
 
 def test_planted_roots_recovered(rng):
@@ -154,6 +165,38 @@ def test_group_points_matches_pairwise_reference():
         points = points.tolist()
         for tol in (1e-7, 5e-4, 1e-2):
             assert tkern.rational._group_points(points, tol) == _group_points_by_pairs(points, tol)
+
+
+def test_separated_roots_are_grouped_once(monkeypatch):
+    calls = []
+    group_points = tkern.rational._group_points
+
+    def counted(points, tol_factor):
+        calls.append(tol_factor)
+        return group_points(points, tol_factor)
+
+    monkeypatch.setattr(tkern.rational, "_group_points", counted)
+    planted = [0.3, -0.5j, 1.2 + 0.4j, -2.0, 2.5 - 1.0j, 3.3j]
+    found = poly_roots(ComplexPolynomial(npoly.polyfromroots(planted)))
+    assert [m for _, m in found] == [1] * 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_tiny_constant_term_is_not_a_root_at_the_origin(n):
+    # 0.3**n is far below 1e-12 of the leading coefficient from n = 24 on;
+    # it still sets the n roots at radius 0.3
+    c = np.zeros(n + 1)
+    c[0], c[n] = -(0.3**n), 1.0
+    zeros = RationalFunction(c).zeros()
+    assert [m for _, m in zeros] == [1] * n
+    assert max(abs(abs(r) / 0.3 - 1.0) for r, _ in zeros) < 1e-8
+
+
+def test_equal_sees_the_poles_of_a_tiny_constant_term():
+    g = parse_expression("conj(z^24-0.3^24)").to_rational()
+    h = parse_expression("zbar^24").to_rational()
+    assert not equals(g, h)
 
 
 def test_zero_polynomial_has_no_roots():
