@@ -11,6 +11,7 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
 from .rational import (
     EPS_CIRCLE,
     RationalFunction,
+    ToeplitzSymbol,
     as_rational,
     as_symbol,
     monomial,
@@ -83,9 +85,13 @@ class InnerOuterFactorization:
 
 @dataclass(frozen=True)
 class WienerHopfFactorization:
-    minus: RationalFunction
+    symbol: ToeplitzSymbol
     index: int
     plus: RationalFunction
+
+    @cached_property
+    def minus(self) -> RationalFunction:
+        return self.symbol.value * self.plus * monomial(-self.index)
 
     def reconstruct(self) -> RationalFunction:
         return self.minus * monomial(self.index) / self.plus
@@ -136,8 +142,7 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     for r, m in pc.outside:
         gain /= (-r) ** m
     plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
-    k = s.winding
-    return WienerHopfFactorization(s.value * plus * monomial(-k), k, plus)
+    return WienerHopfFactorization(s, s.winding, plus)
 
 
 def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:

@@ -27,9 +27,9 @@ from .factorization import BlaschkeProduct, inner_outer, wiener_hopf
 from .rational import (
     RationalFunction,
     ToeplitzSymbol,
+    Z,
     as_rational,
     as_symbol,
-    monomial,
 )
 
 
@@ -93,11 +93,12 @@ def kernel(s) -> ToeplitzKernel:
     s = as_symbol(s)
     if s._kernel is None:
         w = s.winding  # raises NotInvertibleOnCircle when undefined
-        basis = ()
+        basis = []
         if w < 0:
-            plus = wiener_hopf(s).plus
-            basis = tuple(plus * monomial(j) for j in range(-w))
-        object.__setattr__(s, "_kernel", ToeplitzKernel(s, len(basis), basis))
+            basis.append(wiener_hopf(s).plus)
+            for _ in range(-w - 1):
+                basis.append(basis[-1] * Z)
+        object.__setattr__(s, "_kernel", ToeplitzKernel(s, len(basis), tuple(basis)))
     return s._kernel
 
 
@@ -114,7 +115,7 @@ def in_kernel(f, s) -> bool:
         return True
     if not f.in_hardy2():
         return False
-    q = (monomial(1) * s.value * f).circle_conjugate()
+    q = (Z * s.value * f).circle_conjugate()
     return q.in_hardy2()
 
 
@@ -131,7 +132,7 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
     if not k.in_hardy2():
         raise NotInHardySpace("minimal kernels are defined for Hardy-space functions")
     io = inner_outer(k)
-    v = k.circle_conjugate() / (monomial(1) * io.outer)
+    v = k.circle_conjugate() / (Z * io.outer)
     symbol = ToeplitzSymbol(v)
     return symbol, kernel(symbol)
 
@@ -150,7 +151,7 @@ def is_maximal(k, s) -> MaximalityCertificate:
         raise NotInvertibleOnCircle("maximality test needs a circle-invertible symbol")
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
-    cert = (monomial(1) * s.value * k).circle_conjugate()
+    cert = (Z * s.value * k).circle_conjugate()
     if not (k.in_hardy2() and cert.in_hardy2()):
         raise NotInKernel("vector is not in the kernel of the symbol")
     inside_zeros = cert.zero_classification().inside

@@ -16,7 +16,8 @@ Conventions:
     and sums find roots (``poly_roots``);
   * roots that match within ``EPS_ROOT`` (relative) are one root, so
     matching numerator/denominator roots cancel and the quotient is
-    always reduced;
+    always reduced; a sweep over the roots sorted by real part finds the
+    matching pairs without comparing every pair;
   * roots are classified against the unit circle with band ``EPS_CIRCLE``.
 """
 
@@ -227,7 +228,7 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         # noise floor of an m-fold root: below it the subroots are one root
         noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
         sub = _merge(((r, 1) for r in npoly.polyroots(factor)), noise)
-        out.extend((r, k) for r, k in sub if k)
+        out.extend((s[0], s[1]) for s in sub if s[1])
     return _sorted_roots(out)
 
 
@@ -290,48 +291,77 @@ def _sorted_roots(pairs):
     return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
+def _slot_key(slot):
+    return (slot[0].real, slot[0].imag, slot[2])
+
+
 def _matches(a, b, tol_factor=EPS_ROOT):
-    """Index pairs (i, j) with roots a[i] and b[j] within ``tol_factor``
-    (relative), in row-major order."""
+    """Pairs of slots (see ``_merge``), one from ``a`` and one from ``b``,
+    whose roots x and y match: abs(x - y) <= tol_factor * max(1, |x|, |y|).
+    A list matched against itself gives each pair of distinct slots once.
+    Both lists are sorted by real part, and the sweep compares only roots
+    whose real parts lie within 2 * tol_factor * max(1, largest |root|),
+    so it finds the pairs of the all-pairs test; they come as (i, j,
+    slot_a, slot_b) in that test's row-major order of input indices."""
     if not a or not b:
-        return ()
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    tol = tol_factor * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
-    return zip(*np.nonzero(np.abs(np.subtract.outer(a, b)) <= tol))
+        return []
+    w = 2.0 * tol_factor * max(max(s[3] for s in a), max(t[3] for t in b))
+    same = a is b
+    pairs = []
+    lo, n = 0, len(b)
+    for p, s in enumerate(a):
+        x, sx = s[0], s[3]
+        while lo < n and b[lo][0].real < x.real - w:
+            lo += 1
+        right = x.real + w
+        for k in range(p + 1 if same else lo, n):
+            t = b[k]
+            y, sy = t[0], t[3]
+            if y.real > right:
+                break
+            if abs(x - y) <= tol_factor * (sx if sx > sy else sy):
+                pairs.append((t[2], s[2], t, s) if same and t[2] < s[2] else (s[2], t[2], s, t))
+    pairs.sort()
+    return pairs
 
 
 def _merge(roots, tol_factor=EPS_ROOT) -> list[list]:
-    """A root multiset as [root, multiplicity] slots; roots that match
-    within ``tol_factor`` (relative) fold into one slot at their weighted
-    mean, leaving the slots they came from at multiplicity 0."""
-    slots = [[complex(r), int(m)] for r, m in roots if m > 0]
+    """A root multiset as [root, multiplicity, input index, max(1, |root|)]
+    slots, sorted by (real, imaginary) part, ties in input order. Roots
+    that match within ``tol_factor`` (relative) fold pair by pair, in
+    input-index order, into the earlier slot at their weighted mean,
+    leaving the later slot at multiplicity 0."""
+    slots = []
+    for r, m in roots:
+        if m > 0:
+            r = complex(r)
+            slots.append([r, int(m), len(slots), max(1.0, abs(r))])
     if len(slots) < 2:
         return slots
-    points = [r for r, _ in slots]
-    for i, j in _matches(points, points, tol_factor):
-        (ri, mi), (rj, mj) = slots[i], slots[j]
-        if i < j and mi and mj:
-            if ri != rj:
-                slots[i][0] = (ri * mi + rj * mj) / (mi + mj)
-            slots[i][1] += mj
-            slots[j][1] = 0
+    slots.sort(key=_slot_key)
+    moved = False
+    for _, _, s, t in _matches(slots, slots, tol_factor):
+        if s[1] and t[1]:
+            if s[0] != t[0]:
+                s[0] = (s[0] * s[1] + t[0] * t[1]) / (s[1] + t[1])
+                s[3] = max(1.0, abs(s[0]))
+                moved = True
+            s[1] += t[1]
+            t[1] = 0
+    if moved:
+        slots.sort(key=_slot_key)
     return slots
 
 
 def _reduce(zeros, poles) -> tuple[tuple, tuple]:
-    """Merge each multiset, cancel zero/pole pairs that match within
-    EPS_ROOT, and sort what is left."""
+    """Merge each multiset, then cancel zero/pole pairs that match within
+    EPS_ROOT. Cancelling moves no root, so the slots stay sorted."""
     zs, ps = _merge(zeros), _merge(poles)
-    for i, j in _matches([r for r, _ in zs], [r for r, _ in ps]):
-        take = min(zs[i][1], ps[j][1])
-        zs[i][1] -= take
-        ps[j][1] -= take
-
-    def packed(slots):
-        return tuple(_sorted_roots((r, m) for r, m in slots if m))
-
-    return packed(zs), packed(ps)
+    for _, _, s, t in _matches(zs, ps):
+        take = min(s[1], t[1])
+        s[1] -= take
+        t[1] -= take
+    return tuple((s[0], s[1]) for s in zs if s[1]), tuple((t[0], t[1]) for t in ps if t[1])
 
 
 class RationalFunction:
@@ -554,10 +584,10 @@ class RationalFunction:
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at 0 up to degree ``n`` (requires no pole
-        at the origin)."""
-        b = self.den.coeffs
-        if abs(b[0]) <= EPS_COEFF * np.max(np.abs(b)):
+        exactly at the origin)."""
+        if any(r == 0 for r, _ in self._poles):
             raise ZeroDenominator("pole at the origin: no Taylor expansion")
+        b = self.den.coeffs
         a = np.zeros(n + 1, dtype=complex)
         take = min(n + 1, self.num.coeffs.size)
         a[:take] = self.num.coeffs[:take]

@@ -1,8 +1,11 @@
 """Kernels: bases, minimal kernels, maximality, inclusion, equivalence."""
 
+import time
+
 import numpy as np
 import pytest
 
+import tkern.rational
 from tkern import (
     BlaschkeProduct,
     NotInKernel,
@@ -26,6 +29,7 @@ from tkern import (
     monomial,
     principal_angle,
     subspace_from_rationals,
+    wiener_hopf,
 )
 from tkern.oracle import gram_matrix
 from tkern.random_instances import (
@@ -206,6 +210,42 @@ def test_high_degree_model_space(zeros):
     assert K.dimension == theta.degree
     assert all(in_kernel(b, s) for b in K.basis)
     assert is_maximal(K.maximal_vector(), s).is_maximal
+
+
+def test_192_distinct_zeros_model_space_stays_fast():
+    # root matching must not grow quadratically in the number of roots
+    start = time.perf_counter()
+    theta = BlaschkeProduct(1.0, _spread_zeros(192))
+    s = as_symbol(theta.to_rational().circle_conjugate())
+    K = kernel(s)
+    assert K.dimension == 192
+    assert all(in_kernel(b, s) for b in K.basis)
+    assert is_maximal(K.maximal_vector(), s).is_maximal
+    assert time.perf_counter() - start < 5.0
+
+
+def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    g = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))  # winding -3
+    wh = wiener_hopf(g)
+    expected = g.value * wh.plus * monomial(3)
+    assert np.array_equal(wh.minus.num.coeffs, expected.num.coeffs)
+    assert np.array_equal(wh.minus.den.coeffs, expected.den.coeffs)
+
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    K = kernel(g)
+    assert K.dimension == 3
+    assert len(calls) == 3  # plus, then plus * z and plus * z^2
+    for b in K.basis:
+        calls.clear()
+        assert in_kernel(b, g)
+        assert len(calls) == 3  # z * g, then * b, then the circle conjugate
 
 
 def test_reproducing_kernel_is_not_maximal():

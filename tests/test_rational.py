@@ -14,6 +14,7 @@ from tkern import (
     HalfPlaneRational,
     NotInvertibleOnCircle,
     RationalFunction,
+    ZeroDenominator,
     ZeroPolynomial,
     as_symbol,
     cayley_function,
@@ -180,6 +181,77 @@ def test_separated_roots_are_grouped_once(monkeypatch):
     found = poly_roots(ComplexPolynomial(npoly.polyfromroots(planted)))
     assert [m for _, m in found] == [1] * 6
     assert len(calls) == 1
+
+
+# -- root matching -------------------------------------------------------------
+
+
+def _matches_by_matrix(a, b, tol_factor=tkern.rational.EPS_ROOT):
+    # reference: the all-pairs test on dense matrices, in row-major order
+    if not a or not b:
+        return ()
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    tol = tol_factor * np.maximum(1.0, np.maximum.outer(np.abs(a), np.abs(b)))
+    return zip(*np.nonzero(np.abs(np.subtract.outer(a, b)) <= tol))
+
+
+def _merge_by_matrix(roots, tol_factor=tkern.rational.EPS_ROOT):
+    slots = [[complex(r), int(m)] for r, m in roots if m > 0]
+    if len(slots) < 2:
+        return slots
+    points = [r for r, _ in slots]
+    for i, j in _matches_by_matrix(points, points, tol_factor):
+        (ri, mi), (rj, mj) = slots[i], slots[j]
+        if i < j and mi and mj:
+            if ri != rj:
+                slots[i][0] = (ri * mi + rj * mj) / (mi + mj)
+            slots[i][1] += mj
+            slots[j][1] = 0
+    return slots
+
+
+def _reduce_by_matrix(zeros, poles):
+    zs, ps = _merge_by_matrix(zeros), _merge_by_matrix(poles)
+    for i, j in _matches_by_matrix([r for r, _ in zs], [r for r, _ in ps]):
+        take = min(zs[i][1], ps[j][1])
+        zs[i][1] -= take
+        ps[j][1] -= take
+
+    def packed(slots):
+        return tuple(sorted(((r, m) for r, m in slots if m), key=lambda rm: (rm[0].real, rm[0].imag)))
+
+    return packed(zs), packed(ps)
+
+
+def _multiset(rng, pool, tol, size):
+    # roots drawn from ``pool``: repeated exactly, or moved 0.1 to 1.5 times
+    # the relative tolerance, so that pairs fall on both sides of it
+    roots = []
+    for _ in range(size):
+        r = pool[rng.integers(len(pool))]
+        kind = rng.integers(3)
+        if kind == 1:
+            r = r + tol * rng.uniform(0.1, 1.5) * max(1.0, abs(r)) * np.exp(2j * np.pi * rng.random())
+        elif kind == 2:
+            r = rng.uniform(0.0, 4.0) * np.exp(2j * np.pi * rng.random())  # separated
+        roots.append((complex(r), int(rng.integers(0, 4))))
+    return roots
+
+
+@pytest.mark.parametrize("tol", [tkern.rational.EPS_ROOT, 1e-4, 1e-2])
+def test_sweep_matches_the_matrix_reference(tol):
+    rng = np.random.default_rng(1977)
+    for _ in range(300):
+        pool = 3.0 * (rng.random(6) - 0.5 + 1j * (rng.random(6) - 0.5))
+        pool[0] = 0.0
+        zeros = _multiset(rng, pool, tol, int(rng.integers(0, 24)))
+        poles = _multiset(rng, pool, tol, int(rng.integers(0, 24)))
+        merged = tkern.rational._merge(zeros, tol)
+        assert merged == sorted(merged, key=lambda s: (s[0].real, s[0].imag, s[2]))
+        by_input = [(s[0], s[1]) for s in sorted(merged, key=lambda s: s[2])]
+        assert by_input == [tuple(s) for s in _merge_by_matrix(zeros, tol)]
+        assert tkern.rational._reduce(zeros, poles) == _reduce_by_matrix(zeros, poles)
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
@@ -418,3 +490,12 @@ def test_division_by_zero_function_rejected():
 def test_taylor_coefficients_of_geometric_series():
     r = RationalFunction([1.0], [1.0, -0.5])
     assert np.max(np.abs(r.taylor(10) - 0.5 ** np.arange(11))) < 1e-13
+
+
+def test_taylor_expands_around_small_poles():
+    # (z - 1e-5)^3 has a constant term of -1e-15, far below 1e-12 of its
+    # other coefficients, but no root at the origin
+    c = RationalFunction._from_roots(1.0, [], [(1e-5, 3)]).taylor(3)
+    assert np.allclose(c, [-1e15, -3e20, -6e25, -1e31], rtol=1e-12, atol=0)
+    with pytest.raises(ZeroDenominator):
+        monomial(-1).taylor(3)
