@@ -14,10 +14,12 @@ Conventions:
   * products, quotients, powers, circle conjugation and Moebius
     composition move or merge the root multisets; only coefficient input
     and sums find roots (``poly_roots``);
-  * roots that match within ``EPS_ROOT`` (relative) are one root, so
-    matching numerator/denominator roots cancel and the quotient is
-    always reduced; a sweep over the roots sorted by real part finds the
-    matching pairs without comparing every pair;
+  * one single-linkage grouping (``_group_roots``) decides which roots are
+    the same root, in root finding and in reduction: roots that match
+    within a relative tolerance are linked, and a chain of links is one
+    root. Reduction groups zeros and poles together at ``EPS_ROOT``, and
+    in each group the zeros cancel the poles, so the quotient is always
+    reduced;
   * roots are classified against the unit circle with band ``EPS_CIRCLE``.
 """
 
@@ -190,11 +192,12 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
 
     Only exactly zero low-order coefficients give roots at the origin. The
     other roots are companion-matrix eigenvalues, each given one Newton
-    step and then grouped once at ``COARSE_CLUSTER`` (relative). A lone
-    root is reported as it is. A near-multiple group is re-derived from its
-    Newton-refined monic factor, so that re-expanded products of the
-    reported roots reproduce the coefficients; the factor's roots that
-    match within the noise floor of an m-fold root fold into one root.
+    step and then grouped once (``_group_roots``) at ``COARSE_CLUSTER``
+    (relative). A lone root is reported as it is. A near-multiple group is
+    re-derived from its Newton-refined monic factor, so that re-expanded
+    products of the reported roots reproduce the coefficients; the
+    factor's roots are grouped again at the noise floor of an m-fold root,
+    and each group is one root at its mean.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
@@ -219,37 +222,18 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         cand = raw - step
         better = np.abs(npoly.polyval(cand, c)) < np.abs(val)
     accept = (der != 0) & (np.abs(step) < 0.5 * (1.0 + np.abs(raw))) & better
-    for group in _group_points(np.where(accept, cand, raw), COARSE_CLUSTER):
+    points = np.where(accept, cand, raw).tolist()
+    for group in _group_roots(points, COARSE_CLUSTER):
         if len(group) == 1:
-            out.append((group[0], 1))
+            out.append((points[group[0]], 1))
             continue
         m = len(group)
-        factor = _refine_factor(c, npoly.polyfromroots(group))
+        factor = _refine_factor(c, npoly.polyfromroots([points[i] for i in group]))
         # noise floor of an m-fold root: below it the subroots are one root
         noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
-        sub = _merge(((r, 1) for r in npoly.polyroots(factor)), noise)
-        out.extend((s[0], s[1]) for s in sub if s[1])
+        sub = npoly.polyroots(factor).tolist()
+        out.extend((_mean([(sub[i], 1) for i in g]), len(g)) for g in _group_roots(sub, noise))
     return _sorted_roots(out)
-
-
-def _group_points(points, tol_factor) -> list[list[complex]]:
-    """Single-linkage grouping of complex points at a relative tolerance.
-    Groups come in the order of their first member, members in input
-    order."""
-    p = np.asarray(points, dtype=complex)
-    size = np.maximum(1.0, np.abs(p))
-    linked = np.abs(p[:, None] - p) <= tol_factor * np.maximum.outer(size, size)
-    # transitive closure by repeated squaring: row i ends up marking
-    # every point in the group of point i
-    while True:
-        wider = linked @ linked
-        if np.array_equal(wider, linked):
-            break
-        linked = wider
-    groups: dict[int, list[complex]] = {}
-    for point, first in zip(p.tolist(), linked.argmax(axis=1).tolist()):
-        groups.setdefault(first, []).append(point)
-    return list(groups.values())
 
 
 def _refine_factor(parent: np.ndarray, factor: np.ndarray, rounds: int = 4) -> np.ndarray:
@@ -291,77 +275,80 @@ def _sorted_roots(pairs):
     return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
-def _slot_key(slot):
-    return (slot[0].real, slot[0].imag, slot[2])
-
-
-def _matches(a, b, tol_factor=EPS_ROOT):
-    """Pairs of slots (see ``_merge``), one from ``a`` and one from ``b``,
-    whose roots x and y match: abs(x - y) <= tol_factor * max(1, |x|, |y|).
-    A list matched against itself gives each pair of distinct slots once.
-    Both lists are sorted by real part, and the sweep compares only roots
-    whose real parts lie within 2 * tol_factor * max(1, largest |root|),
-    so it finds the pairs of the all-pairs test; they come as (i, j,
-    slot_a, slot_b) in that test's row-major order of input indices."""
-    if not a or not b:
-        return []
-    w = 2.0 * tol_factor * max(max(s[3] for s in a), max(t[3] for t in b))
-    same = a is b
-    pairs = []
-    lo, n = 0, len(b)
-    for p, s in enumerate(a):
-        x, sx = s[0], s[3]
-        while lo < n and b[lo][0].real < x.real - w:
-            lo += 1
-        right = x.real + w
-        for k in range(p + 1 if same else lo, n):
-            t = b[k]
-            y, sy = t[0], t[3]
-            if y.real > right:
+def _group_roots(points, tol_factor) -> list[list[int]]:
+    """Single-linkage groups of ``points``, as lists of indices into it:
+    x and y are linked when abs(x - y) <= tol_factor * max(1, |x|, |y|),
+    and a chain of links is one group. Groups come in the order of their
+    first member, members in input order. A sweep over the points sorted
+    by real part tests only pairs whose real parts lie within
+    tol_factor * max(1, largest |point|); the union-find is built only once
+    a first link is found."""
+    n = len(points)
+    if n < 2:
+        return [[i] for i in range(n)]
+    size = [1.0 if s < 1.0 else s for s in map(abs, points)]
+    w = tol_factor * max(size)
+    order = sorted(range(n), key=[p.real for p in points].__getitem__)
+    # parent[i] <= i: the root of a group is its first member
+    parent = None
+    for k in range(n - 1):
+        i = order[k]
+        x, sx = points[i], size[i]
+        for q in range(k + 1, n):
+            j = order[q]
+            y, sy = points[j], size[j]
+            if y.real - x.real > w:
                 break
             if abs(x - y) <= tol_factor * (sx if sx > sy else sy):
-                pairs.append((t[2], s[2], t, s) if same and t[2] < s[2] else (s[2], t[2], s, t))
-    pairs.sort()
-    return pairs
+                if parent is None:
+                    parent = list(range(n))
+                a, b = i, j
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                parent[max(a, b)] = min(a, b)
+    if parent is None:
+        return [[i] for i in range(n)]
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        parent[i] = parent[parent[i]]  # parent[i] < i is already a root
+        groups.setdefault(parent[i], []).append(i)
+    return list(groups.values())
 
 
-def _merge(roots, tol_factor=EPS_ROOT) -> list[list]:
-    """A root multiset as [root, multiplicity, input index, max(1, |root|)]
-    slots, sorted by (real, imaginary) part, ties in input order. Roots
-    that match within ``tol_factor`` (relative) fold pair by pair, in
-    input-index order, into the earlier slot at their weighted mean,
-    leaving the later slot at multiplicity 0."""
-    slots = []
-    for r, m in roots:
-        if m > 0:
-            r = complex(r)
-            slots.append([r, int(m), len(slots), max(1.0, abs(r))])
-    if len(slots) < 2:
-        return slots
-    slots.sort(key=_slot_key)
-    moved = False
-    for _, _, s, t in _matches(slots, slots, tol_factor):
-        if s[1] and t[1]:
-            if s[0] != t[0]:
-                s[0] = (s[0] * s[1] + t[0] * t[1]) / (s[1] + t[1])
-                s[3] = max(1.0, abs(s[0]))
-                moved = True
-            s[1] += t[1]
-            t[1] = 0
-    if moved:
-        slots.sort(key=_slot_key)
-    return slots
+def _mean(roots) -> complex:
+    """Multiplicity-weighted mean of (root, multiplicity) pairs. Equal roots
+    keep their value bit for bit, including the sign of a zero."""
+    first = roots[0][0]
+    if all(r == first for r, _ in roots):
+        return first
+    return sum(r * m for r, m in roots) / sum(m for _, m in roots)
 
 
 def _reduce(zeros, poles) -> tuple[tuple, tuple]:
-    """Merge each multiset, then cancel zero/pole pairs that match within
-    EPS_ROOT. Cancelling moves no root, so the slots stay sorted."""
-    zs, ps = _merge(zeros), _merge(poles)
-    for _, _, s, t in _matches(zs, ps):
-        take = min(s[1], t[1])
-        s[1] -= take
-        t[1] -= take
-    return tuple((s[0], s[1]) for s in zs if s[1]), tuple((t[0], t[1]) for t in ps if t[1])
+    """Group zeros and poles together at EPS_ROOT (``_group_roots``). In a
+    group the zeros cancel the poles: an excess of zeros leaves one zero at
+    the zeros' multiplicity-weighted mean, an excess of poles one pole at
+    the poles' mean, a balance nothing. Both multisets come sorted by
+    (real, imaginary) part."""
+    # poles carry negative multiplicities
+    roots = [(complex(r), int(m)) for r, m in zeros if m > 0]
+    roots += [(complex(r), -int(m)) for r, m in poles if m > 0]
+    zs, ps = [], []
+    for group in _group_roots([r for r, _ in roots], EPS_ROOT):
+        if len(group) == 1:
+            r, m = roots[group[0]]
+        else:
+            m = sum(roots[i][1] for i in group)
+            if not m:
+                continue
+            r = _mean([roots[i] for i in group if (roots[i][1] > 0) == (m > 0)])
+        if m > 0:
+            zs.append((r, m))
+        else:
+            ps.append((r, -m))
+    return tuple(_sorted_roots(zs)), tuple(_sorted_roots(ps))
 
 
 class RationalFunction:
@@ -580,7 +567,7 @@ class RationalFunction:
             return False
         zc, pc = self.zero_classification(), self.pole_classification()
         interior_only = not (zc.on_circle or zc.outside or pc.on_circle or pc.outside)
-        return interior_only and self.num.degree == self.den.degree
+        return interior_only and sum(m for _, m in self._zeros) == sum(m for _, m in self._poles)
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at 0 up to degree ``n`` (requires no pole
