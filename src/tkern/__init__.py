@@ -20,6 +20,7 @@ from .errors import (
     NotInvertibleOnCircle,
     NotOuter,
     NotSquareIntegrable,
+    OutOfRange,
     PoleOnCircle,
     PreconditionViolation,
     ResolutionWarning,

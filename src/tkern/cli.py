@@ -74,26 +74,30 @@ def _log(msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _poly_raw(p):
-    return [[float(c.real), float(c.imag)] for c in p.coeffs]
+def _shown(key: str, value) -> dict:
+    """``key`` at 12 significant digits and ``key_raw`` at full precision,
+    for a rational or complex value, a sequence of them, or None."""
+    if isinstance(value, (list, tuple)):
+        shown = [_shown(key, v) for v in value]
+        return {k: [s[k] for s in shown] for k in (key, f"{key}_raw")}
+    if value is None:
+        text = raw = None
+    elif isinstance(value, RationalFunction):
+        text = format_rational(value)
+        raw = {part: [[c.real, c.imag] for c in map(complex, p.coeffs)]
+               for part, p in (("num", value.num), ("den", value.den))}
+    else:
+        c = complex(value)
+        text, raw = format_complex(c), [c.real, c.imag]
+    return {key: text, f"{key}_raw": raw}
 
 
-def _rational_raw(r: RationalFunction):
-    return {"num": _poly_raw(r.num), "den": _poly_raw(r.den)}
-
-
-def _complex_raw(c):
-    c = complex(c)
-    return [float(c.real), float(c.imag)]
+def _zeros(blaschke):
+    return [{**_shown("zero", a), "multiplicity": m} for a, m in blaschke.zeros]
 
 
 def _kernel_result(K, verify_inline: bool, tol: float):
-    result = {
-        "dimension": K.dimension,
-        "winding": K.symbol.winding,
-        "basis": [format_rational(b) for b in K.basis],
-        "basis_raw": [_rational_raw(b) for b in K.basis],
-    }
+    result = {"dimension": K.dimension, "winding": K.symbol.winding, **_shown("basis", K.basis)}
     mismatch = False
     if verify_inline:
         ns = numeric_kernel(K.symbol)
@@ -108,8 +112,7 @@ def _kernel_result(K, verify_inline: bool, tol: float):
 
 
 def _cmd_kernel(args):
-    K = kernel(as_symbol(args.symbol))
-    return _kernel_result(K, args.verify_inline, args.tol)
+    return _kernel_result(kernel(args.symbol), args.verify_inline, args.tol)
 
 
 def _cmd_dim(args):
@@ -120,20 +123,15 @@ def _cmd_dim(args):
 def _cmd_minkernel(args):
     v, K = minimal_kernel(args.vector)
     result, _ = _kernel_result(K, False, args.tol)
-    result["symbol"] = format_rational(v.value)
-    result["symbol_raw"] = _rational_raw(v.value)
-    return result, False
+    return {**result, **_shown("symbol", v.value)}, False
 
 
 def _cmd_maximal(args):
-    cert = is_maximal(args.vector, as_symbol(args.symbol))
-    witness = None if cert.failure_witness is None else format_complex(cert.failure_witness)
+    cert = is_maximal(args.vector, args.symbol)
     return {
         "is_maximal": cert.is_maximal,
-        "certificate": format_rational(cert.certificate),
-        "certificate_raw": _rational_raw(cert.certificate),
-        "witness_zero": witness,
-        "witness_zero_raw": None if cert.failure_witness is None else _complex_raw(cert.failure_witness),
+        **_shown("certificate", cert.certificate),
+        **_shown("witness_zero", cert.failure_witness),
     }, False
 
 
@@ -141,26 +139,16 @@ def _cmd_factor(args):
     if args.mode == "inner-outer":
         io = inner_outer(args.f)
         return {
-            "inner_constant": format_complex(io.inner.constant),
-            "inner_constant_raw": _complex_raw(io.inner.constant),
-            "inner_zeros": [
-                {"zero": format_complex(a), "zero_raw": _complex_raw(a), "multiplicity": m}
-                for a, m in io.inner.zeros
-            ],
-            "outer": format_rational(io.outer),
-            "outer_raw": _rational_raw(io.outer),
+            **_shown("inner_constant", io.inner.constant),
+            "inner_zeros": _zeros(io.inner),
+            **_shown("outer", io.outer),
         }, False
-    wh = wiener_hopf(as_symbol(args.f))
-    return {
-        "minus": format_rational(wh.minus),
-        "minus_raw": _rational_raw(wh.minus),
-        "index": wh.index,
-        "plus": format_rational(wh.plus),
-        "plus_raw": _rational_raw(wh.plus),
-    }, False
+    wh = wiener_hopf(args.f)
+    return {**_shown("minus", wh.minus), "index": wh.index, **_shown("plus", wh.plus)}, False
 
 
 def _cmd_mult(args):
+    # one symbol each for g and h, so both routes share its kept kernel
     w, g, h = args.w, as_symbol(args.g), as_symbol(args.h)
     via_vector = is_multiplier(w, g, h)
     via_smirnov = smirnov_multiplier_test(w, g, h)
@@ -173,10 +161,8 @@ def _cmd_mult(args):
 def _space_result(ms):
     return {
         "dimension": ms.dimension,
-        "test_symbol": format_rational(ms.test_symbol.value),
-        "test_symbol_raw": _rational_raw(ms.test_symbol.value),
-        "basis": [format_rational(b) for b in ms.basis],
-        "basis_raw": [_rational_raw(b) for b in ms.basis],
+        **_shown("test_symbol", ms.test_symbol.value),
+        **_shown("basis", ms.basis),
         "carleson_filtered": ms.carleson_filtered,
         "bounded_verified": ms.bounded_verified,
         "note": ms.note,
@@ -184,33 +170,29 @@ def _space_result(ms):
 
 
 def _cmd_m2(args):
-    return _space_result(multiplier_space(as_symbol(args.g), as_symbol(args.h))), False
+    return _space_result(multiplier_space(args.g, args.h)), False
 
 
 def _cmd_minf(args):
-    return _space_result(
-        multiplier_space_bounded(as_symbol(args.g), as_symbol(args.h))
-    ), False
+    return _space_result(multiplier_space_bounded(args.g, args.h)), False
 
 
 def _cmd_include(args):
-    return {"includes": includes(as_symbol(args.g), as_symbol(args.h))}, False
+    return {"includes": includes(args.g, args.h)}, False
 
 
 def _cmd_equal(args):
-    return {"equal": equals(as_symbol(args.g), as_symbol(args.h))}, False
+    return {"equal": equals(args.g, args.h)}, False
 
 
 def _cmd_equiv(args):
-    witness = is_equivalent(as_symbol(args.g1), as_symbol(args.g2))
+    witness = is_equivalent(args.g1, args.g2)
     if witness is None:
         return {"equivalent": False, "h_minus": None, "h_plus": None}, False
     return {
         "equivalent": True,
-        "h_minus": format_rational(witness.h_minus),
-        "h_minus_raw": _rational_raw(witness.h_minus),
-        "h_plus": format_rational(witness.h_plus),
-        "h_plus_raw": _rational_raw(witness.h_plus),
+        **_shown("h_minus", witness.h_minus),
+        **_shown("h_plus", witness.h_plus),
     }, False
 
 
@@ -223,20 +205,15 @@ def _cmd_crofoot(args):
         return {"companion": None}, False
     return {
         "companion": {
-            "constant": format_complex(phi.constant),
-            "constant_raw": _complex_raw(phi.constant),
-            "zeros": [
-                {"zero": format_complex(a), "zero_raw": _complex_raw(a), "multiplicity": m}
-                for a, m in phi.zeros
-            ],
-            "rational": format_rational(phi.to_rational()),
-            "rational_raw": _rational_raw(phi.to_rational()),
+            **_shown("constant", phi.constant),
+            "zeros": _zeros(phi),
+            **_shown("rational", phi.to_rational()),
         }
     }, False
 
 
 def _cmd_surjective(args):
-    report = is_surjective_multiplier(args.w, as_symbol(args.g), as_symbol(args.h))
+    report = is_surjective_multiplier(args.w, args.g, args.h)
     return {
         "holds": report.holds,
         "outer_ok": report.outer_ok,
@@ -256,7 +233,7 @@ def _cmd_cayley(args):
         out = cayley_function(f)
     else:
         out = cayley_symbol(f).value
-    return {"result": format_rational(out), "result_raw": _rational_raw(out)}, False
+    return _shown("result", out), False
 
 
 def _cmd_verify(args):
@@ -266,42 +243,29 @@ def _cmd_verify(args):
     return report, report["failed"] > 0
 
 
+# Each command: its handler, which takes the parsed arguments and returns
+# (result, mismatch); its expression flags, each ``--<dest>`` and lowered to
+# a rational value before the handler runs; and its further arguments. The
+# required ones among those are inputs and are echoed as given.
 _COMMANDS = {
-    "kernel": _cmd_kernel,
-    "dim": _cmd_dim,
-    "minkernel": _cmd_minkernel,
-    "maximal": _cmd_maximal,
-    "factor": _cmd_factor,
-    "mult": _cmd_mult,
-    "m2": _cmd_m2,
-    "minf": _cmd_minf,
-    "include": _cmd_include,
-    "equal": _cmd_equal,
-    "equiv": _cmd_equiv,
-    "crofoot": _cmd_crofoot,
-    "surjective": _cmd_surjective,
-    "rigid": _cmd_rigid,
-    "cayley": _cmd_cayley,
-    "verify": _cmd_verify,
-}
-
-_EXPR_FLAGS = {
-    "kernel": [("--symbol", "symbol")],
-    "dim": [("--symbol", "symbol")],
-    "minkernel": [("--vector", "vector")],
-    "maximal": [("--vector", "vector"), ("--symbol", "symbol")],
-    "factor": [("--f", "f")],
-    "mult": [("--w", "w"), ("--g", "g"), ("--h", "h")],
-    "m2": [("--g", "g"), ("--h", "h")],
-    "minf": [("--g", "g"), ("--h", "h")],
-    "include": [("--g", "g"), ("--h", "h")],
-    "equal": [("--g", "g"), ("--h", "h")],
-    "equiv": [("--g1", "g1"), ("--g2", "g2")],
-    "crofoot": [("--w", "w"), ("--theta", "theta")],
-    "surjective": [("--w", "w"), ("--g", "g"), ("--h", "h")],
-    "rigid": [("--p", "p")],
-    "cayley": [("--f", "f")],
-    "verify": [],
+    "kernel": (_cmd_kernel, ["symbol"], {"--verify-inline": dict(action="store_true")}),
+    "dim": (_cmd_dim, ["symbol"], {}),
+    "minkernel": (_cmd_minkernel, ["vector"], {}),
+    "maximal": (_cmd_maximal, ["vector", "symbol"], {}),
+    "factor": (_cmd_factor, ["f"],
+               {"--mode": dict(choices=["inner-outer", "wiener-hopf"], required=True)}),
+    "mult": (_cmd_mult, ["w", "g", "h"], {}),
+    "m2": (_cmd_m2, ["g", "h"], {}),
+    "minf": (_cmd_minf, ["g", "h"], {}),
+    "include": (_cmd_include, ["g", "h"], {}),
+    "equal": (_cmd_equal, ["g", "h"], {}),
+    "equiv": (_cmd_equiv, ["g1", "g2"], {}),
+    "crofoot": (_cmd_crofoot, ["w", "theta"], {}),
+    "surjective": (_cmd_surjective, ["w", "g", "h"], {}),
+    "rigid": (_cmd_rigid, ["p"], {}),
+    "cayley": (_cmd_cayley, ["f"],
+               {"--mode": dict(choices=["function", "symbol"], required=True)}),
+    "verify": (_cmd_verify, [], {"--suite": dict(required=True)}),
 }
 
 
@@ -322,21 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, flags in _EXPR_FLAGS.items():
+    for name, (_, exprs, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         # global flags are accepted after the subcommand as well; SUPPRESS
         # keeps the subparser from clobbering values parsed up front
         _add_global_flags(p, suppress=True)
-        for flag, dest in flags:
-            p.add_argument(flag, dest=dest, required=True, metavar="EXPR")
-        if name == "kernel":
-            p.add_argument("--verify-inline", action="store_true")
-        if name == "factor":
-            p.add_argument("--mode", choices=["inner-outer", "wiener-hopf"], required=True)
-        if name == "cayley":
-            p.add_argument("--mode", choices=["function", "symbol"], required=True)
-        if name == "verify":
-            p.add_argument("--suite", required=True)
+        for dest in exprs:
+            p.add_argument(f"--{dest}", required=True, metavar="EXPR")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -344,16 +302,17 @@ def _lower_inputs(args) -> dict:
     """Parse and lower each expression flag once, replacing its text in
     ``args`` with the rational value, and return the envelope's canonical
     inputs."""
-    inputs = {}
+    _, exprs, options = _COMMANDS[args.command]
     variable = "s" if args.command == "cayley" else "z"
-    for flag, dest in _EXPR_FLAGS[args.command]:
+    inputs = {}
+    for dest in exprs:
         value = parse_expression(getattr(args, dest), variable=variable).to_rational()
         setattr(args, dest, value)
-        inputs[flag.lstrip("-")] = format_rational(value, variable=variable)
-    if getattr(args, "mode", None):
-        inputs["mode"] = args.mode
-    if getattr(args, "suite", None):
-        inputs["suite"] = args.suite
+        inputs[dest] = format_rational(value, variable=variable)
+    for flag, kwargs in options.items():
+        if kwargs.get("required"):
+            dest = flag.lstrip("-")
+            inputs[dest] = getattr(args, dest)
     return inputs
 
 
@@ -375,7 +334,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             inputs = _lower_inputs(args)
-            result, mismatch = _COMMANDS[args.command](args)
+            result, mismatch = _COMMANDS[args.command][0](args)
         doc = {
             "command": args.command,
             "inputs": inputs,

@@ -21,6 +21,10 @@ class ZeroDenominator(TkError):
     code = "zero-denominator"
 
 
+class OutOfRange(TkError):
+    code = "out-of-range"
+
+
 class NotInvertibleOnCircle(TkError):
     code = "not-invertible-on-circle"
 

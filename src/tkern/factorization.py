@@ -25,10 +25,14 @@ from .rational import (
     EPS_CIRCLE,
     RationalFunction,
     ToeplitzSymbol,
+    _power,
     as_rational,
     as_symbol,
     monomial,
 )
+
+# How far |r| may stray from 1 on the circle for r to count as inner.
+INNER_TOL = 1e-8
 
 
 class BlaschkeProduct:
@@ -138,9 +142,9 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     # plus(0) = 1: an outside root r enters plus as (1 - z/r) = (z - r)/(-r)
     gain = 1.0 + 0j
     for r, m in zc.outside:
-        gain *= (-r) ** m
+        gain *= _power(-r, m)
     for r, m in pc.outside:
-        gain /= (-r) ** m
+        gain /= _power(-r, m)
     plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
     return WienerHopfFactorization(s, s.winding, plus)
 
@@ -152,11 +156,12 @@ def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:
     return not RationalFunction._from_roots(1.0, theta.zeros, alpha.zeros).poles()
 
 
-def blaschke_from_rational(r, tol: float = 1e-8):
+def blaschke_from_rational(r):
     """Recognize a reduced rational function as a finite Blaschke product.
 
     Returns the BlaschkeProduct, or None when the function is not inner
-    (zeros outside the open disc, or boundary modulus away from 1).
+    (zeros outside the open disc, or boundary modulus more than
+    ``INNER_TOL`` away from 1).
     """
     r = as_rational(r)
     if r.is_zero:
@@ -172,9 +177,9 @@ def blaschke_from_rational(r, tol: float = 1e-8):
     if not ratio.is_constant:
         return None
     c = ratio.constant_value()
-    if abs(abs(c) - 1.0) > tol:
+    if abs(abs(c) - 1.0) > INNER_TOL:
         return None
     samples = np.exp(2j * np.pi * np.arange(64) / 64)
-    if np.max(np.abs(np.abs(r(samples)) - 1.0)) > max(tol, 1e-8):
+    if np.max(np.abs(np.abs(r(samples)) - 1.0)) > INNER_TOL:
         return None
     return BlaschkeProduct(c / abs(c), zc.inside)

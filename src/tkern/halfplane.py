@@ -35,9 +35,7 @@ class HalfPlaneRational:
 
     __slots__ = ("value",)
 
-    def __init__(self, value, den=None):
-        if den is not None:
-            value = RationalFunction(value, den)
+    def __init__(self, value):
         object.__setattr__(self, "value", as_rational(value))
 
     def __setattr__(self, name, value):
@@ -68,19 +66,12 @@ class HalfPlaneRational:
         at least like 1/s at infinity."""
         return (not self.real_poles()) and self.decays_at_infinity()
 
-    def in_hardy_plus(self) -> bool:
-        """Hardy space of the upper half-plane: square-integrable with all
-        poles in the open lower half-plane."""
-        if self.value.is_zero:
-            return True
-        if not self.in_l2_line():
-            return False
-        return all(p.imag < 0 for p, _ in self.value.poles())
-
     def conjugate_on_line(self) -> "HalfPlaneRational":
         """The rational function agreeing with conj(f(s)) for real s: the
         conjugate gain with every zero and pole conjugated."""
         v = self.value
+        if v.is_zero:
+            return self
         return HalfPlaneRational(
             RationalFunction._from_roots(
                 v._gain.conjugate(),

@@ -45,10 +45,6 @@ class ToeplitzKernel:
     dimension: int
     basis: tuple
 
-    @property
-    def plus_factor(self) -> Optional[RationalFunction]:
-        return self.basis[0] if self.basis else None
-
     def maximal_vector(self) -> RationalFunction:
         """The top ladder element plus * z**(dim-1), always a maximal
         vector of the kernel."""

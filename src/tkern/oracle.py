@@ -54,18 +54,6 @@ def boundary_sampling(f, sample_count: int) -> BoundarySampling:
     return BoundarySampling(sample_count, f.num(z) / den_vals)
 
 
-def _check_circle_distance(f, stacklevel: int = 3) -> None:
-    f = as_rational(f)
-    dists = [abs(abs(r) - 1.0) for r, _ in f.poles()]
-    if dists and min(dists) < SAFE_CIRCLE_DISTANCE:
-        warnings.warn(
-            f"pole at distance {min(dists):.3g} from the circle: coefficient "
-            "decay is slow and default truncation may under-resolve",
-            ResolutionWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarray:
     """Fourier coefficients of a rational function at indices -N..N.
 
@@ -77,7 +65,14 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("Fourier coefficients need a pole-free boundary")
-    _check_circle_distance(f)
+    dists = [abs(abs(r) - 1.0) for r, _ in f.poles()]
+    if dists and min(dists) < SAFE_CIRCLE_DISTANCE:
+        warnings.warn(
+            f"pole at distance {min(dists):.3g} from the circle: coefficient "
+            "decay is slow and default truncation may under-resolve",
+            ResolutionWarning,
+            stacklevel=2,
+        )
     if f.is_zero:
         return np.zeros(2 * N + 1, dtype=complex)
 

@@ -25,11 +25,11 @@ def _points(rng, n, radii):
     return r * np.exp(1j * phi)
 
 
-def _separated_points(rng, n, radii, taken, min_gap=1e-3):
+def _separated_points(rng, n, radii, taken):
     out = []
     while len(out) < n:
         (cand,) = _points(rng, 1, radii)
-        if all(abs(cand - t) > min_gap for t in taken + out):
+        if all(abs(cand - t) > 1e-3 for t in taken + out):
             out.append(cand)
     return out
 
@@ -73,8 +73,8 @@ def random_kernel_symbol(rng, max_dimension=4, max_half_degree=2) -> ToeplitzSym
     return random_symbol(rng, max_half_degree=max_half_degree, winding=-dim)
 
 
-def random_blaschke(rng, degree, max_radius=0.45) -> BlaschkeProduct:
-    zeros = _separated_points(rng, degree, (0.1, max_radius), [])
+def random_blaschke(rng, degree) -> BlaschkeProduct:
+    zeros = _separated_points(rng, degree, INSIDE_RADII, [])
     constant = np.exp(2j * np.pi * rng.random())
     return BlaschkeProduct(constant, [(a, 1) for a in zeros])
 

@@ -25,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,12 +35,16 @@ import numpy.polynomial.polynomial as npoly
 from .errors import (
     ClassificationWarning,
     NotInvertibleOnCircle,
+    OutOfRange,
     ZeroDenominator,
     ZeroFunction,
     ZeroPolynomial,
 )
 
-# Relative trim threshold for floating-point junk in coefficient lists.
+# A coefficient of a sum is zero when it cancels to at most this fraction
+# of its summands' rounding scale (``RationalFunction.__add__``). Display
+# hides coefficients at most this fraction of the largest one
+# (``format_polynomial``); the value keeps them.
 EPS_COEFF = 1e-12
 # Relative tolerance for folding roots into multiplicities and for
 # cancelling matching numerator/denominator roots.
@@ -61,22 +66,32 @@ NEAR_CIRCLE = 1e-6
 COARSE_CLUSTER = 1e-2
 
 
+def _power(c: complex, n: int) -> complex:
+    """c**n, raising OutOfRange where Python's power overflows."""
+    try:
+        return c**n
+    except OverflowError:
+        raise OutOfRange(f"({c})**{n} overflows double precision") from None
+
+
+def _nonzero_gain(gain) -> complex:
+    """``gain`` as the gain of a nonzero function. A product of nonzero
+    gains that rounded to 0, to a subnormal or to inf would make the
+    factored form hold another function, so it raises OutOfRange."""
+    gain = complex(gain)
+    if not sys.float_info.min <= abs(gain) < np.inf:
+        raise OutOfRange(f"the gain {gain} of a nonzero function is outside double precision")
+    return gain
+
+
 def _trim(coeffs) -> np.ndarray:
-    """Normalize a coefficient array: drop trailing entries that are
-    negligible relative to the largest coefficient. All-zero input trims
-    to an empty array (the canonical zero polynomial)."""
+    """Normalize a coefficient array: drop trailing exact zeros. All-zero
+    input trims to an empty array (the canonical zero polynomial)."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-    if c.size == 0:
-        return c
-    scale = np.max(np.abs(c))
-    if scale == 0.0 or not np.isfinite(scale):
-        if not np.isfinite(scale):
-            raise ValueError("non-finite polynomial coefficients")
-        return c[:0]
-    keep = np.abs(c) > EPS_COEFF * scale
-    if not keep.any():
-        return c[:0]
-    return c[: int(np.max(np.nonzero(keep))) + 1].copy()
+    if not np.isfinite(c).all():
+        raise ValueError("non-finite polynomial coefficients")
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1 if nonzero.size else 0].copy()
 
 
 class ComplexPolynomial:
@@ -130,21 +145,12 @@ class ComplexPolynomial:
             return ComplexPolynomial([complex(other)])
         return ComplexPolynomial(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return ComplexPolynomial(npoly.polyadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
     @staticmethod
     def from_roots(roots, lead: complex = 1.0) -> "ComplexPolynomial":
         """lead * prod (z - r) over ``roots`` (bare roots or (root,
         multiplicity) pairs). The degree is the root count: the expanded
-        coefficients are not trimmed, however small the leading one."""
+        coefficients are not trimmed, however small the leading one. An
+        expansion that overflows raises OutOfRange."""
         if lead == 0:
             return ComplexPolynomial()
         flat = []
@@ -162,6 +168,8 @@ class ComplexPolynomial:
         for k, r in enumerate(flat):
             c[n - k - 1 : n] -= r * c[n - k :]
         c *= lead
+        if not np.isfinite(c).all():
+            raise OutOfRange("polynomial coefficients overflow double precision")
         c.setflags(write=False)
         p = object.__new__(ComplexPolynomial)
         object.__setattr__(p, "coeffs", c)
@@ -236,16 +244,16 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     return _sorted_roots(out)
 
 
-def _refine_factor(parent: np.ndarray, factor: np.ndarray, rounds: int = 4) -> np.ndarray:
+def _refine_factor(parent: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Newton refinement of a monic factor of ``parent`` in its own
-    coefficients: drive the division remainder to zero. Quadratically
-    convergent near a true factor; returns the input unchanged when the
-    correction is untrustworthy."""
+    coefficients: up to four rounds drive the division remainder to zero.
+    Quadratically convergent near a true factor; returns the input
+    unchanged when the correction is untrustworthy."""
     m = factor.size - 1
     if m < 1:
         return factor
     scale = float(np.max(np.abs(parent)))
-    for _ in range(rounds):
+    for _ in range(4):
         q, r = npoly.polydiv(parent, factor)
         rvec = np.zeros(m, dtype=complex)
         rvec[: r.size] = r[:m] if r.size > m else r
@@ -374,17 +382,17 @@ class RationalFunction:
         if num.is_zero:
             self._assign(0j, (), ())
         else:
-            self._assign(num.lead / den.lead, poly_roots(num), poly_roots(den))
+            self._assign(_nonzero_gain(num.lead / den.lead), poly_roots(num), poly_roots(den))
 
     @classmethod
     def _from_roots(cls, gain, zeros=(), poles=()) -> "RationalFunction":
-        """Package-internal constructor from known roots: no root finding."""
+        """Package-internal constructor of a nonzero function from known
+        roots: no root finding. The zero function comes from ``__init__``."""
         out = object.__new__(cls)
-        out._assign(gain, zeros, poles)
+        out._assign(_nonzero_gain(gain), zeros, poles)
         return out
 
-    def _assign(self, gain, zeros, poles) -> None:
-        gain = complex(gain)
+    def _assign(self, gain: complex, zeros, poles) -> None:
         zeros, poles = ((), ()) if gain == 0 else _reduce(zeros, poles)
         state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_num": None, "_den": None}
         for name, value in state.items():
@@ -443,30 +451,48 @@ class RationalFunction:
     def _coerce(other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
-        if np.isscalar(other) or isinstance(other, complex):
+        if (np.isscalar(other) or isinstance(other, complex)) and other != 0:
             return RationalFunction._from_roots(other)
         return RationalFunction(other)
 
     def __add__(self, other):
+        """The sum over the least common denominator, so that only the
+        summed numerator needs root finding. Each summand's numerator is
+        expanded from its roots, and coefficient k of the sum is zero when
+        it cancels to at most ``EPS_COEFF`` times the summands' rounding
+        scale there: the coefficient k of |gain| prod (z + |r|) over each
+        summand's roots, which bounds its expansion componentwise. A sum
+        whose expansion overflows raises OutOfRange."""
         other = self._coerce(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        # over the least common denominator, so that only the summed
-        # numerator needs root finding; cancelling the two pole multisets
-        # against each other leaves the poles that each side lacks
+        # cancelling the two pole multisets against each other leaves the
+        # poles that each side lacks
         pad, other_pad = _reduce(other._poles, self._poles)
-        num = ComplexPolynomial.from_roots(self._zeros + pad, self._gain) + (
-            ComplexPolynomial.from_roots(other._zeros + other_pad, other._gain)
-        )
+        terms = [(self._gain, self._zeros + pad), (other._gain, other._zeros + other_pad)]
+        n = max(sum(m for _, m in roots) for _, roots in terms) + 1
+        num, scale = np.zeros(n, dtype=complex), np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gain, roots in terms:
+                c = ComplexPolynomial.from_roots(roots, gain).coeffs
+                num[: c.size] += c
+                bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
+                scale[: c.size] += bound.coeffs.real
+        if not (np.isfinite(num).all() and np.isfinite(scale).all()):
+            raise OutOfRange("the expanded numerator of a sum overflows double precision")
+        num[np.abs(num) <= EPS_COEFF * scale] = 0.0
+        num = ComplexPolynomial(num)
         if num.is_zero:
-            return RationalFunction._from_roots(0.0)
+            return RationalFunction(0.0)
         return RationalFunction._from_roots(num.lead, poly_roots(num), self._poles + pad)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_zero:
+            return self
         return RationalFunction._from_roots(-self._gain, self._zeros, self._poles)
 
     def __sub__(self, other):
@@ -477,6 +503,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if self.is_zero or other.is_zero:
+            return self if self.is_zero else other
         return RationalFunction._from_roots(
             self._gain * other._gain, self._zeros + other._zeros, self._poles + other._poles
         )
@@ -487,6 +515,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDenominator("division by the zero rational function")
+        if self.is_zero:
+            return self
         return RationalFunction._from_roots(
             self._gain / other._gain, self._zeros + other._poles, self._poles + other._zeros
         )
@@ -496,12 +526,14 @@ class RationalFunction:
 
     def __pow__(self, n: int):
         n = int(n)
-        if n < 0 and self.is_zero:
-            raise ZeroDenominator("negative power of the zero function")
+        if self.is_zero and n != 0:
+            if n < 0:
+                raise ZeroDenominator("negative power of the zero function")
+            return self
         zeros, poles = (self._zeros, self._poles) if n >= 0 else (self._poles, self._zeros)
         k = abs(n)
         return RationalFunction._from_roots(
-            self._gain**n, [(r, m * k) for r, m in zeros], [(r, m * k) for r, m in poles]
+            _power(self._gain, n), [(r, m * k) for r, m in zeros], [(r, m * k) for r, m in poles]
         )
 
     # -- circle structure ----------------------------------------------------
@@ -520,11 +552,11 @@ class RationalFunction:
         zeros, poles = [], []
         for r, m in self._zeros:
             if r != 0:
-                gain *= (-r.conjugate()) ** m
+                gain *= _power(-r.conjugate(), m)
                 zeros.append((1 / r.conjugate(), m))
         for r, m in self._poles:
             if r != 0:
-                gain /= (-r.conjugate()) ** m
+                gain /= _power(-r.conjugate(), m)
                 poles.append((1 / r.conjugate(), m))
         shift = sum(m for _, m in self._poles) - sum(m for _, m in self._zeros)
         zeros.append((0j, max(shift, 0)))
@@ -733,9 +765,9 @@ def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
         factor, moved = 1.0, []
         for p, m in roots:
             if abs(p - a / c) <= EPS_ROOT * max(1.0, abs(p)):
-                factor *= (b - d * p) ** m
+                factor *= _power(b - d * p, m)
             else:
-                factor *= (a - c * p) ** m
+                factor *= _power(a - c * p, m)
                 moved.append(((d * p - b) / (a - c * p), m))
         return factor, moved
 
@@ -744,7 +776,7 @@ def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
     shift = sum(m for _, m in r._poles) - sum(m for _, m in r._zeros)
     zeros.append((-d / c, max(shift, 0)))
     poles.append((-d / c, max(-shift, 0)))
-    gain = r._gain * zero_factor / pole_factor * c**shift
+    gain = r._gain * zero_factor / pole_factor * _power(c, shift)
     return RationalFunction._from_roots(gain, zeros, poles)
 
 
@@ -764,9 +796,9 @@ Z = monomial(1)
 # -- canonical printing ----------------------------------------------------
 
 
-def format_complex(c, digits: int = 12) -> str:
+def format_complex(c) -> str:
     """Deterministic complex scalar display: real part before imaginary,
-    ``digits`` significant digits, trailing 'i' for the imaginary part."""
+    12 significant digits, trailing 'i' for the imaginary part."""
     c = complex(c)
     re, im = c.real, c.imag
     scale = max(abs(re), abs(im))
@@ -776,14 +808,14 @@ def format_complex(c, digits: int = 12) -> str:
         if abs(im) <= 1e-13 * scale:
             im = 0.0
     if im == 0.0:
-        return f"{re:.{digits}g}"
+        return f"{re:.12g}"
     if re == 0.0:
-        return f"{im:.{digits}g}i"
+        return f"{im:.12g}i"
     sign = "+" if im > 0 else "-"
-    return f"{re:.{digits}g}{sign}{abs(im):.{digits}g}i"
+    return f"{re:.12g}{sign}{abs(im):.12g}i"
 
 
-def format_polynomial(p: ComplexPolynomial, digits: int = 12, variable: str = "z") -> str:
+def format_polynomial(p: ComplexPolynomial, variable: str = "z") -> str:
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
         return "0"
@@ -792,7 +824,7 @@ def format_polynomial(p: ComplexPolynomial, digits: int = 12, variable: str = "z
     for j, cj in enumerate(p.coeffs):
         if abs(cj) <= EPS_COEFF * scale:
             continue
-        cs = format_complex(cj, digits)
+        cs = format_complex(cj)
         needs_parens = ("+" in cs[1:]) or ("-" in cs[1:]) or cs.endswith("i")
         if j == 0:
             terms.append(f"({cs})" if needs_parens else cs)
@@ -814,11 +846,11 @@ def format_polynomial(p: ComplexPolynomial, digits: int = 12, variable: str = "z
     return out
 
 
-def format_rational(r: RationalFunction, digits: int = 12, variable: str = "z") -> str:
+def format_rational(r: RationalFunction, variable: str = "z") -> str:
     r = RationalFunction._coerce(r)
-    num = format_polynomial(r.num, digits, variable)
+    num = format_polynomial(r.num, variable)
     if r.den.degree == 0 and abs(r.den.coeffs[0] - 1.0) <= 1e-13:
         return num
-    den = format_polynomial(r.den, digits, variable)
+    den = format_polynomial(r.den, variable)
     nwrap = f"({num})" if (" " in num) else num
     return f"{nwrap}/({den})"

@@ -36,6 +36,12 @@ ALL_COMMANDS = [
 ]
 
 
+SPACE_NOTE = (
+    "for rational symbols every Smirnov-class multiplier with Carleson control is rational, "
+    "so the unrestricted and square-integrable multiplier spaces coincide here"
+)
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -48,6 +54,115 @@ def test_every_subcommand_emits_valid_envelope(argv, capsys):
     assert code == 0
     jsonschema.validate(doc, ENVELOPE_SCHEMA)
     assert doc["command"] == argv[0]
+
+
+# inputs and printed result fields (``*_raw`` keys left out) of each
+# ALL_COMMANDS entry; the principal angle and the verify details carry
+# numbers at rounding level and are checked apart
+PRINTED = {
+    "kernel --symbol zbar^2": (
+        {"symbol": "1/(z^2)"},
+        {"dimension": 2, "winding": -2, "basis": ["1", "z"]},
+    ),
+    "kernel --symbol (2*z+1)/(z^4*(2+z)) --verify-inline": (
+        {"symbol": "(1 + 2*z)/(2*z^4 + z^5)"},
+        {"dimension": 3, "winding": -3, "basis": ["1 + 0.5*z", "z + 0.5*z^2", "z^2 + 0.5*z^3"],
+         "oracle": {"dimension": 3}},
+    ),
+    "dim --symbol zbar^2": ({"symbol": "1/(z^2)"}, {"dimension": 2, "winding": -2}),
+    "minkernel --vector 1-z": (
+        {"vector": "1 - z"},
+        {"dimension": 2, "winding": -2, "basis": ["1", "z"], "symbol": "-1/(z^2)"},
+    ),
+    "maximal --vector 1+0.5*z --symbol zbar^2": (
+        {"vector": "1 + 0.5*z", "symbol": "1/(z^2)"},
+        {"is_maximal": False, "certificate": "0.5 + z", "witness_zero": "-0.5"},
+    ),
+    "factor --mode inner-outer --f z^2*(1+0.5*z)": (
+        {"f": "z^2 + 0.5*z^3", "mode": "inner-outer"},
+        {"inner_constant": "1", "inner_zeros": [{"zero": "0", "multiplicity": 2}],
+         "outer": "1 + 0.5*z"},
+    ),
+    "factor --mode wiener-hopf --f (z+0.5)/(1+0.5*z)": (
+        {"f": "(1 + 2*z)/(2 + z)", "mode": "wiener-hopf"},
+        {"minus": "(0.5 + z)/(z)", "index": 1, "plus": "1 + 0.5*z"},
+    ),
+    "mult --w 1+z --g zbar --h zbar^2": (
+        {"w": "1 + z", "g": "1/(z)", "h": "1/(z^2)"},
+        {"is_multiplier": True, "routes": {"maximal_vector": True, "smirnov": True}},
+    ),
+    "m2 --g zbar --h zbar^2": (
+        {"g": "1/(z)", "h": "1/(z^2)"},
+        {"dimension": 2, "test_symbol": "1/(z^2)", "basis": ["1", "z"],
+         "carleson_filtered": True, "bounded_verified": False, "note": SPACE_NOTE},
+    ),
+    "minf --g zbar --h zbar^3": (
+        {"g": "1/(z)", "h": "1/(z^3)"},
+        {"dimension": 3, "test_symbol": "1/(z^3)", "basis": ["1", "z", "z^2"],
+         "carleson_filtered": True, "bounded_verified": True, "note": SPACE_NOTE},
+    ),
+    "include --g zbar --h zbar^2": ({"g": "1/(z)", "h": "1/(z^2)"}, {"includes": True}),
+    "equal --g zbar^2 --h zbar^3": ({"g": "1/(z^2)", "h": "1/(z^3)"}, {"equal": False}),
+    "equiv --g1 conj(z*B(0.5)) --g2 zbar^2": (
+        {"g1": "(1 - 0.5*z)/(-0.5*z + z^2)", "g2": "1/(z^2)"},
+        {"equivalent": True, "h_minus": "z/(-0.5 + z)", "h_plus": "1 - 0.5*z"},
+    ),
+    "crofoot --w 1/(1-0.5*z) --theta z": (
+        {"w": "-2/(-2 + z)", "theta": "z"},
+        {"companion": {"constant": "1", "zeros": [{"zero": "0.5", "multiplicity": 1}],
+                       "rational": "(1 - 2*z)/(-2 + z)"}},
+    ),
+    "surjective --w 1/(1-0.5*z) --g zbar --h (2-z)/(2*z-1)": (
+        {"w": "-2/(-2 + z)", "g": "1/(z)", "h": "(1 - 0.5*z)/(-0.5 + z)"},
+        {"holds": True, "outer_ok": True, "carleson_forward_ok": True,
+         "carleson_inverse_ok": True, "symbol_identity_ok": True},
+    ),
+    "rigid --p 1+0.5*z": ({"p": "1 + 0.5*z"}, {"rigid": True}),
+    "cayley --mode function --f 1/(s+1i)": (
+        {"f": "1/((1i) + s)", "mode": "function"},
+        {"result": "(-1.77245385091i)"},
+    ),
+    "cayley --mode symbol --f (s-1i)/(s+1i)": (
+        {"f": "((-1i) + s)/((1i) + s)", "mode": "symbol"},
+        {"result": "-z"},
+    ),
+    "verify --suite paper-examples": (
+        {"suite": "paper-examples"},
+        {"suite": "paper-examples", "passed": 16, "failed": 0, "checks": [
+            (name, True) for name in [
+                "model-space-z2-basis", "minimal-kernel-of-constants",
+                "z2-maximal-vector-lattice", "reproducing-kernel-not-maximal",
+                "backward-shift-is-maximal", "power-multiplier-spaces",
+                "power-example-multiplier", "non-multiplier-guard", "dimension-theorem",
+                "dimension-theorem-degenerate", "shifted-kernel-dimension-drop",
+                "model-space-inclusion-divisibility", "crofoot-companion",
+                "image-kernel-dimension-gap", "halfplane-backward-shift-maximal",
+                "cayley-isometry-closed-forms",
+            ]
+        ]},
+    ),
+}
+
+
+def _printed(value):
+    if isinstance(value, dict):
+        return {k: _printed(v) for k, v in value.items() if not k.endswith("_raw")}
+    if isinstance(value, list):
+        return [_printed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: " ".join(a[:3]))
+def test_printed_forms_are_pinned(argv, capsys):
+    _, doc = run_cli(argv, capsys)
+    inputs, result = PRINTED[" ".join(argv)]
+    assert doc["inputs"] == inputs
+    printed = _printed(doc["result"])
+    if "oracle" in printed:
+        assert printed["oracle"].pop("principal_angle") < 1e-8
+    if "checks" in printed:
+        printed["checks"] = [(c["name"], c["ok"]) for c in printed["checks"]]
+    assert printed == result
 
 
 def test_dim_example(capsys):
@@ -90,6 +205,29 @@ def test_precondition_error_exit_code(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["error"] == "not-invertible-on-circle"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the gain 1e-400 of the fourth power rounds to 0
+        ["kernel", "--symbol", "zbar^2*((1+1e-100*z)^4+0.5*z)"],
+        # the expansion of the first summand overflows
+        ["kernel", "--symbol", "(1+1e-160*z)^2 + 1"],
+        # a product of nonzero constants rounds to 0
+        ["kernel", "--symbol", "1e-200*1e-200*z"],
+        # circle conjugation puts 1e400 into the gain
+        ["kernel", "--symbol", "conj((z-1e100)^4)"],
+        # the echoed input expands to coefficients near 1e320
+        ["equal", "--g", "zbar*(z-1e80)^4", "--h", "zbar*(z-1e80)^4"],
+    ],
+)
+def test_values_outside_double_precision_are_errors(argv, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "out-of-range"
 
 
 def test_verify_suite_passes_and_reports(capsys):
