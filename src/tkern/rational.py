@@ -165,9 +165,10 @@ class ComplexPolynomial:
         c[n] = 1.0
         # multiply in place by one (z - r) at a time; the monic product of
         # the first k factors fills c[n - k:], in ascending order
-        for k, r in enumerate(flat):
-            c[n - k - 1 : n] -= r * c[n - k :]
-        c *= lead
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for k, r in enumerate(flat):
+                c[n - k - 1 : n] -= r * c[n - k :]
+            c *= lead
         if not np.isfinite(c).all():
             raise OutOfRange("polynomial coefficients overflow double precision")
         c.setflags(write=False)
@@ -200,12 +201,14 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
 
     Only exactly zero low-order coefficients give roots at the origin. The
     other roots are companion-matrix eigenvalues, each given one Newton
-    step and then grouped once (``_group_roots``) at ``COARSE_CLUSTER``
-    (relative). A lone root is reported as it is. A near-multiple group is
-    re-derived from its Newton-refined monic factor, so that re-expanded
-    products of the reported roots reproduce the coefficients; the
-    factor's roots are grouped again at the noise floor of an m-fold root,
-    and each group is one root at its mean.
+    step (``_newton_step``) and then grouped once (``_group_roots``) at
+    ``COARSE_CLUSTER`` (relative). A lone root is reported as it is. A
+    near-multiple group is re-derived from its Newton-refined monic factor,
+    so that re-expanded products of the reported roots reproduce the
+    coefficients; the factor's roots are grouped again at the noise floor
+    of an m-fold root, and each group is one root at its mean. A companion
+    matrix that overflows (a coefficient over the leading one is not a
+    double) raises OutOfRange.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
@@ -219,18 +222,20 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     if c.size <= 2:
         return _sorted_roots(out)
 
-    # one Newton step on every eigenvalue, all at once, before grouping:
-    # it also pulls in the eigenvalue ring of a multiple root, which can
-    # start out wider than COARSE_CLUSTER
-    raw = npoly.polyroots(c)
-    val = npoly.polyval(raw, c)
-    der = npoly.polyval(raw, c[1:] * np.arange(1, c.size))
-    with np.errstate(all="ignore"):  # a zero derivative: ``accept`` drops the step
-        step = val / der
-        cand = raw - step
-        better = np.abs(npoly.polyval(cand, c)) < np.abs(val)
-    accept = (der != 0) & (np.abs(step) < 0.5 * (1.0 + np.abs(raw))) & better
-    points = np.where(accept, cand, raw).tolist()
+    # the companion matrix as numpy's polycompanion builds it, so that the
+    # eigenvalues are those of npoly.polyroots
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = c[:-1] / c[-1]
+    if not np.isfinite(last).all():
+        raise OutOfRange("the companion matrix of a polynomial overflows double precision")
+    mat = np.eye(c.size - 1, k=-1, dtype=complex)
+    mat[:, -1] -= last
+    raw = np.linalg.eigvals(mat)
+    raw.sort()
+    # one Newton step on every eigenvalue before grouping: it also pulls in
+    # the eigenvalue ring of a multiple root, which can start out wider
+    # than COARSE_CLUSTER
+    points = _newton_step(c, raw.tolist())
     for group in _group_roots(points, COARSE_CLUSTER):
         if len(group) == 1:
             out.append((points[group[0]], 1))
@@ -242,6 +247,37 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         sub = npoly.polyroots(factor).tolist()
         out.extend((_mean([(sub[i], 1) for i in g]), len(g)) for g in _group_roots(sub, noise))
     return _sorted_roots(out)
+
+
+def _newton_step(c: np.ndarray, points: list[complex]) -> list[complex]:
+    """One Newton step x - p(x)/p'(x) on each of ``points``, for the
+    polynomial with ascending coefficients ``c``. The step is taken when
+    p'(x) != 0, |step| < 0.5 (1 + |x|) and |p| falls; otherwise x stays.
+    p and p' come from one Horner sweep in Python complex arithmetic
+    (backward stable; Higham 2002, section 5.1): on a few coefficients numpy's
+    fixed cost per call would dominate. A value that is not finite fails the
+    comparisons, so it keeps x, and nothing warns."""
+    desc = c[::-1].tolist()
+    lead, rest = desc[0], desc[1:]
+    out = []
+    for x in points:
+        val, der = lead, 0j
+        for a in rest:
+            der = der * x + val
+            val = val * x + a
+        if der != 0:
+            step = val / der
+            cand = x - step
+            after = lead
+            for a in rest:
+                after = after * cand + a
+            try:
+                if abs(step) < 0.5 * (1.0 + abs(x)) and abs(after) < abs(val):
+                    x = cand
+            except OverflowError:  # abs of finite parts whose modulus overflows
+                pass
+        out.append(x)
+    return out
 
 
 def _refine_factor(parent: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -627,7 +663,10 @@ class RationalFunction:
         return self.num.is_close(other.num, tol) and self.den.is_close(other.den, tol)
 
     def __repr__(self):
-        return f"RationalFunction({list(self.num.coeffs)}, {list(self.den.coeffs)})"
+        # the factored state, which every value has: expanding num and den
+        # can overflow
+        state = f"gain={self._gain!r}, zeros={self._zeros!r}, poles={self._poles!r}"
+        return f"RationalFunction({state})"
 
     def __str__(self):
         return format_rational(self)

@@ -230,6 +230,24 @@ def test_values_outside_double_precision_are_errors(argv, capsys):
     assert doc["error"] == "out-of-range"
 
 
+def test_overflowing_companion_matrix_is_out_of_range(capsys):
+    # the roots are +-1e160i, but 1e160 / 1e-160 is not a double
+    code = main(["dim", "--symbol", "1e-160*z^2 + 1e160"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "out-of-range"
+
+
+def test_root_finding_overflow_does_not_warn(capsys):
+    # the derivative of 1 + 1e308 z^3 has the coefficient 3e308, beyond
+    # double range; finding the roots must not warn about it
+    code, doc = run_cli(["dim", "--symbol", "zbar^3*(1+1e308*z^3)"], capsys)
+    assert code == 0
+    assert doc["result"] == {"dimension": 0, "winding": 0}
+    assert doc["warnings"] == []
+
+
 def test_verify_suite_passes_and_reports(capsys):
     code, doc = run_cli(["verify", "--suite", "paper-examples", "--seed", "42"], capsys)
     assert code == 0

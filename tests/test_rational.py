@@ -1,6 +1,7 @@
 """Core rational arithmetic: roots, reduction, circle conjugation, winding."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -13,6 +14,7 @@ from tkern import (
     ComplexPolynomial,
     HalfPlaneRational,
     NotInvertibleOnCircle,
+    OutOfRange,
     RationalFunction,
     ZeroDenominator,
     ZeroPolynomial,
@@ -219,6 +221,85 @@ def test_multiple_root_among_simple_roots(root, k, simple, rtol):
     assert len(found) == len(simple) + 1
 
 
+def _numpy_newton_step(c, points):
+    # reference: the vectorised numpy form of the step, which polyval'd the
+    # derivative's coefficients; also returns which steps lowered |p| and
+    # which kept to the length bound
+    raw = np.asarray(points, dtype=complex)
+    val = npoly.polyval(raw, c)
+    der = npoly.polyval(raw, c[1:] * np.arange(1, c.size))
+    with np.errstate(all="ignore"):
+        step = val / der
+        cand = raw - step
+        better = np.abs(npoly.polyval(cand, c)) < np.abs(val)
+    short = np.abs(step) < 0.5 * (1.0 + np.abs(raw))
+    accept = (der != 0) & short & better
+    return np.where(accept, cand, raw).tolist(), better, short
+
+
+def _ring_roots(rng, n):
+    # n roots near one circle of radius 0.5, 1 or 2: angles jittered within
+    # n equal sectors, radii within 10%. Such roots stay well conditioned up
+    # to degree 48, so two correct root finders agree to rounding there
+    radius = rng.choice([0.5, 1.0, 2.0])
+    turns = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n + rng.random()
+    return (radius * rng.uniform(0.9, 1.1, n) * np.exp(2j * np.pi * turns)).tolist()
+
+
+def _assert_roots_close(found, expected):
+    assert [m for _, m in found] == [m for _, m in expected]
+    for (r, _), (s, _) in zip(found, expected):
+        assert abs(r - s) <= 1e-12 * max(1.0, abs(s))
+
+
+def test_newton_step_matches_the_numpy_reference():
+    # starts moved off the roots at four scales, so that steps are taken,
+    # refused because |p| grows, and refused by the length bound
+    rng = np.random.default_rng(1983)
+    taken = worse = long = 0
+    for degree in range(2, 49):
+        roots = _ring_roots(rng, degree)
+        c = np.exp(2j * np.pi * rng.random()) * npoly.polyfromroots(roots)
+        for scale in (1e-9, 1e-3, 0.1, 0.5):
+            moves = scale * rng.uniform(0.2, 1.0, degree) * np.exp(2j * np.pi * rng.random(degree))
+            starts = (np.array(roots) + moves).tolist()
+            expected, better, short = _numpy_newton_step(c, starts)
+            found = tkern.rational._newton_step(c, starts)
+            _assert_roots_close([(r, 1) for r in found], [(r, 1) for r in expected])
+            taken += int(np.sum(better & short))
+            worse += int(np.sum(~better & short))
+            long += int(np.sum(~short))
+    assert min(taken, worse, long) >= 50
+    # a modulus beyond double range refuses the step without raising
+    huge = 1.5e308 + 1.5e308j
+    assert tkern.rational._newton_step(np.array([0, 1], dtype=complex), [huge]) == [huge]
+
+
+def test_roots_with_the_numpy_step_match(monkeypatch):
+    # separated roots of degree 2 to 48, and a planted 2- to 5-fold root
+    # with up to 12 simple roots at least 0.3 |root| away from it
+    rng = np.random.default_rng(1984)
+    corpus = []
+    for degree in range(2, 49):
+        corpus.append(_ring_roots(rng, degree))
+        k = int(rng.integers(2, 6))
+        root, *ring = _ring_roots(rng, min(degree, 13))
+        corpus.append([root] * k + [r for r in ring if abs(r - root) >= 0.3 * abs(root)])
+    polys = [ComplexPolynomial(npoly.polyfromroots(roots)) for roots in corpus]
+    # the derivative's coefficient 3e308 overflowed in the numpy step
+    polys.append(ComplexPolynomial([1, 0, 0, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [poly_roots(p) for p in polys]
+    monkeypatch.setattr(
+        tkern.rational, "_newton_step", lambda c, points: _numpy_newton_step(c, points)[0]
+    )
+    for p, roots in zip(polys, found):
+        with np.errstate(all="ignore"):  # the numpy step warns on the 3e308
+            expected = poly_roots(p)
+        _assert_roots_close(roots, expected)
+
+
 # -- root matching -------------------------------------------------------------
 
 
@@ -343,6 +424,24 @@ def test_arithmetic_on_the_zero_function_stays_zero():
     for value in (-zero, zero * z, z * zero, 0 * z, zero / z, zero**3):
         assert value.is_zero
     assert (zero**0).constant_value() == 1
+
+
+def test_overflowing_expansion_raises_without_a_warning():
+    # (z - 1e80)^4 has the constant term 1e320
+    f = RationalFunction._from_roots(1.0, [(1e80, 4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            f.num
+
+
+def test_repr_shows_the_factored_state_of_any_value():
+    # num would overflow; repr must not need it
+    f = RationalFunction._from_roots(2.0, [(1e80, 4)], [(0.5j, 1)])
+    expected = "RationalFunction(gain=(2+0j), zeros=(((1e+80+0j), 4),), poles=((0.5j, 1),))"
+    assert repr(f) == expected
+    assert repr(as_symbol(f)) == f"ToeplitzSymbol({expected})"
+    assert repr(RationalFunction(0)) == "RationalFunction(gain=0j, zeros=(), poles=())"
 
 
 def test_zero_polynomial_has_no_roots():
