@@ -6,7 +6,10 @@ kernels and maximal vectors, multiplier spaces between two kernels,
 surjective multipliers and their companion inner functions, Wiener-Hopf
 and inner-outer factorizations, and the Cayley bridge to the upper
 half-plane. A numeric oracle (FFT coefficients, SVD null spaces,
-principal angles) cross-checks every symbolic result.
+principal angles) cross-checks every symbolic result. Numpy is loaded
+only with the oracle, the verification suite and its random instances, and
+by the few steps that work on arrays: a root solve of degree 2 or more,
+Taylor series, and evaluation at an array of points.
 """
 
 from .errors import (
@@ -78,18 +81,6 @@ from .multipliers import (
     multiplier_space_bounded,
     smirnov_multiplier_test,
 )
-from .oracle import (
-    BoundarySampling,
-    NumericSubspace,
-    boundary_sampling,
-    circle_samples,
-    fourier_coefficients,
-    numeric_kernel,
-    principal_angle,
-    quadrature_norm_squared,
-    subspace_from_rationals,
-    winding_by_quadrature,
-)
 from .rational import (
     ComplexPolynomial,
     RationalFunction,
@@ -105,8 +96,41 @@ from .rational import (
     poly_roots,
     winding_number,
 )
-from .verify import run_suite
+
+# The oracle and the verification suite need numpy, which nothing above
+# imports: they load on first access (PEP 562), so that ``import tkern`` and
+# every command that runs no oracle stay free of numpy. A name is looked up
+# in its module on each access and never cached here, so the package hands
+# out whatever that module holds at the time.
+_LAZY = {
+    "oracle": (
+        "BoundarySampling",
+        "NumericSubspace",
+        "boundary_sampling",
+        "circle_samples",
+        "fourier_coefficients",
+        "numeric_kernel",
+        "principal_angle",
+        "quadrature_norm_squared",
+        "subspace_from_rationals",
+        "winding_by_quadrature",
+    ),
+    "verify": ("run_suite",),
+    "random_instances": (),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            from importlib import import_module
+
+            loaded = import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += [*_LAZY, *(name for names in _LAZY.values() for name in names)]

@@ -26,7 +26,6 @@ import os
 import sys
 import warnings
 
-from . import verify as verify_mod
 from .errors import PreconditionViolation, TkError
 from .expressions import parse_expression
 from .factorization import blaschke_from_rational, inner_outer, wiener_hopf
@@ -40,7 +39,6 @@ from .multipliers import (
     multiplier_space_bounded,
     smirnov_multiplier_test,
 )
-from .oracle import numeric_kernel, principal_angle, subspace_from_rationals
 from .rational import RationalFunction, as_symbol, format_complex, format_rational
 
 ENVELOPE_SCHEMA = {
@@ -84,7 +82,7 @@ def _shown(key: str, value) -> dict:
         text = raw = None
     elif isinstance(value, RationalFunction):
         text = format_rational(value)
-        raw = {part: [[c.real, c.imag] for c in map(complex, p.coeffs)]
+        raw = {part: [[c.real, c.imag] for c in p._coeffs]
                for part, p in (("num", value.num), ("den", value.den))}
     else:
         c = complex(value)
@@ -100,6 +98,9 @@ def _kernel_result(K, verify_inline: bool, tol: float):
     result = {"dimension": K.dimension, "winding": K.symbol.winding, **_shown("basis", K.basis)}
     mismatch = False
     if verify_inline:
+        # the oracle loads numpy, which no other command needs
+        from .oracle import numeric_kernel, principal_angle, subspace_from_rationals
+
         ns = numeric_kernel(K.symbol)
         angle = 0.0
         if K.dimension and ns.dimension == K.dimension:
@@ -237,7 +238,9 @@ def _cmd_cayley(args):
 
 
 def _cmd_verify(args):
-    report = verify_mod.run_suite(args.suite, seed=args.seed, tol=args.tol)
+    from .verify import run_suite  # loads numpy and the oracle
+
+    report = run_suite(args.suite, seed=args.seed, tol=args.tol)
     for c in report["checks"]:
         _log(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']} {c['detail']}")
     return report, report["failed"] > 0

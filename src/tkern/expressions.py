@@ -25,8 +25,6 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import BlaschkeParameterOutOfDisc, ExpressionSyntaxError
 from .rational import RationalFunction, monomial
 
@@ -252,7 +250,7 @@ def _lower(node: Node, variable: str) -> RationalFunction:
             raise BlaschkeParameterOutOfDisc(
                 f"Blaschke parameter {a!r} must lie strictly inside the unit disc"
             )
-        return RationalFunction([-a, 1.0], [1.0, -np.conj(a)])
+        return RationalFunction([-a, 1.0], [1.0, -a.conjugate()])
     if isinstance(node, BinOp):
         left = _lower(node.left, variable)
         right = _lower(node.right, variable)

@@ -10,10 +10,10 @@ number.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     BlaschkeParameterOutOfDisc,
@@ -179,7 +179,7 @@ def blaschke_from_rational(r):
     c = ratio.constant_value()
     if abs(abs(c) - 1.0) > INNER_TOL:
         return None
-    samples = np.exp(2j * np.pi * np.arange(64) / 64)
-    if np.max(np.abs(np.abs(r(samples)) - 1.0)) > INNER_TOL:
-        return None
+    for k in range(64):
+        if abs(abs(r(cmath.exp(2j * math.pi * k / 64))) - 1.0) > INNER_TOL:
+            return None
     return BlaschkeProduct(c / abs(c), zc.inside)

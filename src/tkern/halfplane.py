@@ -13,7 +13,7 @@ Toeplitz machinery here.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import NotSquareIntegrable, UnboundedSymbol
 from .multipliers import is_multiplier
@@ -22,7 +22,7 @@ from .rational import RationalFunction, ToeplitzSymbol, _compose_mobius, as_rati
 # Imaginary-part tolerance below which a pole counts as real.
 _REAL_AXIS_TOL = 1e-9
 
-_SQRT_PI = float(np.sqrt(np.pi))
+_SQRT_PI = math.sqrt(math.pi)
 
 # Moebius data (a, b, c, d) of the Cayley map s = i(1-z)/(1+z) and of its
 # inverse z = (i-s)/(i+s), each as (a w + b)/(c w + d).
@@ -153,6 +153,8 @@ def line_norm_squared(f, quad_points: int = 4096) -> float:
         return 0.0
     if not f.in_l2_line():
         raise NotSquareIntegrable("not square-integrable on the line")
+    import numpy as np
+
     t = (np.arange(quad_points) + 0.5) * (2.0 * np.pi / quad_points)
     z = np.exp(1j * t)
     s = np.real(1j * (1.0 - z) / (1.0 + z))
@@ -165,6 +167,8 @@ def line_norm_squared(f, quad_points: int = 4096) -> float:
 def circle_norm_squared(F, quad_points: int = 4096) -> float:
     """Squared L2 norm on the circle with normalized measure."""
     F = as_rational(F)
+    import numpy as np
+
     t = (np.arange(quad_points) + 0.5) * (2.0 * np.pi / quad_points)
     vals = np.abs(F(np.exp(1j * t))) ** 2
     return float(np.mean(vals))

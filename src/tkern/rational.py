@@ -1,11 +1,11 @@
 """Rational-function arithmetic over complex floating scalars.
 
 Everything downstream (factorizations, kernels, multipliers) is built on
-three types defined here: ``ComplexPolynomial`` (coefficient lists in
-ascending degree order), ``RationalFunction`` (a gain with its zeros and
-poles), and ``ToeplitzSymbol`` (a rational function read on the unit
-circle, with its invertibility and winding number computed from the
-roots on each access).
+three types defined here: ``ComplexPolynomial`` (a tuple of complex
+coefficients in ascending degree order), ``RationalFunction`` (a gain with
+its zeros and poles), and ``ToeplitzSymbol`` (a rational function read on
+the unit circle, with its invertibility and winding number computed from
+the roots on each access).
 
 Conventions:
   * a rational function is stored in factored form, as its gain and its
@@ -20,17 +20,24 @@ Conventions:
     root. Reduction groups zeros and poles together at ``EPS_ROOT``, and
     in each group the zeros cancel the poles, so the quotient is always
     reduced;
-  * roots are classified against the unit circle with band ``EPS_CIRCLE``.
+  * roots are classified against the unit circle with band ``EPS_CIRCLE``;
+  * coefficients and values at a number are computed in Python ``complex``
+    arithmetic. Numpy is imported only where arrays are needed: the
+    companion-matrix eigenvalues of ``poly_roots`` at degree 2 and more,
+    the refinement of a near-multiple factor, ``RationalFunction.taylor``,
+    evaluation at an array, and ``ComplexPolynomial.coeffs``, the
+    coefficients as an array built on access.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
-import numpy.polynomial.polynomial as npoly
+from itertools import zip_longest
+from numbers import Number
 
 from .errors import (
     ClassificationWarning,
@@ -43,8 +50,8 @@ from .errors import (
 
 # A coefficient of a sum is zero when it cancels to at most this fraction
 # of its summands' rounding scale (``RationalFunction.__add__``). Display
-# hides coefficients at most this fraction of the largest one
-# (``format_polynomial``); the value keeps them.
+# hides a coefficient of a rational function at most this fraction of its
+# rounding scale (``format_rational``); the value keeps it.
 EPS_COEFF = 1e-12
 # Relative tolerance for folding roots into multiplicities and for
 # cancelling matching numerator/denominator roots.
@@ -79,37 +86,46 @@ def _nonzero_gain(gain) -> complex:
     gains that rounded to 0, to a subnormal or to inf would make the
     factored form hold another function, so it raises OutOfRange."""
     gain = complex(gain)
-    if not sys.float_info.min <= abs(gain) < np.inf:
+    if not sys.float_info.min <= abs(gain) < math.inf:
         raise OutOfRange(f"the gain {gain} of a nonzero function is outside double precision")
     return gain
 
 
-def _trim(coeffs) -> np.ndarray:
-    """Normalize a coefficient array: drop trailing exact zeros. All-zero
-    input trims to an empty array (the canonical zero polynomial)."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-    if not np.isfinite(c).all():
+def _scalar(x) -> complex:
+    """``x`` as a Python complex. Only numbers are taken: a string that
+    ``complex`` would parse raises TypeError like any other non-number."""
+    if not isinstance(x, Number):
+        raise TypeError(f"not a number: {x!r}")
+    return complex(x)
+
+
+def _trim(coeffs) -> tuple:
+    """Normalize coefficients (a number, or an iterable of numbers in
+    ascending order) to a tuple of complex: drop trailing exact zeros.
+    All-zero input trims to an empty tuple (the canonical zero
+    polynomial)."""
+    c = [_scalar(coeffs)] if isinstance(coeffs, Number) else [_scalar(x) for x in coeffs]
+    if not all(map(cmath.isfinite, c)):
         raise ValueError("non-finite polynomial coefficients")
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1 if nonzero.size else 0].copy()
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
 class ComplexPolynomial:
     """Polynomial with complex coefficients, ascending degree order.
 
-    The zero polynomial has an empty coefficient list and degree -1.
-    Instances are immutable values.
+    The coefficients are kept as a tuple of Python ``complex``; ``coeffs``
+    gives them as a read-only numpy array, built on each access. The zero
+    polynomial has no coefficients and degree -1. Instances are immutable
+    values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, ComplexPolynomial):
-            c = coeffs.coeffs
-        else:
-            c = _trim(coeffs)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        c = coeffs._coeffs if isinstance(coeffs, ComplexPolynomial) else _trim(coeffs)
+        object.__setattr__(self, "_coeffs", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexPolynomial is immutable")
@@ -117,33 +133,46 @@ class ComplexPolynomial:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as a read-only numpy array."""
+        import numpy as np
+
+        c = np.array(self._coeffs, dtype=complex)
+        c.setflags(write=False)
+        return c
+
+    @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs.size == 0
+        return not self._coeffs
 
     @property
     def lead(self) -> complex:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return complex(self.coeffs[-1])
+        return self._coeffs[-1]
 
     def __call__(self, z):
-        if self.is_zero:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-        return npoly.polyval(z, self.coeffs)
+        """p(z) by Horner's rule, in the order of numpy's ``polyval``: a
+        number gives a Python complex, an array an array."""
+        if isinstance(z, Number):
+            z = complex(z)
+        c = self._coeffs
+        if not c:
+            return 0j if isinstance(z, complex) else 0j * z
+        val = c[-1] + z * 0
+        for a in c[-2::-1]:
+            val = val * z + a
+        return val
 
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "ComplexPolynomial":
-        if isinstance(other, ComplexPolynomial):
-            return other
-        if np.isscalar(other) or isinstance(other, complex):
-            return ComplexPolynomial([complex(other)])
-        return ComplexPolynomial(other)
+        return other if isinstance(other, ComplexPolynomial) else ComplexPolynomial(other)
 
     @staticmethod
     def from_roots(roots, lead: complex = 1.0) -> "ComplexPolynomial":
@@ -153,43 +182,31 @@ class ComplexPolynomial:
         expansion that overflows raises OutOfRange."""
         if lead == 0:
             return ComplexPolynomial()
-        flat = []
+        # the monic product so far, ascending; times (z - r), coefficient k
+        # becomes c[k - 1] - r c[k]
+        c = [1 + 0j]
         for item in roots:
-            if isinstance(item, tuple):
-                r, m = item
-                flat.extend([r] * int(m))
-            else:
-                flat.append(item)
-        n = len(flat)
-        c = np.zeros(n + 1, dtype=complex)
-        c[n] = 1.0
-        # multiply in place by one (z - r) at a time; the monic product of
-        # the first k factors fills c[n - k:], in ascending order
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for k, r in enumerate(flat):
-                c[n - k - 1 : n] -= r * c[n - k :]
-            c *= lead
-        if not np.isfinite(c).all():
+            r, m = item if isinstance(item, tuple) else (item, 1)
+            r = complex(r)
+            for _ in range(int(m)):
+                c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
+        lead = complex(lead)
+        c = tuple(a * lead for a in c)
+        if not all(map(cmath.isfinite, c)):
             raise OutOfRange("polynomial coefficients overflow double precision")
-        c.setflags(write=False)
         p = object.__new__(ComplexPolynomial)
-        object.__setattr__(p, "coeffs", c)
+        object.__setattr__(p, "_coeffs", c)
         return p
 
     # -- comparison / display ----------------------------------------------
 
     def is_close(self, other, tol: float = 1e-9) -> bool:
-        other = self._coerce(other)
-        n = max(self.coeffs.size, other.coeffs.size, 1)
-        a = np.zeros(n, dtype=complex)
-        b = np.zeros(n, dtype=complex)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-        return bool(np.max(np.abs(a - b)) <= tol * scale)
+        pairs = list(zip_longest(self._coeffs, self._coerce(other)._coeffs, fillvalue=0j))
+        scale = max([1.0, *(abs(c) for pair in pairs for c in pair)])
+        return max((abs(a - b) for a, b in pairs), default=0.0) <= tol * scale
 
     def __repr__(self):
-        return f"ComplexPolynomial({list(self.coeffs)})"
+        return f"ComplexPolynomial({list(self._coeffs)})"
 
     def __str__(self):
         return format_polynomial(self)
@@ -208,51 +225,61 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     coefficients; the factor's roots are grouped again at the noise floor
     of an m-fold root, and each group is one root at its mean. A companion
     matrix that overflows (a coefficient over the leading one is not a
-    double) raises OutOfRange.
+    double) raises OutOfRange. A root of degree 1 is -c0/c1 in Python
+    complex arithmetic; numpy is imported only from degree 2 on, for the
+    eigenvalues and the factor refinement.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
-    c = p.coeffs
-    k0 = int(np.flatnonzero(c)[0])
+    c = p._coeffs
+    k0 = 0
+    while c[k0] == 0:
+        k0 += 1
     out: list[tuple[complex, int]] = [(0j, k0)] if k0 else []
     c = c[k0:]
-    if c.size == 2:
-        out.append((complex(-c[0] / c[1]), 1))
-    if c.size <= 2:
+    if len(c) == 2:
+        out.append((-c[0] / c[1], 1))
+    if len(c) <= 2:
         return _sorted_roots(out)
+
+    import numpy as np
 
     # the companion matrix as numpy's polycompanion builds it, so that the
     # eigenvalues are those of npoly.polyroots
+    arr = np.array(c, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        last = c[:-1] / c[-1]
+        last = arr[:-1] / arr[-1]
     if not np.isfinite(last).all():
         raise OutOfRange("the companion matrix of a polynomial overflows double precision")
-    mat = np.eye(c.size - 1, k=-1, dtype=complex)
+    mat = np.eye(arr.size - 1, k=-1, dtype=complex)
     mat[:, -1] -= last
     raw = np.linalg.eigvals(mat)
     raw.sort()
     # one Newton step on every eigenvalue before grouping: it also pulls in
     # the eigenvalue ring of a multiple root, which can start out wider
     # than COARSE_CLUSTER
-    points = _newton_step(c, raw.tolist())
+    points = _newton_step(arr, raw.tolist())
     for group in _group_roots(points, COARSE_CLUSTER):
         if len(group) == 1:
             out.append((points[group[0]], 1))
             continue
+        import numpy.polynomial.polynomial as npoly
+
         m = len(group)
-        factor = _refine_factor(c, npoly.polyfromroots([points[i] for i in group]))
+        factor = _refine_factor(arr, npoly.polyfromroots([points[i] for i in group]))
         # noise floor of an m-fold root: below it the subroots are one root
-        noise = max(EPS_ROOT, 10.0 * float(np.finfo(float).eps) ** (1.0 / m))
+        noise = max(EPS_ROOT, 10.0 * sys.float_info.epsilon ** (1.0 / m))
         sub = npoly.polyroots(factor).tolist()
         out.extend((_mean([(sub[i], 1) for i in g]), len(g)) for g in _group_roots(sub, noise))
     return _sorted_roots(out)
 
 
-def _newton_step(c: np.ndarray, points: list[complex]) -> list[complex]:
+def _newton_step(c, points: list[complex]) -> list[complex]:
     """One Newton step x - p(x)/p'(x) on each of ``points``, for the
-    polynomial with ascending coefficients ``c``. The step is taken when
-    p'(x) != 0, |step| < 0.5 (1 + |x|) and |p| falls; otherwise x stays.
+    polynomial with ascending coefficients ``c`` (a numpy array). The step
+    is taken when p'(x) != 0, |step| < 0.5 (1 + |x|) and |p| falls;
+    otherwise x stays.
     p and p' come from one Horner sweep in Python complex arithmetic
     (backward stable; Higham 2002, section 5.1): on a few coefficients numpy's
     fixed cost per call would dominate. A value that is not finite fails the
@@ -280,11 +307,14 @@ def _newton_step(c: np.ndarray, points: list[complex]) -> list[complex]:
     return out
 
 
-def _refine_factor(parent: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _refine_factor(parent, factor):
     """Newton refinement of a monic factor of ``parent`` in its own
-    coefficients: up to four rounds drive the division remainder to zero.
-    Quadratically convergent near a true factor; returns the input
-    unchanged when the correction is untrustworthy."""
+    coefficients (numpy arrays): up to four rounds drive the division
+    remainder to zero. Quadratically convergent near a true factor; returns
+    the input unchanged when the correction is untrustworthy."""
+    import numpy as np
+    import numpy.polynomial.polynomial as npoly
+
     m = factor.size - 1
     if m < 1:
         return factor
@@ -368,6 +398,21 @@ def _mean(roots) -> complex:
     if all(r == first for r, _ in roots):
         return first
     return sum(r * m for r, m in roots) / sum(m for _, m in roots)
+
+
+def _rounding_scale(terms) -> list[float]:
+    """The rounding scale of the expanded sum of ``terms``, (gain, roots)
+    pairs: coefficient k is the sum over the terms of coefficient k of
+    |gain| prod (z + |r|) over the term's roots, which bounds the term's
+    expansion componentwise. A coefficient at most ``EPS_COEFF`` of its
+    scale is rounding noise."""
+    n = max(sum(m for _, m in roots) for _, roots in terms) + 1
+    scale = [0.0] * n
+    for gain, roots in terms:
+        bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
+        for k, b in enumerate(bound._coeffs):
+            scale[k] += b.real
+    return scale
 
 
 def _reduce(zeros, poles) -> tuple[tuple, tuple]:
@@ -466,7 +511,21 @@ class RationalFunction:
 
     def __call__(self, z):
         # product form: stays accurate near clustered roots, where Horner's
-        # rule on the expanded coefficients does not
+        # rule on the expanded coefficients does not. A number is evaluated
+        # in Python complex arithmetic and gives a Python complex, not
+        # finite at a pole; an array gives an array.
+        if isinstance(z, Number):
+            z, out = complex(z), self._gain
+            try:
+                for r, m in self._zeros:
+                    out *= (z - r) ** m
+                for r, m in self._poles:
+                    out /= (z - r) ** m
+            except (ZeroDivisionError, OverflowError):
+                return complex(math.inf, math.nan)
+            return out
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape, self._gain)
         for r, m in self._zeros:
@@ -487,7 +546,7 @@ class RationalFunction:
     def _coerce(other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
-        if (np.isscalar(other) or isinstance(other, complex)) and other != 0:
+        if isinstance(other, Number) and other != 0:
             return RationalFunction._from_roots(other)
         return RationalFunction(other)
 
@@ -496,9 +555,8 @@ class RationalFunction:
         summed numerator needs root finding. Each summand's numerator is
         expanded from its roots, and coefficient k of the sum is zero when
         it cancels to at most ``EPS_COEFF`` times the summands' rounding
-        scale there: the coefficient k of |gain| prod (z + |r|) over each
-        summand's roots, which bounds its expansion componentwise. A sum
-        whose expansion overflows raises OutOfRange."""
+        scale there (``_rounding_scale``). A sum whose expansion overflows
+        raises OutOfRange."""
         other = self._coerce(other)
         if self.is_zero:
             return other
@@ -508,18 +566,14 @@ class RationalFunction:
         # poles that each side lacks
         pad, other_pad = _reduce(other._poles, self._poles)
         terms = [(self._gain, self._zeros + pad), (other._gain, other._zeros + other_pad)]
-        n = max(sum(m for _, m in roots) for _, roots in terms) + 1
-        num, scale = np.zeros(n, dtype=complex), np.zeros(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for gain, roots in terms:
-                c = ComplexPolynomial.from_roots(roots, gain).coeffs
-                num[: c.size] += c
-                bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
-                scale[: c.size] += bound.coeffs.real
-        if not (np.isfinite(num).all() and np.isfinite(scale).all()):
+        scale = _rounding_scale(terms)
+        num = [0j] * len(scale)
+        for gain, roots in terms:
+            for k, a in enumerate(ComplexPolynomial.from_roots(roots, gain)._coeffs):
+                num[k] += a
+        if not (all(map(cmath.isfinite, num)) and all(map(math.isfinite, scale))):
             raise OutOfRange("the expanded numerator of a sum overflows double precision")
-        num[np.abs(num) <= EPS_COEFF * scale] = 0.0
-        num = ComplexPolynomial(num)
+        num = ComplexPolynomial([0j if abs(a) <= EPS_COEFF * b else a for a, b in zip(num, scale)])
         if num.is_zero:
             return RationalFunction(0.0)
         return RationalFunction._from_roots(num.lead, poly_roots(num), self._poles + pad)
@@ -637,23 +691,23 @@ class RationalFunction:
         interior_only = not (zc.on_circle or zc.outside or pc.on_circle or pc.outside)
         return interior_only and sum(m for _, m in self._zeros) == sum(m for _, m in self._poles)
 
-    def taylor(self, n: int) -> np.ndarray:
-        """Taylor coefficients at 0 up to degree ``n`` (requires no pole
-        exactly at the origin)."""
+    def taylor(self, n: int):
+        """Taylor coefficients at 0 up to degree ``n``, as a numpy array
+        (requires no pole exactly at the origin). The recurrence
+        den * series = num runs in Python complex arithmetic."""
         if any(r == 0 for r, _ in self._poles):
             raise ZeroDenominator("pole at the origin: no Taylor expansion")
-        b = self.den.coeffs
-        a = np.zeros(n + 1, dtype=complex)
-        take = min(n + 1, self.num.coeffs.size)
-        a[:take] = self.num.coeffs[:take]
-        c = np.zeros(n + 1, dtype=complex)
+        import numpy as np
+
+        a, b = self.num._coeffs, self.den._coeffs
+        c: list[complex] = []
         for k in range(n + 1):
-            acc = a[k]
-            jmax = min(k, b.size - 1)
+            acc = a[k] if k < len(a) else 0j
+            jmax = min(k, len(b) - 1)
             if jmax >= 1:
-                acc = acc - np.dot(b[1 : jmax + 1], c[k - 1 :: -1][:jmax])
-            c[k] = acc / b[0]
-        return c
+                acc = acc - sum(x * y for x, y in zip(b[1 : jmax + 1], c[k - 1 :: -1]))
+            c.append(acc / b[0])
+        return np.array(c, dtype=complex)
 
     # -- comparison / display ----------------------------------------------
 
@@ -854,14 +908,16 @@ def format_complex(c) -> str:
     return f"{re:.12g}{sign}{abs(im):.12g}i"
 
 
-def format_polynomial(p: ComplexPolynomial, variable: str = "z") -> str:
+def format_polynomial(p: ComplexPolynomial, variable: str = "z", scale=None) -> str:
+    """The printed form of ``p``. Coefficient k is hidden when it is at
+    most ``EPS_COEFF`` times ``scale[k]``; without a scale (a bare
+    polynomial has no roots to bound its rounding) only exact zeros are."""
     p = ComplexPolynomial._coerce(p)
-    if p.is_zero:
-        return "0"
-    scale = np.max(np.abs(p.coeffs))
+    if scale is None:
+        scale = [0.0] * len(p._coeffs)
     terms = []
-    for j, cj in enumerate(p.coeffs):
-        if abs(cj) <= EPS_COEFF * scale:
+    for j, (cj, sj) in enumerate(zip(p._coeffs, scale)):
+        if abs(cj) <= EPS_COEFF * sj:
             continue
         cs = format_complex(cj)
         needs_parens = ("+" in cs[1:]) or ("-" in cs[1:]) or cs.endswith("i")
@@ -886,10 +942,14 @@ def format_polynomial(p: ComplexPolynomial, variable: str = "z") -> str:
 
 
 def format_rational(r: RationalFunction, variable: str = "z") -> str:
+    """The printed form of ``r``, numerator over monic denominator. Each
+    coefficient is hidden when it is rounding noise of its expansion from
+    the roots (``_rounding_scale``), so the printed form re-parses to the
+    value."""
     r = RationalFunction._coerce(r)
-    num = format_polynomial(r.num, variable)
-    if r.den.degree == 0 and abs(r.den.coeffs[0] - 1.0) <= 1e-13:
+    num = format_polynomial(r.num, variable, _rounding_scale([(r._gain, r._zeros)]))
+    if not r._poles:
         return num
-    den = format_polynomial(r.den, variable)
+    den = format_polynomial(r.den, variable, _rounding_scale([(1.0, r._poles)]))
     nwrap = f"({num})" if (" " in num) else num
     return f"{nwrap}/({den})"

@@ -11,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import tkern
+from tkern import parse_expression
 from tkern.cli import ENVELOPE_SCHEMA, ERROR_SCHEMA, main
 
 ALL_COMMANDS = [
@@ -347,14 +349,106 @@ def _imported_top_level(args):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["-c", "import tkern"], ["-m", "tkern", "dim", "--symbol", "zbar^2"]],
-    ids=["import", "cli"],
+    "args, expected",
+    [
+        (["-c", "import tkern"], {"tkern"}),
+        (["-m", "tkern", "dim", "--symbol", "zbar^2"], {"tkern"}),
+        (["-m", "tkern", "verify", "--suite", "paper-examples"], {"tkern", "numpy"}),
+        (["-m", "tkern", *ALL_COMMANDS[1]], {"tkern", "numpy"}),
+    ],
+    ids=["import", "cli", "verify", "verify-inline"],
 )
-def test_runtime_imports_only_numpy(args):
+def test_runtime_imports_only_numpy(args, expected):
     # jsonschema, scipy, sympy and mpmath are installed for the tests;
-    # none of them may reach the runtime import graph
+    # none of them may reach the runtime import graph, and numpy only
+    # through the oracle
     baseline = _imported_top_level(["-c", "pass"])
     tried = _imported_top_level(args) - baseline - set(sys.stdlib_module_names)
     loaded = {name for name in tried if importlib.util.find_spec(name) is not None}
-    assert loaded == {"tkern", "numpy"}
+    assert loaded == expected
+
+
+# the two commands that run the oracle, and so load numpy
+ORACLE_COMMANDS = {" ".join(ALL_COMMANDS[1]), "verify --suite paper-examples"}
+
+# runs tkern as __main__ once for each argv in the JSON list argv[1], with
+# every import of numpy failing, and prints a JSON list of (exit code, stdout)
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, runpy, sys
+sys.modules["numpy"] = None
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["tk", *argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("tkern", run_name="__main__")
+        except SystemExit as stop:
+            results.append((stop.code, out.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_decision_commands_run_without_numpy():
+    commands = [argv for argv in ALL_COMMANDS if " ".join(argv) not in ORACLE_COMMANDS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, json.dumps(commands)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(commands) == len(ALL_COMMANDS) - 2
+    for argv, (code, out) in zip(commands, results):
+        doc = json.loads(out)
+        assert code == 0, argv
+        assert (doc["inputs"], _printed(doc["result"])) == PRINTED[" ".join(argv)], argv
+
+
+# the package's public names, as they were when every module loaded eagerly
+PUBLIC_NAMES = {
+    "BlaschkeParameterOutOfDisc", "BlaschkeProduct", "BoundarySampling", "CarlesonFailure",
+    "ClassificationWarning", "ComplexPolynomial", "DimensionMismatchWarning", "EquivalenceWitness",
+    "ExpressionSyntaxError", "HalfPlaneRational", "InnerOuterFactorization",
+    "MaximalityCertificate", "MultiplierSpace", "NotInHardySpace", "NotInKernel",
+    "NotInvertibleOnCircle", "NotOuter", "NotSquareIntegrable", "NumericSubspace", "OutOfRange",
+    "PoleOnCircle", "PreconditionViolation", "RationalFunction", "ResolutionWarning",
+    "RootClassification", "SurjectivityReport", "SymbolExpression", "TkError", "ToeplitzKernel",
+    "ToeplitzSymbol", "TrivialKernel", "UnboundedSymbol", "UndefinedQuotient",
+    "WienerHopfFactorization", "ZeroDenominator", "ZeroFunction", "ZeroPolynomial", "as_rational",
+    "as_symbol", "blaschke_divides", "blaschke_from_rational", "boundary_sampling",
+    "carleson_check", "cayley_function", "cayley_symbol", "circle_conjugate",
+    "circle_norm_squared", "circle_samples", "classify_roots", "crofoot_companion",
+    "dim_from_factorization", "equals", "errors", "expressions", "factorization", "format_complex",
+    "format_rational", "fourier_coefficients", "halfplane", "halfplane_multiplier_test",
+    "image_kernel", "in_kernel", "includes", "inner_outer", "inverse_cayley_symbol",
+    "is_equivalent", "is_maximal", "is_multiplier", "is_rigid", "is_surjective_multiplier",
+    "kernel", "kernels", "line_norm_squared", "minimal_kernel", "monomial", "multiplier_space",
+    "multiplier_space_bounded", "multipliers", "numeric_kernel", "oracle", "parse_expression",
+    "poly_roots", "principal_angle", "quadrature_norm_squared", "random_instances", "rational",
+    "run_suite", "smirnov_multiplier_test", "subspace_from_rationals", "transfer_multiplier",
+    "verify", "wiener_hopf", "winding_by_quadrature", "winding_number",
+}
+
+
+def test_public_names_resolve_on_access():
+    assert set(tkern.__all__) == PUBLIC_NAMES
+    for name in tkern.__all__:
+        assert getattr(tkern, name) is not None
+    assert tkern.numeric_kernel is tkern.oracle.numeric_kernel
+    assert tkern.run_suite is tkern.verify.run_suite
+    with pytest.raises(AttributeError):
+        tkern.no_such_name
+
+
+def test_echoed_input_reparses_to_the_decided_value(capsys):
+    # the constant term 0.3^24 is below 1e-12 of the leading coefficient,
+    # but far above the rounding of its expansion from the roots
+    text = "conj(1-(0.3*z)^24)"
+    _, doc = run_cli(["dim", "--symbol", text], capsys)
+    decided = parse_expression(text).to_rational()
+    echoed = parse_expression(doc["inputs"]["symbol"]).to_rational()
+    for ours, theirs in ((decided.zeros(), echoed.zeros()), (decided.poles(), echoed.poles())):
+        assert sorted(m for _, m in ours) == sorted(m for _, m in theirs)
+        for r, m in ours:
+            assert min(abs(r - s) for s, k in theirs if k == m) <= 1e-9 * max(abs(r), 1e-300)
+    assert len(decided.zeros()) == 24

@@ -1,5 +1,6 @@
 """Core rational arithmetic: roots, reduction, circle conjugation, winding."""
 
+import cmath
 import math
 import warnings
 
@@ -300,6 +301,52 @@ def test_roots_with_the_numpy_step_match(monkeypatch):
         _assert_roots_close(roots, expected)
 
 
+def test_horner_evaluation_matches_polyval():
+    # the coefficients are a tuple of Python complex; an array z runs the
+    # same operations as numpy's polyval, a number the same in Python
+    rng = np.random.default_rng(1985)
+    for degree in range(49):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        p = ComplexPolynomial(c)
+        z = rng.uniform(0.2, 1.5, 16) * np.exp(2j * np.pi * rng.random(16))
+        assert np.array_equal(p(z), npoly.polyval(z, c))
+        bound = npoly.polyval(np.abs(z), np.abs(c))
+        for x, b in zip(z.tolist(), bound):
+            value = p(x)
+            assert type(value) is complex
+            assert abs(value - npoly.polyval(x, c)) <= 1e-13 * b
+    assert ComplexPolynomial([])(0.5) == 0 and type(ComplexPolynomial([])(0.5)) is complex
+    assert np.array_equal(ComplexPolynomial([])(np.ones(3)), np.zeros(3, dtype=complex))
+    assert np.array_equal(ComplexPolynomial([2j])(np.ones(3)), np.full(3, 2j))
+
+
+def test_strings_are_not_numbers():
+    # complex("2") parses, but a string is not a coefficient
+    with pytest.raises(TypeError):
+        RationalFunction([1, 1]) + "2"
+    with pytest.raises(TypeError):
+        ComplexPolynomial("12")
+    with pytest.raises(TypeError):
+        ComplexPolynomial([1, "2"])
+    assert (RationalFunction([1, 1]) + 2).is_close(RationalFunction([3, 1]))
+    assert ComplexPolynomial(np.float64(12)).is_close(ComplexPolynomial([12]))
+
+
+def test_scalar_evaluation_is_python_complex_and_quiet_at_a_pole():
+    f = RationalFunction._from_roots(2.0, [(0.5j, 1)], [(0.5, 2), (-3.0, 1)])
+    x = 0.3 - 0.7j
+    assert type(f(x)) is complex and type(f(np.complex128(x))) is complex
+    assert abs(f(x) - f(np.array([x]))[0]) <= 1e-15 * abs(f(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pole in (0.5, 0.5 + 0j, -3):
+            value = f(pole)
+            assert type(value) is complex and not cmath.isfinite(value)
+    # an array keeps numpy's semantics: the value at the pole is not finite
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(f(np.array([0.5, x]))[0])
+
+
 # -- root matching -------------------------------------------------------------
 
 
@@ -415,6 +462,71 @@ def test_sum_cancelling_to_rounding_keeps_its_true_degree(text, value):
     r = parse_expression(text).to_rational()
     assert r.is_constant
     assert abs(r.constant_value() - value) < 1e-15
+
+
+def _numpy_from_roots(roots, lead):
+    # reference: the in-place numpy expansion, one (z - r) at a time
+    flat = [r for r, m in roots for _ in range(m)]
+    n = len(flat)
+    c = np.zeros(n + 1, dtype=complex)
+    c[n] = 1.0
+    for k, r in enumerate(flat):
+        c[n - k - 1 : n] -= r * c[n - k :]
+    return c * lead
+
+
+def _numpy_sum_numerator(f, g):
+    # reference: the numpy form of the cancellation in RationalFunction.__add__
+    pad, other_pad = tkern.rational._reduce(g._poles, f._poles)
+    terms = [(f._gain, f._zeros + pad), (g._gain, g._zeros + other_pad)]
+    n = max(sum(m for _, m in roots) for _, roots in terms) + 1
+    num, scale = np.zeros(n, dtype=complex), np.zeros(n)
+    for gain, roots in terms:
+        c = _numpy_from_roots(roots, gain)
+        num[: c.size] += c
+        scale[: c.size] += _numpy_from_roots([(-abs(r), m) for r, m in roots], abs(gain)).real
+    num[np.abs(num) <= tkern.rational.EPS_COEFF * scale] = 0.0
+    return num, scale
+
+
+def test_sum_cancellation_matches_the_numpy_reference(monkeypatch):
+    # f + g for f of degree 1..48, with g unrelated or -f with its zeros
+    # moved by 1e-11 or 1e-9 relative, so that many coefficients cancel;
+    # the numerator handed to poly_roots has the reference's zero pattern
+    # (worst coefficient difference seen: 1.02e-15 of the scale)
+    rng = np.random.default_rng(1986)
+    seen = []
+    real_roots = tkern.rational.poly_roots
+    monkeypatch.setattr(tkern.rational, "poly_roots", lambda p: seen.append(p) or real_roots(p))
+
+    def roots(n):
+        return (rng.uniform(0.3, 3.0, n) * np.exp(2j * np.pi * rng.random(n))).tolist()
+
+    cancelled = 0
+    for n in range(1, 49):
+        gain = complex(np.exp(2j * np.pi * rng.random()))
+        zeros, poles = roots(n), roots(int(rng.integers(0, 4)))
+        f = RationalFunction._from_roots(gain, [(r, 1) for r in zeros], [(p, 1) for p in poles])
+        unrelated = roots(int(rng.integers(1, n + 1)))
+        others = [RationalFunction._from_roots(
+            complex(rng.standard_normal(), 1.0), [(r, 1) for r in unrelated],
+            [(p, 1) for p in poles[:1] + roots(1)])]
+        for moved in (1e-11, 1e-9):
+            shifts = moved * np.exp(2j * np.pi * rng.random(n))
+            others.append(RationalFunction._from_roots(
+                -gain, [(r * (1 + d), 1) for r, d in zip(zeros, shifts)], [(p, 1) for p in poles]))
+        for g in others:
+            seen.clear()
+            f + g
+            expected, scale = _numpy_sum_numerator(f, g)
+            [num] = seen
+            found = np.zeros(expected.size, dtype=complex)
+            found[: num.degree + 1] = num.coeffs
+            assert np.array_equal(found == 0, expected == 0), (n, found, expected)
+            # each expansion is within n eps / 2 of its scale of the exact one
+            assert np.all(np.abs(found - expected) <= n * np.finfo(float).eps * scale)
+            cancelled += int(np.sum(expected[: num.degree + 1] == 0))
+    assert cancelled >= 500
 
 
 def test_arithmetic_on_the_zero_function_stays_zero():
@@ -672,3 +784,34 @@ def test_taylor_expands_around_small_poles():
     assert np.allclose(c, [-1e15, -3e20, -6e25, -1e31], rtol=1e-12, atol=0)
     with pytest.raises(ZeroDenominator):
         monomial(-1).taylor(3)
+
+
+def _numpy_taylor(r, n):
+    # reference: the numpy recurrence, one np.dot per coefficient
+    b = r.den.coeffs
+    a = np.zeros(n + 1, dtype=complex)
+    take = min(n + 1, r.num.coeffs.size)
+    a[:take] = r.num.coeffs[:take]
+    c = np.zeros(n + 1, dtype=complex)
+    for k in range(n + 1):
+        acc = a[k]
+        jmax = min(k, b.size - 1)
+        if jmax >= 1:
+            acc = acc - np.dot(b[1 : jmax + 1], c[k - 1 :: -1][:jmax])
+        c[k] = acc / b[0]
+    return c
+
+
+def test_taylor_matches_the_numpy_recurrence():
+    rng = np.random.default_rng(1987)
+    for trial in range(60):
+        zeros = rng.uniform(0.2, 3.0, trial % 9) * np.exp(2j * np.pi * rng.random(trial % 9))
+        poles = rng.uniform(1.2, 3.0, trial % 7) * np.exp(2j * np.pi * rng.random(trial % 7))
+        r = RationalFunction._from_roots(
+            complex(rng.standard_normal(), rng.standard_normal()),
+            [(complex(a), 1) for a in zeros], [(complex(b), 1) for b in poles])
+        for n in (0, 3, 40):
+            c = r.taylor(n)
+            expected = _numpy_taylor(r, n)
+            assert isinstance(c, np.ndarray) and c.shape == (n + 1,)
+            assert np.all(np.abs(c - expected) <= 1e-13 * np.max(np.abs(expected)))
