@@ -282,14 +282,19 @@ def _add_global_flags(parser, suppress=False):
                         help="also write the JSON document to PATH")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``tk`` parser with every command, or with ``command`` alone.
+    The one-command parser names every command in its usage line, so its
+    help and error messages read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="tk", description="Toeplitz kernels, multipliers and factorizations on rational data"
     )
     _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    for name, (_, exprs, options) in _COMMANDS.items():
+    for name in _COMMANDS if command is None else [command]:
+        _, exprs, options = _COMMANDS[name]
         p = sub.add_parser(name)
         # global flags are accepted after the subcommand as well; SUPPRESS
         # keeps the subparser from clobbering values parsed up front
@@ -330,8 +335,14 @@ def _render_text(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a first token that names a command is the command, and every later
+    # token goes to its subparser: building that one subparser alone takes a
+    # fraction of the time of building all of them. After a global flag, a
+    # command name may be the flag's value (``tk --report mult dim ...``), so
+    # any other argv gets the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     _log(f"running {args.command}")
     try:
         with warnings.catch_warnings(record=True) as caught:

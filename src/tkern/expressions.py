@@ -22,50 +22,42 @@ Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import BlaschkeParameterOutOfDisc, ExpressionSyntaxError
-from .rational import RationalFunction, monomial
+from .rational import RationalFunction, Record, monomial
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Conj:
+class Conj(Record):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Blaschke:
+class Blaschke(Record):
     a: complex
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: "Node"
     exponent: int
 
@@ -73,8 +65,7 @@ class Pow:
 Node = Union[Lit, Var, Conj, Blaschke, Neg, BinOp, Pow]
 
 
-@dataclass(frozen=True)
-class SymbolExpression:
+class SymbolExpression(Record):
     source: str
     tree: Node
     variable: str = "z"

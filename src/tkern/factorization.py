@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
 from .rational import (
     EPS_CIRCLE,
     RationalFunction,
+    Record,
     ToeplitzSymbol,
     _power,
     as_rational,
@@ -78,8 +78,7 @@ class BlaschkeProduct:
         return f"BlaschkeProduct({self.constant!r}, {list(self.zeros)})"
 
 
-@dataclass(frozen=True)
-class InnerOuterFactorization:
+class InnerOuterFactorization(Record):
     inner: BlaschkeProduct
     outer: RationalFunction
 
@@ -87,8 +86,7 @@ class InnerOuterFactorization:
         return self.inner.to_rational() * self.outer
 
 
-@dataclass(frozen=True)
-class WienerHopfFactorization:
+class WienerHopfFactorization(Record):
     symbol: ToeplitzSymbol
     index: int
     plus: RationalFunction

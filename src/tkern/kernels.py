@@ -10,7 +10,6 @@ through their symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
 from .factorization import BlaschkeProduct, inner_outer, wiener_hopf
 from .rational import (
     RationalFunction,
+    Record,
     ToeplitzSymbol,
     Z,
     as_rational,
@@ -33,8 +33,7 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
-class ToeplitzKernel:
+class ToeplitzKernel(Record):
     """A symbol together with an explicit basis of its kernel.
 
     The basis is the monomial ladder ``plus * z**j`` with plus(0) = 1;
@@ -53,8 +52,7 @@ class ToeplitzKernel:
         return self.basis[-1]
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
+class MaximalityCertificate(Record):
     """Outcome of the maximal-vector test.
 
     ``certificate`` is the circle conjugate of z * symbol * vector; the
@@ -69,8 +67,7 @@ class MaximalityCertificate:
     failure_witness: Optional[complex] = None
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """Functions h_minus, h_plus with g1 = h_minus * g2 * h_plus, where
     h_plus is invertible-analytic on the closed disc and h_minus on the
     closed exterior."""

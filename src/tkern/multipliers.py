@@ -11,7 +11,6 @@ function of a surjective multiplier between model spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -28,6 +27,7 @@ from .factorization import BlaschkeProduct, blaschke_from_rational
 from .kernels import ToeplitzKernel, equals, in_kernel, is_maximal, kernel, minimal_kernel
 from .rational import (
     RationalFunction,
+    Record,
     ToeplitzSymbol,
     as_rational,
     as_symbol,
@@ -41,8 +41,7 @@ _RATIONAL_SCALE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class MultiplierSpace:
+class MultiplierSpace(Record):
     """Multipliers from ker T_g into ker T_h as an explicit kernel.
 
     ``test_symbol`` is the reduction of (1/z) * h / g; the space is its
@@ -59,7 +58,9 @@ class MultiplierSpace:
     space: ToeplitzKernel
     carleson_filtered: bool
     bounded_verified: bool = False
-    note: str = field(default=_RATIONAL_SCALE_NOTE, repr=False)
+    note: str = _RATIONAL_SCALE_NOTE
+
+    _hidden = ("note",)
 
     @property
     def dimension(self) -> int:
@@ -70,8 +71,7 @@ class MultiplierSpace:
         return self.space.basis
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
+class SurjectivityReport(Record):
     """Flag breakdown for w * ker T_g = ker T_h.
 
     ``holds`` is the conjunction of the four component checks: w outer,

@@ -9,7 +9,6 @@ coefficient map, and subspaces are compared through principal angles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (
     PoleOnCircle,
     ResolutionWarning,
 )
-from .rational import as_rational, as_symbol
+from .rational import Record, as_rational, as_symbol
 
 # Relative SVD threshold below which singular values count as null.
 SVD_NULL_TOL = 1e-8
@@ -36,8 +35,7 @@ def circle_samples(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-@dataclass(frozen=True)
-class BoundarySampling:
+class BoundarySampling(Record):
     """Samples of a function at the n-th roots of unity."""
 
     sample_count: int
@@ -103,8 +101,7 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     return prev
 
 
-@dataclass(frozen=True)
-class NumericSubspace:
+class NumericSubspace(Record):
     """Orthonormal coefficient-vector basis of a polynomial subspace.
 
     Columns of ``basis_matrix`` are orthonormal coefficient vectors for

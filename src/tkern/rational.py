@@ -35,7 +35,6 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import zip_longest
 from numbers import Number
 
@@ -83,12 +82,76 @@ def _power(c: complex, n: int) -> complex:
 
 def _nonzero_gain(gain) -> complex:
     """``gain`` as the gain of a nonzero function. A product of nonzero
-    gains that rounded to 0, to a subnormal or to inf would make the
-    factored form hold another function, so it raises OutOfRange."""
+    gains that rounded to 0, to a subnormal or to inf, or whose modulus is
+    beyond double range, would make the factored form hold another
+    function, so it raises OutOfRange."""
     gain = complex(gain)
-    if not sys.float_info.min <= abs(gain) < math.inf:
-        raise OutOfRange(f"the gain {gain} of a nonzero function is outside double precision")
-    return gain
+    try:
+        if sys.float_info.min <= abs(gain) < math.inf:
+            return gain
+    except OverflowError:  # finite parts, but the modulus is not a double
+        pass
+    raise OutOfRange(f"the gain {gain} of a nonzero function is outside double precision")
+
+
+class Record:
+    """Base of the package's frozen records, in place of frozen dataclasses,
+    which generate and compile each record's methods in every process.
+
+    The annotated class attributes of a subclass are its fields, in
+    constructor order, and a field's class value, where it has one, is its
+    default: an instance that was not given the field reads it from the
+    class. A record takes its fields positionally or by keyword, refuses
+    assignment, compares and hashes by class and fields, and shows as
+    ``Name(field=value, ...)`` without the fields named in ``_hidden``.
+    Instances keep their fields in ``__dict__``, so ``cached_property``
+    works on them; a subclass may declare ``__slots__`` and its own
+    ``__init__`` instead."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in fields:
+            if name not in values and name not in cls.__dict__:  # no default
+                raise TypeError(f"{cls.__name__} is missing the argument {name!r}")
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self):
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
 
 
 def _scalar(x) -> complex:
@@ -409,7 +472,10 @@ def _rounding_scale(terms) -> list[float]:
     n = max(sum(m for _, m in roots) for _, roots in terms) + 1
     scale = [0.0] * n
     for gain, roots in terms:
-        bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
+        try:
+            bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
+        except OverflowError:  # finite parts, but a modulus that is not a double
+            raise OutOfRange("the rounding scale of a root overflows double precision") from None
         for k, b in enumerate(bound._coeffs):
             scale[k] += b.real
     return scale
@@ -571,9 +637,14 @@ class RationalFunction:
         for gain, roots in terms:
             for k, a in enumerate(ComplexPolynomial.from_roots(roots, gain)._coeffs):
                 num[k] += a
-        if not (all(map(cmath.isfinite, num)) and all(map(math.isfinite, scale))):
-            raise OutOfRange("the expanded numerator of a sum overflows double precision")
-        num = ComplexPolynomial([0j if abs(a) <= EPS_COEFF * b else a for a, b in zip(num, scale)])
+        try:
+            if not (all(map(cmath.isfinite, num)) and all(map(math.isfinite, scale))):
+                raise OverflowError
+            # abs raises OverflowError too, on finite parts whose modulus is not a double
+            num = [0j if abs(a) <= EPS_COEFF * b else a for a, b in zip(num, scale)]
+        except OverflowError:
+            raise OutOfRange("the expanded numerator of a sum overflows double precision") from None
+        num = ComplexPolynomial(num)
         if num.is_zero:
             return RationalFunction(0.0)
         return RationalFunction._from_roots(num.lead, poly_roots(num), self._poles + pad)
@@ -726,8 +797,7 @@ class RationalFunction:
         return format_rational(self)
 
 
-@dataclass(frozen=True)
-class RootClassification:
+class RootClassification(Record):
     """Roots split by position relative to the unit circle.
 
     Classification uses the band ``EPS_CIRCLE``: a root with
@@ -736,9 +806,18 @@ class RootClassification:
     distinguish them from circle roots.
     """
 
+    # slots and a plain __init__: a symbol classifies its roots often
+    # (about 22 times per multiplier check), and the generic record
+    # __init__ showed in that time
+    __slots__ = ("inside", "on_circle", "outside")
     inside: tuple
     on_circle: tuple
     outside: tuple
+
+    def __init__(self, inside: tuple, on_circle: tuple, outside: tuple):
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "on_circle", on_circle)
+        object.__setattr__(self, "outside", outside)
 
     def count_inside(self) -> int:
         return sum(m for _, m in self.inside)

@@ -13,7 +13,7 @@ import pytest
 
 import tkern
 from tkern import parse_expression
-from tkern.cli import ENVELOPE_SCHEMA, ERROR_SCHEMA, main
+from tkern.cli import ENVELOPE_SCHEMA, ERROR_SCHEMA, build_parser, main
 
 ALL_COMMANDS = [
     ["kernel", "--symbol", "zbar^2"],
@@ -222,6 +222,8 @@ def test_precondition_error_exit_code(capsys):
         ["kernel", "--symbol", "conj((z-1e100)^4)"],
         # the echoed input expands to coefficients near 1e320
         ["equal", "--g", "zbar*(z-1e80)^4", "--h", "zbar*(z-1e80)^4"],
+        # the gain has finite parts, but its modulus is beyond double range
+        ["dim", "--symbol", "1.3e308*(1+1i)*z"],
     ],
 )
 def test_values_outside_double_precision_are_errors(argv, capsys):
@@ -270,6 +272,49 @@ def test_text_mode(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("command: dim")
+
+
+COMMAND_LIST = (
+    "{kernel,dim,minkernel,maximal,factor,mult,m2,minf,include,equal,equiv,crofoot,"
+    "surjective,rigid,cayley,verify}"
+)
+
+
+def test_help_and_command_lookup(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert COMMAND_LIST in capsys.readouterr().out
+    with pytest.raises(SystemExit) as stop:
+        main(["dim", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tk dim ")
+    with pytest.raises(SystemExit) as stop:
+        main(["dimension", "--symbol", "zbar^2"])
+    assert stop.value.code == 2
+    # two command names: the first is the value of --report
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_cli(["--report", "mult", "dim", "--symbol", "zbar^2"], capsys)
+    assert code == 0 and doc["command"] == "dim"
+    assert json.loads((tmp_path / "mult").read_text()) == doc
+
+
+def _parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    return stop.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dim", "--help"], ["dim"], ["dim", "--symbol", "z", "--bogus"], ["factor", "--mode", "x"],
+     ["dim", "--symbol", "z", "--tol", "x"]],
+    ids=" ".join,
+)
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    # help and error messages, the full usage line among them, are the same
+    full = _parse_outcome(build_parser(), argv, capsys)
+    assert _parse_outcome(build_parser(argv[0]), argv, capsys) == full
 
 
 def test_output_is_deterministic(capsys):
@@ -366,6 +411,17 @@ def test_runtime_imports_only_numpy(args, expected):
     tried = _imported_top_level(args) - baseline - set(sys.stdlib_module_names)
     loaded = {name for name in tried if importlib.util.find_spec(name) is not None}
     assert loaded == expected
+
+
+@pytest.mark.parametrize(
+    "args", [["-c", "import tkern"], ["-m", "tkern", "dim", "--symbol", "zbar^2"]],
+    ids=["import", "cli"],
+)
+def test_runtime_generates_no_code(args):
+    # frozen dataclasses import inspect and compile their generated methods
+    # in every process; tkern's records need neither
+    baseline = _imported_top_level(["-c", "pass"])
+    assert not (_imported_top_level(args) - baseline) & {"dataclasses", "inspect"}
 
 
 # the two commands that run the oracle, and so load numpy

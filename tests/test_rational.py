@@ -547,6 +547,30 @@ def test_overflowing_expansion_raises_without_a_warning():
             f.num
 
 
+# (finite parts, modulus beyond double range) reaching each modulus taken
+# of a gain or of a root
+BEYOND_RANGE = {
+    "gain": lambda: RationalFunction([1.3e308 + 1.3e308j]),
+    "sum": lambda: RationalFunction._from_roots(1.0, [(1.3e308 + 1.3e308j, 1)]) + 1,
+    "display": lambda: str(RationalFunction._from_roots(1.0, [(1.3e308 + 1.3e308j, 1)])),
+}
+
+
+@pytest.mark.parametrize("build", BEYOND_RANGE.values(), ids=BEYOND_RANGE.keys())
+def test_modulus_beyond_double_range_is_out_of_range(build):
+    with pytest.raises(OutOfRange):
+        build()
+
+
+def test_cancelled_sum_with_a_modulus_beyond_double_range_is_out_of_range(monkeypatch):
+    # a finite rounding scale bounds each coefficient of a sum, so only a
+    # scale that rounded low could leave a coefficient whose modulus is not
+    # a double; a stand-in scale makes one
+    monkeypatch.setattr(tkern.rational, "_rounding_scale", lambda terms: [1.0])
+    with pytest.raises(OutOfRange):
+        RationalFunction([1.3e308]) + RationalFunction([1.3e308j])
+
+
 def test_repr_shows_the_factored_state_of_any_value():
     # num would overflow; repr must not need it
     f = RationalFunction._from_roots(2.0, [(1e80, 4)], [(0.5j, 1)])

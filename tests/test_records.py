@@ -1,0 +1,121 @@
+"""Frozen records: constructors, defaults, immutability, equality and repr."""
+
+import numpy as np
+import pytest
+
+from tkern import (
+    BlaschkeProduct,
+    BoundarySampling,
+    EquivalenceWitness,
+    InnerOuterFactorization,
+    MaximalityCertificate,
+    MultiplierSpace,
+    NumericSubspace,
+    RationalFunction,
+    RootClassification,
+    SurjectivityReport,
+    SymbolExpression,
+    ToeplitzKernel,
+    WienerHopfFactorization,
+    as_symbol,
+    monomial,
+    parse_expression,
+    wiener_hopf,
+)
+from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
+
+F = RationalFunction([1.0, 0.5])
+S = as_symbol(monomial(-2))
+K = ToeplitzKernel(S, 2, (F, F * monomial(1)))
+NOTE = (
+    "for rational symbols every Smirnov-class multiplier with Carleson control is rational, "
+    "so the unrestricted and square-integrable multiplier spaces coincide here"
+)
+
+
+def tree():
+    return BinOp("-", Pow(Conj(Blaschke(0.5)), 2), Neg(Lit(1.5j)))
+
+
+# each record class: a function giving its fields without defaults, in
+# constructor order (a fresh but equal value on each call for the
+# expression records), and its defaults
+RECORDS = [
+    (Lit, lambda: {"value": 0.5j}, {}),
+    (Var, lambda: {"name": "z"}, {}),
+    (Conj, lambda: {"arg": Var("z")}, {}),
+    (Blaschke, lambda: {"a": 0.5}, {}),
+    (Neg, lambda: {"arg": Lit(2.0)}, {}),
+    (BinOp, lambda: {"op": "*", "left": Var("z"), "right": Lit(2.0)}, {}),
+    (Pow, lambda: {"base": Var("z"), "exponent": 3}, {}),
+    (SymbolExpression, lambda: {"source": "conj(B(0.5))^2 - -1.5i", "tree": tree()},
+     {"variable": "z"}),
+    (ToeplitzKernel, lambda: {"symbol": S, "dimension": 2, "basis": K.basis}, {}),
+    (MaximalityCertificate, lambda: {"vector": F, "certificate": F, "is_maximal": True},
+     {"failure_witness": None}),
+    (EquivalenceWitness, lambda: {"h_minus": F, "h_plus": F}, {}),
+    (InnerOuterFactorization, lambda: {"inner": BlaschkeProduct(1.0, [0.5]), "outer": F}, {}),
+    (WienerHopfFactorization, lambda: {"symbol": S, "index": -2, "plus": F}, {}),
+    (MultiplierSpace,
+     lambda: {"source": S, "target": S, "test_symbol": S, "space": K, "carleson_filtered": True},
+     {"bounded_verified": False, "note": NOTE}),
+    (SurjectivityReport,
+     lambda: {"multiplier": F, "outer_ok": True, "carleson_forward_ok": True,
+              "carleson_inverse_ok": False, "symbol_identity_ok": True},
+     {}),
+    (BoundarySampling, lambda: {"sample_count": 4, "values": np.ones(4, dtype=complex)}, {}),
+    (NumericSubspace, lambda: {"degree_cap": 1, "basis_matrix": np.eye(2, dtype=complex)},
+     {"singular_values": None, "gap_ratio": float("inf")}),
+    (RootClassification, lambda: {"inside": ((0.5, 1),), "on_circle": (), "outside": ((2.0, 2),)},
+     {}),
+]
+EXPRESSION_RECORDS = {Lit, Var, Conj, Blaschke, Neg, BinOp, Pow, SymbolExpression}
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_records_are_frozen_values(cls, fields, defaults):
+    given = fields()
+    by_position = cls(*given.values())
+    by_keyword = cls(**dict(reversed(given.items())))
+    assert by_position == by_keyword
+    assert by_position != object()
+    for name, value in {**given, **defaults}.items():
+        assert getattr(by_position, name) is value or getattr(by_position, name) == value
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, value)
+        with pytest.raises(AttributeError):
+            delattr(by_position, name)
+    # defaults may be given, positionally or by keyword, and then count
+    assert cls(*given.values(), *defaults.values()) == by_position
+    with pytest.raises(TypeError):
+        cls(*given.values(), *defaults.values(), None)
+    with pytest.raises(TypeError):
+        cls(**given, no_such_field=None)
+    if given:
+        with pytest.raises(TypeError):
+            cls(**dict(list(given.items())[1:]))
+    # Name(field=value, ...) in field order; the multiplier-space note is
+    # left out
+    shown = {**given, **defaults}
+    if cls is MultiplierSpace:
+        del shown["note"]
+    expected = ", ".join(f"{name}={value!r}" for name, value in shown.items())
+    assert repr(by_position) == f"{cls.__name__}({expected})"
+    if cls in EXPRESSION_RECORDS:
+        # structural: equal trees built apart compare and hash equal
+        other = cls(**fields())
+        assert other == by_position and hash(other) == hash(by_position)
+
+
+def test_equal_records_of_different_classes_differ():
+    assert Conj(Var("z")) != Neg(Var("z"))
+    assert parse_expression("conj(z)^2").tree == parse_expression("conj( z )^2").tree
+    assert parse_expression("conj(z)^2").tree != parse_expression("-z^2").tree
+
+
+def test_wiener_hopf_minus_is_computed_once():
+    wh = wiener_hopf(parse_expression("(z+0.5)/(1+0.5*z)*zbar").to_rational())
+    assert "minus" not in vars(wh)
+    minus = wh.minus
+    assert vars(wh)["minus"] is minus and wh.minus is minus
+    assert wh.reconstruct().is_close(wh.symbol.value)
