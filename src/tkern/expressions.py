@@ -287,12 +287,6 @@ def print_tree(node: Node) -> str:
         return text
 
     if isinstance(node, Lit):
-        if node.value.imag != 0 and node.value.real != 0:
-            # parenthesized combined literal parses back as a sum
-            re_part = _fmt_float(node.value.real)
-            im = node.value.imag
-            sign = "+" if im > 0 else "-"
-            return f"({re_part}{sign}{_fmt_float(abs(im))}i)"
         return _fmt_literal(node.value)
     if isinstance(node, Var):
         return node.name

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .rational import (
     EPS_CIRCLE,
+    Frozen,
     RationalFunction,
     Record,
     ToeplitzSymbol,
@@ -35,7 +36,7 @@ from .rational import (
 INNER_TOL = 1e-8
 
 
-class BlaschkeProduct:
+class BlaschkeProduct(Frozen):
     """Finite Blaschke product: unimodular constant times factors
     (z - a)/(1 - conj(a) z) over zeros ``a`` in the open unit disc."""
 
@@ -57,9 +58,6 @@ class BlaschkeProduct:
         norm.sort(key=lambda am: (am[0].real, am[0].imag))
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "zeros", tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlaschkeProduct is immutable")
 
     @property
     def degree(self) -> int:
@@ -111,8 +109,7 @@ def inner_outer(f) -> InnerOuterFactorization:
     f = as_rational(f)
     if f.is_zero:
         raise ZeroFunction("cannot factor the zero function")
-    pc = f.pole_classification()
-    if pc.inside or pc.on_circle:
+    if not f.in_hardy2():
         raise NotInHardySpace(
             "poles inside or on the unit circle: not in the disc Hardy space"
         )

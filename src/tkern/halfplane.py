@@ -17,7 +17,7 @@ import math
 
 from .errors import NotSquareIntegrable, UnboundedSymbol
 from .multipliers import is_multiplier
-from .rational import RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
+from .rational import Frozen, RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
 
 # Imaginary-part tolerance below which a pole counts as real.
 _REAL_AXIS_TOL = 1e-9
@@ -30,16 +30,13 @@ _CAYLEY = (-1j, 1j, 1.0, 1.0)
 _INVERSE = (-1.0, 1j, 1.0, 1j)
 
 
-class HalfPlaneRational:
+class HalfPlaneRational(Frozen):
     """A rational function in the half-plane variable s."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         object.__setattr__(self, "value", as_rational(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfPlaneRational is immutable")
 
     def __call__(self, s):
         return self.value(s)

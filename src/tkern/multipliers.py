@@ -176,8 +176,7 @@ def multiplier_space_bounded(g, h) -> MultiplierSpace:
     finite-dimensional target this coincides with ``multiplier_space``."""
     ms = multiplier_space(g, h)
     for b in ms.space.basis:
-        pc = b.pole_classification()
-        if pc.inside or pc.on_circle:
+        if not b.in_hardy2():
             raise PreconditionViolation("multiplier basis element is unbounded on the closed disc")
     return MultiplierSpace(
         ms.source, ms.target, ms.test_symbol, ms.space,

@@ -20,6 +20,9 @@ Conventions:
     root. Reduction groups zeros and poles together at ``EPS_ROOT``, and
     in each group the zeros cancel the poles, so the quotient is always
     reduced;
+  * every root of a factored form is a finite double; one outside double
+    range raises ``OutOfRange`` (in ``_group_roots``, which every root of a
+    factored form passes through);
   * roots are classified against the unit circle with band ``EPS_CIRCLE``;
   * coefficients and values at a number are computed in Python ``complex``
     arithmetic. Numpy is imported only where arrays are needed: the
@@ -94,7 +97,21 @@ def _nonzero_gain(gain) -> complex:
     raise OutOfRange(f"the gain {gain} of a nonzero function is outside double precision")
 
 
-class Record:
+class Frozen:
+    """Base of every tkern value: an instance refuses assignment and
+    deletion. Constructors and caches set state with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
     """Base of the package's frozen records, in place of frozen dataclasses,
     which generate and compile each record's methods in every process.
 
@@ -129,12 +146,6 @@ class Record:
             if name not in values and name not in cls.__dict__:  # no default
                 raise TypeError(f"{cls.__name__} is missing the argument {name!r}")
         self.__dict__.update(values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -175,7 +186,7 @@ def _trim(coeffs) -> tuple:
     return tuple(c)
 
 
-class ComplexPolynomial:
+class ComplexPolynomial(Frozen):
     """Polynomial with complex coefficients, ascending degree order.
 
     The coefficients are kept as a tuple of Python ``complex``; ``coeffs``
@@ -189,9 +200,6 @@ class ComplexPolynomial:
     def __init__(self, coeffs=()):
         c = coeffs._coeffs if isinstance(coeffs, ComplexPolynomial) else _trim(coeffs)
         object.__setattr__(self, "_coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPolynomial is immutable")
 
     # -- basic structure ---------------------------------------------------
 
@@ -412,6 +420,10 @@ def _sorted_roots(pairs):
     return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
+def _bad_root():
+    raise OutOfRange("a root is outside double precision") from None
+
+
 def _group_roots(points, tol_factor) -> list[list[int]]:
     """Single-linkage groups of ``points``, as lists of indices into it:
     x and y are linked when abs(x - y) <= tol_factor * max(1, |x|, |y|),
@@ -419,11 +431,19 @@ def _group_roots(points, tol_factor) -> list[list[int]]:
     first member, members in input order. A sweep over the points sorted
     by real part tests only pairs whose real parts lie within
     tol_factor * max(1, largest |point|); the union-find is built only once
-    a first link is found."""
+    a first link is found. Every root of a factored form passes through
+    here, and one that is not finite, or whose modulus is not a double,
+    raises OutOfRange."""
     n = len(points)
-    if n < 2:
-        return [[i] for i in range(n)]
-    size = [1.0 if s < 1.0 else s for s in map(abs, points)]
+    try:
+        if n < 2:
+            if n and not abs(points[0]) < math.inf:
+                _bad_root()
+            return [[i] for i in range(n)]
+        # an inf or nan modulus fails both comparisons
+        size = [1.0 if s < 1.0 else s if s < math.inf else _bad_root() for s in map(abs, points)]
+    except OverflowError:  # abs of finite parts whose modulus is not a double
+        _bad_root()
     w = tol_factor * max(size)
     order = sorted(range(n), key=[p.real for p in points].__getitem__)
     # parent[i] <= i: the root of a group is its first member
@@ -472,10 +492,7 @@ def _rounding_scale(terms) -> list[float]:
     n = max(sum(m for _, m in roots) for _, roots in terms) + 1
     scale = [0.0] * n
     for gain, roots in terms:
-        try:
-            bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
-        except OverflowError:  # finite parts, but a modulus that is not a double
-            raise OutOfRange("the rounding scale of a root overflows double precision") from None
+        bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
         for k, b in enumerate(bound._coeffs):
             scale[k] += b.real
     return scale
@@ -506,7 +523,7 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
     return tuple(_sorted_roots(zs)), tuple(_sorted_roots(ps))
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """A rational function in factored form: gain * prod (z - a)**m over
     its zeros a, divided by prod (z - b)**n over its poles b.
 
@@ -544,9 +561,6 @@ class RationalFunction:
         state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_num": None, "_den": None}
         for name, value in state.items():
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     # -- basic structure ---------------------------------------------------
 
@@ -841,7 +855,7 @@ def classify_roots(roots) -> RootClassification:
     return RootClassification(tuple(inside), tuple(on_circle), tuple(outside))
 
 
-class ToeplitzSymbol:
+class ToeplitzSymbol(Frozen):
     """A rational function read as a symbol on the unit circle.
 
     ``value`` is the reduced quotient (conjugations already lowered to
@@ -860,9 +874,6 @@ class ToeplitzSymbol:
             raise ZeroFunction("the zero symbol is rejected")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_kernel", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ToeplitzSymbol is immutable")
 
     @property
     def circle_invertible(self) -> bool:

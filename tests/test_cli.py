@@ -224,6 +224,12 @@ def test_precondition_error_exit_code(capsys):
         ["equal", "--g", "zbar*(z-1e80)^4", "--h", "zbar*(z-1e80)^4"],
         # the gain has finite parts, but its modulus is beyond double range
         ["dim", "--symbol", "1.3e308*(1+1i)*z"],
+        # the reflected zero 1/conj(-1e-310) is inf
+        ["dim", "--symbol", "conj(z^2 + 1e10*z + 1e-300)"],
+        # the reflected zero has finite parts, but its modulus is beyond double range
+        ["dim", "--symbol", "conj(z^2 + 3e8*z + 1e-300*(1+1i))"],
+        # the zero -1e300/1e-300 of a linear factor is inf
+        ["dim", "--symbol", "zbar*(1e-300*z + 1e300)"],
     ],
 )
 def test_values_outside_double_precision_are_errors(argv, capsys):

@@ -10,7 +10,7 @@ from tkern import (
     monomial,
     parse_expression,
 )
-from tkern.expressions import print_tree
+from tkern.expressions import Lit, print_tree
 
 
 def lower(text, variable="z"):
@@ -36,6 +36,12 @@ def test_complex_literals():
     assert lower("0.5i").is_close(RationalFunction([0.5j]))
     assert lower("1.5e-3i*z").is_close(RationalFunction([0, 0.0015j]))
     assert lower("-0.5").is_close(RationalFunction([-0.5]))
+
+
+def test_combined_literal_prints_in_parentheses_and_lowers_to_itself():
+    printed = print_tree(Lit(1.5 - 2j))
+    assert printed == "(1.5-2.0i)"
+    assert lower(printed).constant_value() == 1.5 - 2j
 
 
 def test_power_with_negative_exponent():

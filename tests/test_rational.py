@@ -553,6 +553,10 @@ BEYOND_RANGE = {
     "gain": lambda: RationalFunction([1.3e308 + 1.3e308j]),
     "sum": lambda: RationalFunction._from_roots(1.0, [(1.3e308 + 1.3e308j, 1)]) + 1,
     "display": lambda: str(RationalFunction._from_roots(1.0, [(1.3e308 + 1.3e308j, 1)])),
+    # the zero -1e-310 reflects to inf
+    "reflected": lambda: RationalFunction([1e-300, 1e10, 1.0]).circle_conjugate(),
+    # a root that is not a number
+    "nan": lambda: RationalFunction._from_roots(1.0, [(2.0, 1), (complex(math.nan, 0.0), 1)]),
 }
 
 

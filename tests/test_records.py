@@ -6,7 +6,9 @@ import pytest
 from tkern import (
     BlaschkeProduct,
     BoundarySampling,
+    ComplexPolynomial,
     EquivalenceWitness,
+    HalfPlaneRational,
     InnerOuterFactorization,
     MaximalityCertificate,
     MultiplierSpace,
@@ -18,6 +20,7 @@ from tkern import (
     ToeplitzKernel,
     WienerHopfFactorization,
     as_symbol,
+    kernel,
     monomial,
     parse_expression,
     wiener_hopf,
@@ -119,3 +122,35 @@ def test_wiener_hopf_minus_is_computed_once():
     minus = wh.minus
     assert vars(wh)["minus"] is minus and wh.minus is minus
     assert wh.reconstruct().is_close(wh.symbol.value)
+
+
+# each value class that keeps its state in slots, with a value of it
+VALUES = {
+    "ComplexPolynomial": lambda: ComplexPolynomial([1.0, 0.5]),
+    "RationalFunction": lambda: RationalFunction([1.0, 0.5], [1.0, -0.25]),
+    "ToeplitzSymbol": lambda: as_symbol(RationalFunction([1.0, 0.5], [0.0, 1.0])),
+    "BlaschkeProduct": lambda: BlaschkeProduct(1j, [0.5, (0.25j, 2)]),
+    "HalfPlaneRational": lambda: HalfPlaneRational(RationalFunction([1.0], [1j, 1.0])),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_values_refuse_assignment_and_deletion(make):
+    value = make()
+    name = type(value).__name__
+    before = value(0.25)
+    assert not hasattr(value, "__dict__")
+    for attr in (*type(value).__slots__, "no_such_attribute"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, attr)
+    assert value(0.25) == before
+
+
+def test_symbol_keeps_its_kernel_after_a_refused_deletion():
+    s = as_symbol(monomial(-2))
+    K = kernel(s)
+    with pytest.raises(AttributeError, match="^ToeplitzSymbol is immutable$"):
+        del s._kernel
+    assert kernel(s) is K
