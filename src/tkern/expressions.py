@@ -12,7 +12,8 @@ Complex literals are decimals with an optional immediate 'i' suffix
 (0.5, 2i, 1.5e-3i); combined forms like 1+2i parse through the binary
 operators to the same value. 'zbar' lowers to z^-1, conj(.) lowers through
 circle conjugation, and B(a) lowers to the Blaschke factor
-(z - a)/(1 - conj(a) z) with |a| < 1 required. Unary minus is accepted as
+(z - a)/(1 - conj(a) z) with |a| < BLASCHKE_RADIUS = 1 - EPS_CIRCLE
+required, the bound of ``BlaschkeProduct``. Unary minus is accepted as
 a superset of the core grammar so that canonical output re-parses.
 
 Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
@@ -25,7 +26,7 @@ import re
 from typing import Union
 
 from .errors import BlaschkeParameterOutOfDisc, ExpressionSyntaxError
-from .rational import RationalFunction, Record, monomial
+from .rational import BLASCHKE_RADIUS, RationalFunction, Record, monomial
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -237,7 +238,7 @@ def _lower(node: Node, variable: str) -> RationalFunction:
         return _lower(node.arg, variable).circle_conjugate()
     if isinstance(node, Blaschke):
         a = node.a
-        if abs(a) >= 1.0:
+        if abs(a) >= BLASCHKE_RADIUS:
             raise BlaschkeParameterOutOfDisc(
                 f"Blaschke parameter {a!r} must lie strictly inside the unit disc"
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from numbers import Integral
 
 from .errors import (
     BlaschkeParameterOutOfDisc,
@@ -21,7 +22,7 @@ from .errors import (
     ZeroFunction,
 )
 from .rational import (
-    EPS_CIRCLE,
+    BLASCHKE_RADIUS,
     Frozen,
     RationalFunction,
     Record,
@@ -38,7 +39,9 @@ INNER_TOL = 1e-8
 
 class BlaschkeProduct(Frozen):
     """Finite Blaschke product: unimodular constant times factors
-    (z - a)/(1 - conj(a) z) over zeros ``a`` in the open unit disc."""
+    (z - a)/(1 - conj(a) z) over zeros ``a`` in the open unit disc, clear
+    of the circle band (|a| < ``BLASCHKE_RADIUS``), each with an integer
+    multiplicity of at least 1."""
 
     __slots__ = ("constant", "zeros")
 
@@ -50,10 +53,12 @@ class BlaschkeProduct(Frozen):
         for item in zeros:
             a, m = item if isinstance(item, tuple) else (item, 1)
             a = complex(a)
-            if abs(a) >= 1.0 - EPS_CIRCLE:
+            if abs(a) >= BLASCHKE_RADIUS:
                 raise BlaschkeParameterOutOfDisc(
                     f"Blaschke zero {a:.12g} is not strictly inside the unit disc"
                 )
+            if not isinstance(m, Integral) or m < 1:
+                raise ValueError(f"Blaschke multiplicity must be an integer >= 1, got {m!r}")
             norm.append((a, int(m)))
         norm.sort(key=lambda am: (am[0].real, am[0].imag))
         object.__setattr__(self, "constant", constant)

@@ -4,13 +4,14 @@ Everything downstream (factorizations, kernels, multipliers) is built on
 three types defined here: ``ComplexPolynomial`` (a tuple of complex
 coefficients in ascending degree order), ``RationalFunction`` (a gain with
 its zeros and poles), and ``ToeplitzSymbol`` (a rational function read on
-the unit circle, with its invertibility and winding number computed from
-the roots on each access).
+the unit circle, with its invertibility and winding number read from the
+circle classification of its value's roots).
 
 Conventions:
   * a rational function is stored in factored form, as its gain and its
-    zeros and poles with multiplicity; its coefficients, with a monic
-    denominator, are derived on demand and cached;
+    zeros and poles with multiplicity. What a value derives (coefficients
+    with a monic denominator, the circle classification of its zeros and
+    of its poles, a symbol's kernel) is computed on first use and kept;
   * products, quotients, powers, circle conjugation and Moebius
     composition move or merge the root multisets; only coefficient input
     and sums find roots (``poly_roots``);
@@ -60,6 +61,9 @@ EPS_COEFF = 1e-12
 EPS_ROOT = 1e-7
 # Half-width of the "on the unit circle" classification band.
 EPS_CIRCLE = 1e-9
+# A Blaschke parameter a must clear that band: |a| < BLASCHKE_RADIUS, in
+# ``BlaschkeProduct`` and in the parser's ``B(a)``.
+BLASCHKE_RADIUS = 1.0 - EPS_CIRCLE
 # Roots with | |root|-1 | inside [EPS_CIRCLE, NEAR_CIRCLE) trigger a
 # ClassificationWarning: the band cannot prove they are off the circle.
 NEAR_CIRCLE = 1e-6
@@ -122,8 +126,7 @@ class Record(Frozen):
     assignment, compares and hashes by class and fields, and shows as
     ``Name(field=value, ...)`` without the fields named in ``_hidden``.
     Instances keep their fields in ``__dict__``, so ``cached_property``
-    works on them; a subclass may declare ``__slots__`` and its own
-    ``__init__`` instead."""
+    works on them."""
 
     __slots__ = ()
     _hidden = ()
@@ -297,8 +300,9 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     of an m-fold root, and each group is one root at its mean. A companion
     matrix that overflows (a coefficient over the leading one is not a
     double) raises OutOfRange. A root of degree 1 is -c0/c1 in Python
-    complex arithmetic; numpy is imported only from degree 2 on, for the
-    eigenvalues and the factor refinement.
+    complex arithmetic, checked by the same grouping pass; numpy is
+    imported only from degree 2 on, for the eigenvalues and the factor
+    refinement.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
@@ -309,28 +313,28 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         k0 += 1
     out: list[tuple[complex, int]] = [(0j, k0)] if k0 else []
     c = c[k0:]
+    if len(c) == 1:
+        return out
     if len(c) == 2:
-        out.append((-c[0] / c[1], 1))
-    if len(c) <= 2:
-        return _sorted_roots(out)
+        points = [-c[0] / c[1]]
+    else:
+        import numpy as np
 
-    import numpy as np
-
-    # the companion matrix as numpy's polycompanion builds it, so that the
-    # eigenvalues are those of npoly.polyroots
-    arr = np.array(c, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = arr[:-1] / arr[-1]
-    if not np.isfinite(last).all():
-        raise OutOfRange("the companion matrix of a polynomial overflows double precision")
-    mat = np.eye(arr.size - 1, k=-1, dtype=complex)
-    mat[:, -1] -= last
-    raw = np.linalg.eigvals(mat)
-    raw.sort()
-    # one Newton step on every eigenvalue before grouping: it also pulls in
-    # the eigenvalue ring of a multiple root, which can start out wider
-    # than COARSE_CLUSTER
-    points = _newton_step(arr, raw.tolist())
+        # the companion matrix as numpy's polycompanion builds it, so that
+        # the eigenvalues are those of npoly.polyroots
+        arr = np.array(c, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            last = arr[:-1] / arr[-1]
+        if not np.isfinite(last).all():
+            raise OutOfRange("the companion matrix of a polynomial overflows double precision")
+        mat = np.eye(arr.size - 1, k=-1, dtype=complex)
+        mat[:, -1] -= last
+        raw = np.linalg.eigvals(mat)
+        raw.sort()
+        # one Newton step on every eigenvalue before grouping: it also pulls
+        # in the eigenvalue ring of a multiple root, which can start out
+        # wider than COARSE_CLUSTER
+        points = _newton_step(arr, raw.tolist())
     for group in _group_roots(points, COARSE_CLUSTER):
         if len(group) == 1:
             out.append((points[group[0]], 1))
@@ -530,13 +534,13 @@ class RationalFunction(Frozen):
     The gain and the two root multisets, each a tuple of (root,
     multiplicity) pairs, are the whole state. Zeros and poles that match
     within ``EPS_ROOT`` cancel, so the quotient is always reduced. The
-    coefficients ``num`` and ``den`` (monic) are derived on first use and
-    cached. Only coefficient input and sums find roots; products,
-    quotients, powers, circle conjugation and Moebius composition move or
-    merge the multisets.
+    coefficients ``num`` and ``den`` (monic) and the circle classifications
+    are derived on first use and kept. Only coefficient input and sums find
+    roots; products, quotients, powers, circle conjugation and Moebius
+    composition move or merge the multisets.
     """
 
-    __slots__ = ("_gain", "_zeros", "_poles", "_num", "_den")
+    __slots__ = ("_gain", "_zeros", "_poles", "_num", "_den", "_zero_split", "_pole_split")
 
     def __init__(self, num, den=1.0):
         num = ComplexPolynomial._coerce(num)
@@ -558,9 +562,9 @@ class RationalFunction(Frozen):
 
     def _assign(self, gain: complex, zeros, poles) -> None:
         zeros, poles = ((), ()) if gain == 0 else _reduce(zeros, poles)
-        state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_num": None, "_den": None}
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+        state = {"_gain": gain, "_zeros": zeros, "_poles": poles}
+        for name in self.__slots__:  # the derived slots start empty
+            object.__setattr__(self, name, state.get(name))
 
     # -- basic structure ---------------------------------------------------
 
@@ -739,10 +743,14 @@ class RationalFunction(Frozen):
         return RationalFunction._from_roots(gain, zeros, poles)
 
     def zero_classification(self) -> "RootClassification":
-        return classify_roots(self.zeros())
+        if self._zero_split is None:
+            object.__setattr__(self, "_zero_split", classify_roots(self._zeros))
+        return self._zero_split
 
     def pole_classification(self) -> "RootClassification":
-        return classify_roots(self.poles())
+        if self._pole_split is None:
+            object.__setattr__(self, "_pole_split", classify_roots(self._poles))
+        return self._pole_split
 
     # Structural membership predicates used throughout the package. All of
     # them are exact pole/zero bookkeeping on the reduced form.
@@ -816,33 +824,27 @@ class RootClassification(Record):
 
     Classification uses the band ``EPS_CIRCLE``: a root with
     | |root| - 1 | < EPS_CIRCLE counts as on the circle. Roots just outside
-    the band raise a ClassificationWarning, since floating data cannot
-    distinguish them from circle roots.
+    the band raise a ClassificationWarning when a value first classifies
+    them, since floating data cannot distinguish them from circle roots.
     """
 
-    # slots and a plain __init__: a symbol classifies its roots often
-    # (about 22 times per multiplier check), and the generic record
-    # __init__ showed in that time
-    __slots__ = ("inside", "on_circle", "outside")
     inside: tuple
     on_circle: tuple
     outside: tuple
-
-    def __init__(self, inside: tuple, on_circle: tuple, outside: tuple):
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "on_circle", on_circle)
-        object.__setattr__(self, "outside", outside)
 
     def count_inside(self) -> int:
         return sum(m for _, m in self.inside)
 
 
 def classify_roots(roots) -> RootClassification:
+    """Split (root, multiplicity) pairs against the unit circle. Each part
+    holds the given pairs themselves, not copies, so a kept one is cheap."""
     inside, on_circle, outside = [], [], []
-    for r, m in roots:
+    for pair in roots:
+        r = pair[0]
         d = abs(abs(r) - 1.0)
         if d < EPS_CIRCLE:
-            on_circle.append((r, m))
+            on_circle.append(pair)
             continue
         if d < NEAR_CIRCLE:
             warnings.warn(
@@ -851,7 +853,7 @@ def classify_roots(roots) -> RootClassification:
                 ClassificationWarning,
                 stacklevel=3,
             )
-        (inside if abs(r) < 1.0 else outside).append((r, m))
+        (inside if abs(r) < 1.0 else outside).append(pair)
     return RootClassification(tuple(inside), tuple(on_circle), tuple(outside))
 
 

@@ -240,6 +240,28 @@ def test_values_outside_double_precision_are_errors(argv, capsys):
     assert doc["error"] == "out-of-range"
 
 
+def test_blaschke_parameter_in_the_circle_band_is_refused(capsys):
+    # BlaschkeProduct refuses it too; the factor's zero and pole, 1e-10
+    # apart, would cancel
+    code = main(["dim", "--symbol", "zbar*B(0.99999999995)"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "blaschke-parameter-out-of-disc"
+
+
+def test_near_band_warnings_are_listed_once_each(capsys):
+    # the inside zero 0.9999999 of g and the outside zero 1.0000001 of its
+    # conjugate, each in a value classified once and kept
+    argv = ["mult", "--w", "1+z", "--g", "zbar^2*(z-0.9999999)/(z-3)", "--h", "zbar^3"]
+    code, doc = run_cli(argv, capsys)
+    assert code == 0
+    assert doc["result"]["is_multiplier"] is True
+    assert [w.split(" lies ")[0] for w in doc["warnings"]] == [
+        "root 0.9999999-0j", "root 1.0000001+0j"
+    ]
+
+
 def test_overflowing_companion_matrix_is_out_of_range(capsys):
     # the roots are +-1e160i, but 1e160 / 1e-160 is not a double
     code = main(["dim", "--symbol", "1e-160*z^2 + 1e160"])

@@ -151,6 +151,9 @@ def test_blaschke_parameter_outside_disc_rejected():
         lower("B(1.0)")
     with pytest.raises(BlaschkeParameterOutOfDisc):
         lower("B(-2.5)")
+    # inside the circle band, where ``BlaschkeProduct`` refuses it too
+    with pytest.raises(BlaschkeParameterOutOfDisc):
+        lower("B(0.99999999995)")
 
 
 def test_halfplane_variable_mode():

@@ -179,6 +179,12 @@ def test_blaschke_parameter_must_be_in_disc():
         BlaschkeProduct(1.0, [(1.0, 1)])
 
 
+@pytest.mark.parametrize("multiplicity", [-1, 0, 1.7])
+def test_blaschke_multiplicity_must_be_an_integer_of_at_least_one(multiplicity):
+    with pytest.raises(ValueError, match="multiplicity"):
+        BlaschkeProduct(1.0, [(0.5, multiplicity)])
+
+
 def test_blaschke_recognition_roundtrip(rng):
     theta = random_blaschke(rng, 3)
     again = blaschke_from_rational(theta.to_rational())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tkern.kernels
+import tkern.rational
 from tkern import (
     BlaschkeProduct,
     CarlesonFailure,
@@ -126,6 +127,37 @@ def test_two_route_check_factors_the_source_once(monkeypatch):
     assert len(factored) == 1
     assert kernel(g) is kernel(g)
     assert len(factored) == 1
+
+
+def test_two_route_check_classifies_each_root_multiset_once(monkeypatch, rng):
+    # a value keeps the circle classification of its zeros and of its
+    # poles, so no multiset of roots is classified twice; every argument is
+    # held, so that no identity is reused. Values without zeros or without
+    # poles all hold the one empty tuple, which is left out of the count
+    classified = {}
+    held = []
+    classify_roots = tkern.rational.classify_roots
+
+    def counting(roots):
+        held.append(roots)
+        classified[id(roots)] = classified.get(id(roots), 0) + 1
+        return classify_roots(roots)
+
+    def check(w, g, h):
+        held.clear()
+        classified.clear()
+        assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
+        assert all(classified[id(roots)] == 1 for roots in held if roots)
+        return len(held)
+
+    monkeypatch.setattr(tkern.rational, "classify_roots", counting)
+    # the README triple
+    assert check(RationalFunction([1, 1]), as_symbol(monomial(-1)), as_symbol(monomial(-2))) <= 10
+    for _ in range(10):
+        g = random_kernel_symbol(rng, 3, 2)
+        h = random_kernel_symbol(rng, 3, 2)
+        w = random_rational(rng, *(int(rng.integers(0, 2)) for _ in range(4)))
+        check(w, g, h)
 
 
 def test_composition_of_multipliers(rng):

@@ -557,6 +557,8 @@ BEYOND_RANGE = {
     "reflected": lambda: RationalFunction([1e-300, 1e10, 1.0]).circle_conjugate(),
     # a root that is not a number
     "nan": lambda: RationalFunction._from_roots(1.0, [(2.0, 1), (complex(math.nan, 0.0), 1)]),
+    # the root -1e300/1e-300 of a linear polynomial is inf
+    "linear": lambda: poly_roots(ComplexPolynomial([1e300, 1e-300])),
 }
 
 
@@ -720,6 +722,26 @@ def test_root_inside_band_counts_as_circle_zero():
 def test_root_far_from_band_is_silent(recwarn):
     RationalFunction([-1.5, 1.0]).zero_classification()
     assert not [w for w in recwarn.list if issubclass(w.category, ClassificationWarning)]
+
+
+def test_value_keeps_its_classifications_of_its_own_pairs():
+    f = RationalFunction._from_roots(2.0, [(0.5, 2), (1.0, 1), (3j, 1)], [(-0.25j, 1), (4.0, 3)])
+    for classify, roots in ((f.zero_classification, f._zeros), (f.pole_classification, f._poles)):
+        kept = classify()
+        assert classify() is kept
+        pairs = kept.inside + kept.on_circle + kept.outside
+        assert len(pairs) == len(roots)
+        assert all(any(pair is root for root in roots) for pair in pairs)
+
+
+def test_near_band_root_warns_on_the_first_classification_only():
+    r = RationalFunction([-(1.0 + 1e-7), 1.0])
+    with pytest.warns(ClassificationWarning):
+        r.zero_classification()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r.zero_classification()
+        assert as_symbol(r).winding == 0
 
 
 # -- arithmetic is an evaluation homomorphism ---------------------------------
