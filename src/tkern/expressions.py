@@ -11,9 +11,9 @@ Grammar (EBNF):
 Complex literals are decimals with an optional immediate 'i' suffix
 (0.5, 2i, 1.5e-3i); combined forms like 1+2i parse through the binary
 operators to the same value. 'zbar' lowers to z^-1, conj(.) lowers through
-circle conjugation, and B(a) lowers to the Blaschke factor
-(z - a)/(1 - conj(a) z) with |a| < BLASCHKE_RADIUS = 1 - EPS_CIRCLE
-required, the bound of ``BlaschkeProduct``. Unary minus is accepted as
+circle conjugation, and B(a) lowers through ``BlaschkeProduct`` to the
+Blaschke factor (z - a)/(1 - conj(a) z), with its bound
+|a| < BLASCHKE_RADIUS = 1 - EPS_CIRCLE. Unary minus is accepted as
 a superset of the core grammar so that canonical output re-parses.
 
 Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
@@ -25,8 +25,9 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .errors import BlaschkeParameterOutOfDisc, ExpressionSyntaxError
-from .rational import BLASCHKE_RADIUS, RationalFunction, Record, monomial
+from .errors import ExpressionSyntaxError
+from .factorization import BlaschkeProduct
+from .rational import RationalFunction, Record, monomial
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -237,12 +238,7 @@ def _lower(node: Node, variable: str) -> RationalFunction:
     if isinstance(node, Conj):
         return _lower(node.arg, variable).circle_conjugate()
     if isinstance(node, Blaschke):
-        a = node.a
-        if abs(a) >= BLASCHKE_RADIUS:
-            raise BlaschkeParameterOutOfDisc(
-                f"Blaschke parameter {a!r} must lie strictly inside the unit disc"
-            )
-        return RationalFunction([-a, 1.0], [1.0, -a.conjugate()])
+        return BlaschkeProduct(1.0, [(node.a, 1)]).to_rational()
     if isinstance(node, BinOp):
         left = _lower(node.left, variable)
         right = _lower(node.right, variable)

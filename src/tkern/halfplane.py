@@ -8,7 +8,9 @@ the Cayley map or its inverse moves the zeros and poles through the
 Moebius map and never expands coefficients, so multiple roots stay
 exact. Half-plane multiplier questions are answered entirely by
 conjugation with the disc engine: there is no independent half-plane
-Toeplitz machinery here.
+Toeplitz machinery here, and no boundary rule of its own either. A pole
+on the line is a circle pole of the transferred value, classified with
+the disc's band ``EPS_CIRCLE``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import math
 from .errors import NotSquareIntegrable, UnboundedSymbol
 from .multipliers import is_multiplier
 from .rational import Frozen, RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
-
-# Imaginary-part tolerance below which a pole counts as real.
-_REAL_AXIS_TOL = 1e-9
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -40,28 +39,6 @@ class HalfPlaneRational(Frozen):
 
     def __call__(self, s):
         return self.value(s)
-
-    def real_poles(self):
-        return [
-            (p, m)
-            for p, m in self.value.poles()
-            if abs(p.imag) <= _REAL_AXIS_TOL * (1.0 + abs(p))
-        ]
-
-    def _pole_excess(self) -> int:
-        """Pole count minus zero count: the order of vanishing at infinity."""
-        return sum(m for _, m in self.value.poles()) - sum(m for _, m in self.value.zeros())
-
-    def decays_at_infinity(self) -> bool:
-        return self.value.is_zero or self._pole_excess() > 0
-
-    def bounded_at_infinity(self) -> bool:
-        return self._pole_excess() >= 0
-
-    def in_l2_line(self) -> bool:
-        """Square-integrable on the real line: no real poles and decay
-        at least like 1/s at infinity."""
-        return (not self.real_poles()) and self.decays_at_infinity()
 
     def conjugate_on_line(self) -> "HalfPlaneRational":
         """The rational function agreeing with conj(f(s)) for real s: the
@@ -97,27 +74,28 @@ def cayley_function(f) -> RationalFunction:
     """Weighted transfer of a square-integrable line function to the circle:
     2 sqrt(pi) (1+z)^-1 f(i(1-z)/(1+z)), reduced. Isometric from L2 of the
     line (Lebesgue measure) to L2 of the circle (normalized measure).
+
+    The transfer is refused when it has a circle pole: a real pole of f
+    lands on the circle, and unless f decays at infinity the weight's
+    pole at z = -1 stays.
     """
-    f = _as_halfplane(f)
-    if f.value.is_zero:
-        return RationalFunction(0.0)
-    if not f.in_l2_line():
+    weight = RationalFunction._from_roots(2.0 * _SQRT_PI, (), [(-1.0, 1)])
+    F = weight * _compose_mobius(_as_halfplane(f).value, *_CAYLEY)
+    if F.pole_classification().on_circle:
         raise NotSquareIntegrable(
             "function has a real pole or insufficient decay at infinity"
         )
-    # f decays, so the composition vanishes at z = -1 and the weight's
-    # pole there cancels
-    weight = RationalFunction._from_roots(2.0 * _SQRT_PI, (), [(-1.0, 1)])
-    return weight * _compose_mobius(f.value, *_CAYLEY)
+    return F
 
 
 def cayley_symbol(g) -> ToeplitzSymbol:
     """Unweighted transfer of a bounded line symbol to the circle:
-    g(i(1-z)/(1+z)), reduced."""
-    g = _as_halfplane(g)
-    if g.value.is_zero or g.real_poles() or not g.bounded_at_infinity():
+    g(i(1-z)/(1+z)), reduced. Refused when the transfer is zero or has a
+    circle pole (a real pole of g, or growth at infinity)."""
+    G = _compose_mobius(_as_halfplane(g).value, *_CAYLEY)
+    if G.is_zero or G.pole_classification().on_circle:
         raise UnboundedSymbol("symbol must be bounded on the real line and nonzero")
-    return ToeplitzSymbol(_compose_mobius(g.value, *_CAYLEY))
+    return ToeplitzSymbol(G)
 
 
 def transfer_multiplier(w) -> RationalFunction:
@@ -148,8 +126,7 @@ def line_norm_squared(f, quad_points: int = 4096) -> float:
     f = _as_halfplane(f)
     if f.value.is_zero:
         return 0.0
-    if not f.in_l2_line():
-        raise NotSquareIntegrable("not square-integrable on the line")
+    cayley_function(f)  # refuses what the transfer refuses
     import numpy as np
 
     t = (np.arange(quad_points) + 0.5) * (2.0 * np.pi / quad_points)

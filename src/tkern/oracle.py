@@ -43,13 +43,13 @@ class BoundarySampling(Record):
 
 
 def boundary_sampling(f, sample_count: int) -> BoundarySampling:
+    """Refused when f has a pole on the circle (band ``EPS_CIRCLE``),
+    whether or not a sample falls on it."""
     f = as_rational(f)
+    if f.pole_classification().on_circle:
+        raise PoleOnCircle("boundary samples need a pole-free circle")
     z = circle_samples(sample_count)
-    den_vals = f.den(z)
-    scale = max(np.max(np.abs(f.den.coeffs)), 1e-300)
-    if np.min(np.abs(den_vals)) < 1e-13 * scale:
-        raise PoleOnCircle("denominator vanishes at a boundary sample")
-    return BoundarySampling(sample_count, f.num(z) / den_vals)
+    return BoundarySampling(sample_count, f.num(z) / f.den(z))
 
 
 def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarray:

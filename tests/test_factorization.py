@@ -191,3 +191,15 @@ def test_blaschke_recognition_roundtrip(rng):
     assert again is not None
     assert again.to_rational().is_close(theta.to_rational(), 1e-10)
     assert blaschke_from_rational(RationalFunction([1, 0.5])) is None
+
+
+def test_multiple_of_a_blaschke_factor_is_inner_only_when_unimodular():
+    assert blaschke_from_rational(2 * BlaschkeProduct(1.0, [0.5]).to_rational()) is None
+
+
+def test_blaschke_factor_with_its_pole_rotated_is_not_inner():
+    # the pole 2 e^{i 5e-8} cancels the candidate's pole 2 within EPS_ROOT,
+    # so the ratio is a unimodular constant; the boundary modulus is about
+    # 1e-7 away from 1, which the sampled check catches
+    r = RationalFunction._from_roots(-2.0, [(0.5, 1)], [(2.0 * np.exp(5e-8j), 1)])
+    assert blaschke_from_rational(r) is None

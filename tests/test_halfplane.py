@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from tkern import (
+    ClassificationWarning,
     HalfPlaneRational,
     NotSquareIntegrable,
     RationalFunction,
@@ -23,6 +24,7 @@ from tkern import (
     transfer_multiplier,
 )
 from tkern.random_instances import random_halfplane_hardy
+from tkern.rational import EPS_CIRCLE
 
 
 def _adaptive_line_norm_sq(f):
@@ -161,3 +163,46 @@ def test_pulled_back_power_example():
     assert halfplane_multiplier_test(w, g, h)
     w_bad = HalfPlaneRational(RationalFunction([2j], [1j, 1.0]) ** 2)
     assert not halfplane_multiplier_test(w_bad, g, h)
+
+
+# -- one boundary rule: a line pole is a circle pole of the transfer ------------
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 1e4])
+def test_line_pole_band_is_the_circle_band_of_the_transfer(x):
+    # the pole x - iy lands about 2y/(1 + x^2) inside the circle's
+    # exterior, so on the line the band reads |y| < EPS_CIRCLE (1 + x^2)/2
+    half_width = EPS_CIRCLE * (1.0 + x * x) / 2.0
+    inside = HalfPlaneRational(RationalFunction([1.0], [-(x - 0.5j * half_width), 1.0]))
+    with pytest.raises(NotSquareIntegrable):
+        cayley_function(inside)
+    with pytest.raises(NotSquareIntegrable):
+        line_norm_squared(inside)
+    outside = HalfPlaneRational(RationalFunction([1.0], [-(x - 2j * half_width), 1.0]))
+    with pytest.warns(ClassificationWarning):
+        V = cayley_function(outside)
+    assert V.in_hardy2()
+
+
+def test_far_pole_near_the_line_is_refused_and_near_band_pole_warns():
+    far = HalfPlaneRational(RationalFunction([1.0], [-10000 - 0.01j, 1.0]))
+    with pytest.raises(NotSquareIntegrable):
+        cayley_function(far)
+    near = HalfPlaneRational(RationalFunction([1.0], [2e-9j, 1.0]))
+    with pytest.warns(ClassificationWarning):
+        assert cayley_function(near).in_hardy2()
+
+
+def test_line_norm_refuses_with_the_transfer_message():
+    for f in (RationalFunction([1.0], [-1.0, 1.0]), RationalFunction([1.0, 1.0], [1j, 1.0])):
+        with pytest.raises(NotSquareIntegrable, match="real pole or insufficient decay"):
+            line_norm_squared(HalfPlaneRational(f))
+
+
+def test_symbol_transfer_refuses_a_circle_pole_and_zero():
+    # bounded at infinity, but its pole 1e4 - 0.01i lands in the circle band
+    near = HalfPlaneRational(RationalFunction([1j, 1.0], [-(1e4 - 0.01j), 1.0]))
+    with pytest.raises(UnboundedSymbol):
+        cayley_symbol(near)
+    with pytest.raises(UnboundedSymbol):
+        cayley_symbol(HalfPlaneRational(RationalFunction(0.0)))

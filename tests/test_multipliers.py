@@ -10,6 +10,7 @@ from tkern import (
     CarlesonFailure,
     NotInvertibleOnCircle,
     NotOuter,
+    PreconditionViolation,
     RationalFunction,
     TrivialKernel,
     as_symbol,
@@ -93,6 +94,16 @@ def test_any_maximal_test_vector_gives_same_answer(rng):
     for w in (RationalFunction([1, 1]), monomial(1), _one_over([1, 0.5]), monomial(2)):
         default = is_multiplier(w, s2, s2)
         assert is_multiplier(w, s2, s2, test_vector=other_max) == default
+
+
+def test_supplied_test_vector_must_be_maximal():
+    with pytest.raises(PreconditionViolation):
+        is_multiplier(
+            RationalFunction([1, 1]),
+            monomial(-2),
+            monomial(-3),
+            test_vector=RationalFunction([1, 0.5]),
+        )
 
 
 def test_two_route_agreement(rng):
@@ -201,6 +212,13 @@ def test_space_rejects_source_with_circle_zero():
     h = RationalFunction([-1.0, 1.0]) * monomial(-3)
     with pytest.raises(NotInvertibleOnCircle):
         multiplier_space(g, h)
+
+
+def test_space_rejects_test_symbol_with_circle_zero():
+    # h / (z g) = (z - 1)/z^2 has its zero on the circle
+    h = RationalFunction([-1.0, 1.0]) * monomial(-2)
+    with pytest.raises(NotInvertibleOnCircle, match="test symbol"):
+        multiplier_space(monomial(-1), h)
 
 
 def test_space_elements_are_multipliers(rng):

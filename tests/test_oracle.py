@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tkern import (
+    ClassificationWarning,
     DimensionMismatchWarning,
     NotInvertibleOnCircle,
     PoleOnCircle,
@@ -66,6 +67,16 @@ def test_near_circle_pole_warns():
 def test_boundary_sampling_counts():
     bs = boundary_sampling(monomial(1), 8)
     assert bs.sample_count == 8 and bs.values.shape == (8,)
+
+
+def test_boundary_sampling_refuses_a_circle_pole_between_samples():
+    # e^{i pi/8} lies halfway between two eighth roots of unity
+    with pytest.raises(PoleOnCircle):
+        boundary_sampling(RationalFunction([1.0], [-np.exp(1j * np.pi / 8), 1.0]), 8)
+    # just outside the band the pole is sampled, with a warning
+    with pytest.warns(ClassificationWarning):
+        bs = boundary_sampling(RationalFunction([1.0], [-(1.0 + 2e-9), 1.0]), 8)
+    assert np.all(np.isfinite(bs.values))
 
 
 # -- numeric kernels ------------------------------------------------------------

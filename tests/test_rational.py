@@ -130,6 +130,17 @@ def test_from_roots_matches_numpy_expansion(degree):
     assert np.max(np.abs(c - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("multiplicity", [-1, 0, 1.7])
+def test_from_roots_multiplicity_must_be_an_integer_of_at_least_one(multiplicity):
+    with pytest.raises(ValueError, match="multiplicity"):
+        ComplexPolynomial.from_roots([(0.5, multiplicity)])
+
+
+def test_from_roots_accepts_a_numpy_integer_multiplicity():
+    p = ComplexPolynomial.from_roots([(0.5, np.int64(2))])
+    assert p.coeffs.tolist() == [0.25, -1.0, 1.0]
+
+
 def test_from_roots_keeps_high_multiplicity_degree():
     p = ComplexPolynomial.from_roots([(2.0, 32)])
     assert p.degree == 32
