@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from numbers import Integral
 
 from .errors import (
     BlaschkeParameterOutOfDisc,
@@ -27,6 +26,7 @@ from .rational import (
     RationalFunction,
     Record,
     ToeplitzSymbol,
+    _multiplicity,
     _power,
     as_rational,
     as_symbol,
@@ -57,9 +57,7 @@ class BlaschkeProduct(Frozen):
                 raise BlaschkeParameterOutOfDisc(
                     f"Blaschke zero {a:.12g} is not strictly inside the unit disc"
                 )
-            if not isinstance(m, Integral) or m < 1:
-                raise ValueError(f"Blaschke multiplicity must be an integer >= 1, got {m!r}")
-            norm.append((a, int(m)))
+            norm.append((a, _multiplicity(m)))
         norm.sort(key=lambda am: (am[0].real, am[0].imag))
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "zeros", tuple(norm))

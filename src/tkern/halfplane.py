@@ -8,9 +8,10 @@ the Cayley map or its inverse moves the zeros and poles through the
 Moebius map and never expands coefficients, so multiple roots stay
 exact. Half-plane multiplier questions are answered entirely by
 conjugation with the disc engine: there is no independent half-plane
-Toeplitz machinery here, and no boundary rule of its own either. A pole
+Toeplitz machinery here, and no boundary band of its own either. A pole
 on the line is a circle pole of the transferred value, classified with
-the disc's band ``EPS_CIRCLE``.
+the disc's band ``EPS_CIRCLE``; the order at infinity is counted exactly
+from the zeros and poles.
 """
 
 from __future__ import annotations
@@ -75,13 +76,15 @@ def cayley_function(f) -> RationalFunction:
     2 sqrt(pi) (1+z)^-1 f(i(1-z)/(1+z)), reduced. Isometric from L2 of the
     line (Lebesgue measure) to L2 of the circle (normalized measure).
 
-    The transfer is refused when it has a circle pole: a real pole of f
-    lands on the circle, and unless f decays at infinity the weight's
-    pole at z = -1 stays.
+    Refused unless f decays at infinity (it has more poles than zeros,
+    counted exactly) and the transfer has no circle pole (a real pole of
+    f lands on the circle).
     """
+    v = _as_halfplane(f).value
     weight = RationalFunction._from_roots(2.0 * _SQRT_PI, (), [(-1.0, 1)])
-    F = weight * _compose_mobius(_as_halfplane(f).value, *_CAYLEY)
-    if F.pole_classification().on_circle:
+    F = weight * _compose_mobius(v, *_CAYLEY)
+    decays = v.is_zero or sum(m for _, m in v.poles()) > sum(m for _, m in v.zeros())
+    if not decays or F.pole_classification().on_circle:
         raise NotSquareIntegrable(
             "function has a real pole or insufficient decay at infinity"
         )
@@ -90,10 +93,13 @@ def cayley_function(f) -> RationalFunction:
 
 def cayley_symbol(g) -> ToeplitzSymbol:
     """Unweighted transfer of a bounded line symbol to the circle:
-    g(i(1-z)/(1+z)), reduced. Refused when the transfer is zero or has a
-    circle pole (a real pole of g, or growth at infinity)."""
-    G = _compose_mobius(_as_halfplane(g).value, *_CAYLEY)
-    if G.is_zero or G.pole_classification().on_circle:
+    g(i(1-z)/(1+z)), reduced. Refused when g grows at infinity (it has
+    more zeros than poles, counted exactly), or the transfer is zero or
+    has a circle pole (a real pole of g)."""
+    v = _as_halfplane(g).value
+    G = _compose_mobius(v, *_CAYLEY)
+    bounded = sum(m for _, m in v.poles()) >= sum(m for _, m in v.zeros())
+    if not bounded or G.is_zero or G.pole_classification().on_circle:
         raise UnboundedSymbol("symbol must be bounded on the real line and nonzero")
     return ToeplitzSymbol(G)
 

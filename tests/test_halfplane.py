@@ -65,6 +65,18 @@ def test_insufficient_decay_rejected():
         cayley_function(HalfPlaneRational(RationalFunction([1.0, 1.0], [1j, 1.0])))
 
 
+def test_decay_at_infinity_is_counted_not_banded():
+    # the zero at 3e7 lands within EPS_ROOT of z = -1, where the transfer
+    # has its weight's pole; f still does not decay, so it is refused
+    with pytest.raises(NotSquareIntegrable):
+        cayley_function(HalfPlaneRational(RationalFunction([-3e7, 1.0], [1j, 1.0])))
+    with pytest.raises(NotSquareIntegrable):
+        line_norm_squared(HalfPlaneRational(RationalFunction([-3e7, 1.0], [1j, 1.0])))
+    grows = RationalFunction([-3e7, 1.0]) ** 2 / RationalFunction([1j, 1.0])
+    with pytest.raises(UnboundedSymbol):
+        cayley_symbol(HalfPlaneRational(grows))
+
+
 def test_isometry_on_random_hardy_functions(rng):
     for _ in range(50):
         f = HalfPlaneRational(random_halfplane_hardy(rng, int(rng.integers(1, 4))))
