@@ -83,7 +83,7 @@ def cayley_function(f) -> RationalFunction:
     v = _as_halfplane(f).value
     weight = RationalFunction._from_roots(2.0 * _SQRT_PI, (), [(-1.0, 1)])
     F = weight * _compose_mobius(v, *_CAYLEY)
-    decays = v.is_zero or sum(m for _, m in v.poles()) > sum(m for _, m in v.zeros())
+    decays = v.is_zero or v.order_at_infinity > 0
     if not decays or F.pole_classification().on_circle:
         raise NotSquareIntegrable(
             "function has a real pole or insufficient decay at infinity"
@@ -98,8 +98,7 @@ def cayley_symbol(g) -> ToeplitzSymbol:
     has a circle pole (a real pole of g)."""
     v = _as_halfplane(g).value
     G = _compose_mobius(v, *_CAYLEY)
-    bounded = sum(m for _, m in v.poles()) >= sum(m for _, m in v.zeros())
-    if not bounded or G.is_zero or G.pole_classification().on_circle:
+    if v.order_at_infinity < 0 or G.is_zero or G.pole_classification().on_circle:
         raise UnboundedSymbol("symbol must be bounded on the real line and nonzero")
     return ToeplitzSymbol(G)
 

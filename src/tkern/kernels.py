@@ -18,8 +18,6 @@ from .errors import (
     NotInvertibleOnCircle,
     NotOuter,
     PreconditionViolation,
-    UndefinedQuotient,
-    ZeroDenominator,
     ZeroFunction,
 )
 from .factorization import BlaschkeProduct, inner_outer, wiener_hopf
@@ -53,12 +51,12 @@ class ToeplitzKernel(Record):
 
 
 class MaximalityCertificate(Record):
-    """Outcome of the maximal-vector test.
+    """Outcome of the maximal-vector test on a kernel vector.
 
-    ``certificate`` is the circle conjugate of z * symbol * vector; the
-    vector is maximal exactly when the certificate is a Hardy-space
-    function with no zeros in the open disc. ``failure_witness`` is an
-    offending disc zero or disc pole of the certificate, when one exists.
+    ``certificate`` is the circle conjugate of z * symbol * vector, a
+    Hardy-space function since the vector is in the kernel; the vector is
+    maximal exactly when the certificate has no zeros in the open disc.
+    ``failure_witness`` is such a disc zero, when one exists.
     """
 
     vector: RationalFunction
@@ -99,17 +97,13 @@ def in_kernel(f, s) -> bool:
     """Symbolic membership test of ``f`` in ker T_s.
 
     Decided by pole/zero bookkeeping on the reduced product: f belongs to
-    the kernel iff f is in the Hardy space and the circle conjugate of
-    z * s * f has no poles in the closed unit disc.
+    the kernel iff f is in the Hardy space and z * s * f is in the
+    conjugate Hardy space, that is all its poles lie inside the open unit
+    disc and it is bounded at infinity.
     """
     f = as_rational(f)
     s = as_symbol(s)
-    if f.is_zero:
-        return True
-    if not f.in_hardy2():
-        return False
-    q = (Z * s.value * f).circle_conjugate()
-    return q.in_hardy2()
+    return f.in_hardy2() and (Z * s.value * f).in_conjugate_hardy2()
 
 
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
@@ -133,10 +127,10 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
-    k and the certificate circle_conjugate(z * s * k) must be Hardy-space
-    functions (that is membership of k in the kernel), and the certificate
-    must have no zeros in the open unit disc (that is outerness, hence
-    maximality).
+    k must be in the kernel, decided on the product z * s * k as in
+    ``in_kernel``; the certificate circle_conjugate(z * s * k), built only
+    then, must have no zeros in the open unit disc (that is outerness,
+    hence maximality).
     """
     k = as_rational(k)
     s = as_symbol(s)
@@ -144,9 +138,10 @@ def is_maximal(k, s) -> MaximalityCertificate:
         raise NotInvertibleOnCircle("maximality test needs a circle-invertible symbol")
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
-    cert = (Z * s.value * k).circle_conjugate()
-    if not (k.in_hardy2() and cert.in_hardy2()):
+    product = Z * s.value * k
+    if not (k.in_hardy2() and product.in_conjugate_hardy2()):
         raise NotInKernel("vector is not in the kernel of the symbol")
+    cert = product.circle_conjugate()
     inside_zeros = cert.zero_classification().inside
     if inside_zeros:
         return MaximalityCertificate(k, cert, False, failure_witness=inside_zeros[0][0])
@@ -155,15 +150,11 @@ def is_maximal(k, s) -> MaximalityCertificate:
 
 def includes(g, h) -> bool:
     """ker T_g is contained in ker T_h, decided through the symbol
-    quotient: the circle conjugate of h/g must have no poles in the
-    closed unit disc."""
+    quotient: h/g must be in the conjugate Hardy space, that is have all
+    its poles inside the open unit disc and be bounded at infinity."""
     g = as_symbol(g)
     h = as_symbol(h)
-    try:
-        ratio = (h.value / g.value).circle_conjugate()
-    except ZeroDenominator as exc:
-        raise UndefinedQuotient(str(exc)) from exc
-    return ratio.in_hardy2()
+    return (h.value / g.value).in_conjugate_hardy2()
 
 
 def equals(g, h) -> bool:

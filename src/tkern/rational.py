@@ -750,7 +750,7 @@ class RationalFunction(Frozen):
             if r != 0:
                 gain /= _power(-r.conjugate(), m)
                 poles.append((1 / r.conjugate(), m))
-        shift = sum(m for _, m in self._poles) - sum(m for _, m in self._zeros)
+        shift = self.order_at_infinity
         zeros.append((0j, max(shift, 0)))
         poles.append((0j, max(-shift, 0)))
         return RationalFunction._from_roots(gain, zeros, poles)
@@ -768,11 +768,24 @@ class RationalFunction(Frozen):
     # Structural membership predicates used throughout the package. All of
     # them are exact pole/zero bookkeeping on the reduced form.
 
+    @property
+    def order_at_infinity(self) -> int:
+        """Poles minus zeros, counted with multiplicity: the order of the
+        zero at infinity, negative for a pole there."""
+        return sum(m for _, m in self._poles) - sum(m for _, m in self._zeros)
+
     def in_hardy2(self) -> bool:
         """Rational membership in the disc Hardy space: every pole lies
         strictly outside the closed unit disc."""
         pc = self.pole_classification()
         return not pc.inside and not pc.on_circle
+
+    def in_conjugate_hardy2(self) -> bool:
+        """Rational membership in the conjugate Hardy space, the mirror of
+        ``in_hardy2``: every pole lies strictly inside the open unit disc,
+        and the function is bounded at infinity."""
+        pc = self.pole_classification()
+        return not pc.outside and not pc.on_circle and self.order_at_infinity >= 0
 
     def is_outer(self) -> bool:
         """Outer in the rational sense: in the Hardy space with no zeros
@@ -795,7 +808,7 @@ class RationalFunction(Frozen):
             return False
         zc, pc = self.zero_classification(), self.pole_classification()
         interior_only = not (zc.on_circle or zc.outside or pc.on_circle or pc.outside)
-        return interior_only and sum(m for _, m in self._zeros) == sum(m for _, m in self._poles)
+        return interior_only and self.order_at_infinity == 0
 
     def taylor(self, n: int):
         """Taylor coefficients at 0 up to degree ``n``, as a numpy array
@@ -971,7 +984,7 @@ def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
 
     zero_factor, zeros = move(r._zeros)
     pole_factor, poles = move(r._poles)
-    shift = sum(m for _, m in r._poles) - sum(m for _, m in r._zeros)
+    shift = r.order_at_infinity
     zeros.append((-d / c, max(shift, 0)))
     poles.append((-d / c, max(-shift, 0)))
     gain = r._gain * zero_factor / pole_factor * _power(c, shift)

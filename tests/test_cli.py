@@ -251,15 +251,19 @@ def test_blaschke_parameter_in_the_circle_band_is_refused(capsys):
 
 
 def test_near_band_warnings_are_listed_once_each(capsys):
-    # the inside zero 0.9999999 of g and the outside zero 1.0000001 of its
-    # conjugate, each in a value classified once and kept
+    # the inside zero 0.9999999 of g, listed once; the decision builds no
+    # circle conjugate, whose reflected zero 1.0000001 would be a second entry
     argv = ["mult", "--w", "1+z", "--g", "zbar^2*(z-0.9999999)/(z-3)", "--h", "zbar^3"]
     code, doc = run_cli(argv, capsys)
     assert code == 0
     assert doc["result"]["is_multiplier"] is True
-    assert [w.split(" lies ")[0] for w in doc["warnings"]] == [
-        "root 0.9999999-0j", "root 1.0000001+0j"
-    ]
+    assert [w.split(" lies ")[0] for w in doc["warnings"]] == ["root 0.9999999-0j"]
+
+
+def test_equal_keeps_outside_roots_apart_that_reflection_would_merge(capsys):
+    code, doc = run_cli(["equal", "--g", "zbar*(z-10.000005)", "--h", "zbar*(z-10)"], capsys)
+    assert code == 0
+    assert doc["result"] == {"equal": False}
 
 
 def test_overflowing_companion_matrix_is_out_of_range(capsys):

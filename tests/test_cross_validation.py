@@ -25,8 +25,10 @@ from tkern import (
     multiplier_space,
     numeric_kernel,
     principal_angle,
+    smirnov_multiplier_test,
     subspace_from_rationals,
 )
+from tkern import random_instances
 from tkern.random_instances import (
     random_kernel_symbol,
     random_outer,
@@ -167,3 +169,60 @@ def test_two_route_agreement_alternate_seeds(seed):
             int(rng.integers(0, 2)),
         )
         assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
+
+
+# -- the conjugate rules, kept as the reference ----------------------------------
+# Membership, inclusion and the conjugate-Smirnov route can be decided on the
+# circle conjugate of the product, as the definitions read, or on the product
+# itself, as the library does. Away from roots close enough that only their
+# reflections merge, the two rules agree.
+
+
+def _in_kernel_by_conjugate(f, s):
+    if f.is_zero:
+        return True
+    return f.in_hardy2() and (monomial(1) * s.value * f).circle_conjugate().in_hardy2()
+
+
+def _includes_by_conjugate(g, h):
+    return (h.value / g.value).circle_conjugate().in_hardy2()
+
+
+def _smirnov_by_conjugate(w, g, h):
+    if w.pole_classification().inside:
+        return False
+    if any((w * b).pole_classification().on_circle for b in kernel(g).basis):
+        return False
+    return not (h.value * w / g.value).circle_conjugate().pole_classification().inside
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_rules_match_the_conjugate_rules(seed, monkeypatch):
+    # roots from 0.1 to 0.9 and from 1.1 to 4, at least 1e-3 apart
+    monkeypatch.setattr(random_instances, "INSIDE_RADII", (0.1, 0.9))
+    monkeypatch.setattr(random_instances, "OUTSIDE_RADII", (1.1, 4.0))
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(60):
+        g = random_kernel_symbol(rng, 3, 2)
+        h = random_kernel_symbol(rng, 3, 2)
+        if rng.random() < 0.5:  # a kernel that contains ker T_g
+            twist = random_outer(rng, 1, 0).circle_conjugate()
+            h = as_symbol(g.value * twist * monomial(-int(rng.integers(0, 2))))
+        w = random_rational(rng, *(int(rng.integers(0, 2)) for _ in range(4)))
+        if rng.random() < 0.2:  # a pole on the circle
+            w = w / RationalFunction([-np.exp(2j * np.pi * rng.random()), 1.0])
+        basis = kernel(g).basis
+        for f in (RationalFunction(0.0), *basis, w, w * basis[-1]):
+            for s in (g, h):
+                got = in_kernel(f, s)
+                assert got == _in_kernel_by_conjugate(f, s)
+                seen.add(("in_kernel", got))
+        for a, b in ((g, h), (h, g)):
+            got = includes(a, b)
+            assert got == _includes_by_conjugate(a, b)
+            seen.add(("includes", got))
+        got = smirnov_multiplier_test(w, g, h)
+        assert got == _smirnov_by_conjugate(w, g, h)
+        seen.add(("smirnov", got))
+    assert len(seen) == 6  # each decision answered both ways

@@ -23,11 +23,13 @@ from tkern import (
     includes,
     is_equivalent,
     is_maximal,
+    is_multiplier,
     is_rigid,
     kernel,
     minimal_kernel,
     monomial,
     principal_angle,
+    smirnov_multiplier_test,
     subspace_from_rationals,
     wiener_hopf,
 )
@@ -245,7 +247,7 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     for b in K.basis:
         calls.clear()
         assert in_kernel(b, g)
-        assert len(calls) == 3  # z * g, then * b, then the circle conjugate
+        assert len(calls) == 2  # z * g, then * b
 
 
 def test_reproducing_kernel_is_not_maximal():
@@ -324,6 +326,31 @@ def test_analytic_outer_twist_moves_the_kernel():
     assert not equals(g, h)
     assert not in_kernel(RationalFunction([1.0]), h)
     assert in_kernel(p, h)
+
+
+def test_outside_roots_whose_reflections_would_merge_stay_distinct():
+    # 10 and 10.000005 are 5e-7 apart, more than EPS_ROOT relative to 10;
+    # their reflections 1/10 and 1/10.000005 are 5e-9 apart and would
+    # cancel. The kernels span 1/(z - 10.000005) and 1/(z - 10)
+    g = as_symbol(monomial(-1) * RationalFunction([-10.000005, 1]))
+    h = as_symbol(monomial(-1) * RationalFunction([-10, 1]))
+    assert not includes(g, h)
+    assert not includes(h, g)
+    assert not equals(g, h)
+    assert not in_kernel(kernel(g).basis[0], h)
+    assert not is_multiplier(1, g, h)
+    assert not smirnov_multiplier_test(1, g, h)
+
+
+def test_huge_outside_root_does_not_cancel_at_the_origin():
+    # ker T_h is spanned by 1/(z - 2e7) and z/(z - 2e7); z is not in it.
+    # The reflection 5e-8 of the zero 2e7 of h/g lies within EPS_ROOT of
+    # the origin, where the conjugate of h/g has its pole
+    g = as_symbol(monomial(-2))
+    h = as_symbol(monomial(-2) * RationalFunction([-2e7, 1]))
+    assert not in_kernel(monomial(1), h)
+    assert not includes(g, h)
+    assert not equals(g, h)
 
 
 def test_different_dimensions_not_equal():
