@@ -13,8 +13,9 @@ Complex literals are decimals with an optional immediate 'i' suffix
 operators to the same value. 'zbar' lowers to z^-1, conj(.) lowers through
 circle conjugation, and B(a) lowers through ``BlaschkeProduct`` to the
 Blaschke factor (z - a)/(1 - conj(a) z), with its bound
-|a| < BLASCHKE_RADIUS = 1 - EPS_CIRCLE. Unary minus is accepted as
-a superset of the core grammar so that canonical output re-parses.
+|a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). Unary minus binds
+tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a value in
+the one form that re-parses to it, up to its 12 printed digits.
 
 Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
 'conj' and 'B' are circle constructions and are rejected there.
@@ -73,7 +74,7 @@ class SymbolExpression(Record):
     variable: str = "z"
 
     def to_rational(self) -> RationalFunction:
-        return _lower(self.tree, self.variable)
+        return _lower(self.tree)
 
 
 class _Lexer:
@@ -226,7 +227,7 @@ def parse_expression(text: str, variable: str = "z") -> SymbolExpression:
     return SymbolExpression(text, tree, variable)
 
 
-def _lower(node: Node, variable: str) -> RationalFunction:
+def _lower(node: Node) -> RationalFunction:
     if isinstance(node, Lit):
         return RationalFunction([node.value])
     if isinstance(node, Var):
@@ -234,14 +235,14 @@ def _lower(node: Node, variable: str) -> RationalFunction:
             return monomial(-1)
         return monomial(1)
     if isinstance(node, Neg):
-        return -_lower(node.arg, variable)
+        return -_lower(node.arg)
     if isinstance(node, Conj):
-        return _lower(node.arg, variable).circle_conjugate()
+        return _lower(node.arg).circle_conjugate()
     if isinstance(node, Blaschke):
         return BlaschkeProduct(1.0, [(node.a, 1)]).to_rational()
     if isinstance(node, BinOp):
-        left = _lower(node.left, variable)
-        right = _lower(node.right, variable)
+        left = _lower(node.left)
+        right = _lower(node.right)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -250,59 +251,6 @@ def _lower(node: Node, variable: str) -> RationalFunction:
             return left * right
         return left / right
     if isinstance(node, Pow):
-        return _lower(node.base, variable) ** node.exponent
+        return _lower(node.base) ** node.exponent
     raise TypeError(f"unknown node {node!r}")
 
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_literal(c: complex) -> str:
-    if c.imag == 0:
-        return _fmt_float(c.real)
-    if c.real == 0:
-        return f"{_fmt_float(c.imag)}i"
-    sign = "+" if c.imag > 0 else "-"
-    return f"({_fmt_float(c.real)}{sign}{_fmt_float(abs(c.imag))}i)"
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def print_tree(node: Node) -> str:
-    """Canonical rendering; parsing the output reproduces the tree."""
-
-    def wrap(child: Node, parent_prec: int, right: bool) -> str:
-        text = print_tree(child)
-        if isinstance(child, BinOp):
-            child_prec = _PRECEDENCE[child.op]
-            if child_prec < parent_prec or (child_prec == parent_prec and right):
-                return f"({text})"
-        if isinstance(child, Neg) and parent_prec >= 2:
-            return f"({text})"
-        return text
-
-    if isinstance(node, Lit):
-        return _fmt_literal(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Conj):
-        return f"conj({print_tree(node.arg)})"
-    if isinstance(node, Blaschke):
-        return f"B({_fmt_literal(node.a)})"
-    if isinstance(node, Neg):
-        inner = print_tree(node.arg)
-        # '-' binds tighter than '^' in this grammar, so -(x^n) needs parens
-        if isinstance(node.arg, (BinOp, Pow)):
-            return f"-({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        return f"{wrap(node.left, prec, False)} {node.op} {wrap(node.right, prec, True)}"
-    if isinstance(node, Pow):
-        base = print_tree(node.base)
-        if isinstance(node.base, (BinOp, Neg, Pow)) or base.startswith("-"):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"unknown node {node!r}")

@@ -39,9 +39,9 @@ INNER_TOL = 1e-8
 
 class BlaschkeProduct(Frozen):
     """Finite Blaschke product: unimodular constant times factors
-    (z - a)/(1 - conj(a) z) over zeros ``a`` in the open unit disc, clear
-    of the circle band (|a| < ``BLASCHKE_RADIUS``), each with an integer
-    multiplicity of at least 1."""
+    (z - a)/(1 - conj(a) z) over zeros ``a`` in the open unit disc, far
+    enough inside that no zero cancels its own pole (|a| <
+    ``BLASCHKE_RADIUS``), each with an integer multiplicity of at least 1."""
 
     __slots__ = ("constant", "zeros")
 

@@ -158,8 +158,11 @@ def includes(g, h) -> bool:
 
 
 def equals(g, h) -> bool:
-    """ker T_g equals ker T_h: inclusion both ways."""
-    return includes(g, h) and includes(h, g)
+    """ker T_g equals ker T_h: inclusion both ways, that is h/g and g/h
+    in the conjugate Hardy space, that is h/g invertible co-analytic."""
+    g = as_symbol(g)
+    h = as_symbol(h)
+    return (h.value / g.value).is_invertible_coanalytic()
 
 
 def is_equivalent(g1, g2) -> Optional[EquivalenceWitness]:
@@ -200,7 +203,10 @@ def dim_from_factorization(g_minus, theta: BlaschkeProduct, N: int, g_plus) -> i
     """
     g_minus = as_rational(g_minus)
     g_plus = as_rational(g_plus)
-    if not g_minus.circle_conjugate().is_outer():
+    # conj(g_minus) outer, read on g_minus: poles in the open disc, no zero
+    # outside the closed disc, neither at infinity
+    bounded = g_minus.in_conjugate_hardy2() and g_minus.order_at_infinity == 0
+    if g_minus.is_zero or not bounded or g_minus.zero_classification().outside:
         raise PreconditionViolation("g_minus is not conjugate-outer")
     if not g_plus.is_outer():
         raise PreconditionViolation("g_plus is not outer in the Hardy space")

@@ -61,9 +61,10 @@ EPS_COEFF = 1e-12
 EPS_ROOT = 1e-7
 # Half-width of the "on the unit circle" classification band.
 EPS_CIRCLE = 1e-9
-# A Blaschke parameter a must clear that band: |a| < BLASCHKE_RADIUS, in
-# ``BlaschkeProduct`` and in the parser's ``B(a)``.
-BLASCHKE_RADIUS = 1.0 - EPS_CIRCLE
+# A Blaschke parameter a must satisfy |a| < BLASCHKE_RADIUS, in
+# ``BlaschkeProduct`` and the parser's ``B(a)``: the zero a and the pole
+# 1/conj(a) cancel when 1 - |a|^2 <= EPS_ROOT, and by rounding one ulp inside.
+BLASCHKE_RADIUS = math.sqrt(1.0 - EPS_ROOT) - sys.float_info.epsilon
 # Roots with | |root|-1 | inside [EPS_CIRCLE, NEAR_CIRCLE) trigger a
 # ClassificationWarning: the band cannot prove they are off the circle.
 NEAR_CIRCLE = 1e-6
@@ -1045,7 +1046,8 @@ def format_polynomial(p: ComplexPolynomial, variable: str = "z", scale=None) -> 
         zpow = variable if j == 1 else f"{variable}^{j}"
         if cs == "1":
             terms.append(zpow)
-        elif cs == "-1":
+        elif cs == "-1" and (j == 1 or terms):
+            # a leading -z^k would re-parse as (-z)^k, so it prints -1*z^k
             terms.append(f"-{zpow}")
         elif needs_parens:
             terms.append(f"({cs})*{zpow}")

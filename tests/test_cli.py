@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import tkern
-from tkern import parse_expression
+from tkern import format_complex, parse_expression
 from tkern.cli import ENVELOPE_SCHEMA, ERROR_SCHEMA, build_parser, main
 
 ALL_COMMANDS = [
@@ -250,6 +250,33 @@ def test_blaschke_parameter_in_the_circle_band_is_refused(capsys):
     assert doc["error"] == "blaschke-parameter-out-of-disc"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1 - |a|^2 <= EPS_ROOT: the factor's zero would cancel its own pole
+        ["dim", "--symbol", "zbar*B(0.99999999)"],
+        ["kernel", "--symbol", "zbar^2*B(0.99999999)"],
+    ],
+)
+def test_blaschke_parameter_whose_zero_cancels_its_pole_is_refused(argv, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "blaschke-parameter-out-of-disc"
+
+
+@pytest.mark.parametrize("a", ["0.9999999", "0.99999994"])
+def test_blaschke_parameter_just_inside_the_bound_keeps_its_zero(a, capsys):
+    code, doc = run_cli(["dim", "--symbol", f"zbar*B({a})"], capsys)
+    assert code == 0
+    assert doc["result"] == {"dimension": 0, "winding": 0}
+    # the zero a and the pole 1/a, each near the band
+    assert [w.split(" lies ")[0] for w in doc["warnings"]] == [
+        f"root {a}+0j", f"root {format_complex(1 / float(a))}+0j"
+    ]
+
+
 def test_near_band_warnings_are_listed_once_each(capsys):
     # the inside zero 0.9999999 of g, listed once; the decision builds no
     # circle conjugate, whose reflected zero 1.0000001 would be a second entry
@@ -304,6 +331,48 @@ def test_text_mode(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("command: dim")
+
+
+def test_text_mode_ends_with_one_line_per_warning(capsys):
+    code = main(["--text", "dim", "--symbol", "zbar*B(0.9999999)"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["command: dim", "input symbol: (1 - 1.0000001*z)/(-1.0000001*z + z^2)"]
+    assert [line.split(" lies ")[0] for line in lines[-2:]] == [
+        "warning: root 0.9999999+0j", "warning: root 1.0000001+0j"
+    ]
+    assert not any(line.startswith("warning:") for line in lines[:-2])
+
+
+def test_equiv_of_different_windings_has_no_witness(capsys):
+    code, doc = run_cli(["equiv", "--g1", "zbar", "--g2", "zbar^2"], capsys)
+    assert code == 0
+    jsonschema.validate(doc, ENVELOPE_SCHEMA)
+    assert doc["result"] == {"equivalent": False, "h_minus": None, "h_plus": None}
+
+
+def test_crofoot_refuses_a_theta_that_is_not_inner(capsys):
+    code = main(["crofoot", "--w", "1/(1-0.5*z)", "--theta", "2*z"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "precondition-violation"
+    assert doc["message"] == "theta does not reduce to a finite Blaschke product"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("z + @", "unexpected character '@'", 4),
+        ("(z + 1))", "unexpected trailing input ')'", 7),
+    ],
+)
+def test_lexer_and_trailing_input_errors_carry_their_position(text, message, position, capsys):
+    code = main(["dim", "--symbol", text])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert (doc["error"], doc["message"], doc["position"]) == ("syntax-error", message, position)
 
 
 COMMAND_LIST = (

@@ -1,16 +1,20 @@
 """Expression grammar: lexing, parsing, lowering, canonical printing."""
 
+import cmath
+
 import pytest
 
 from tkern import (
     BlaschkeParameterOutOfDisc,
     ExpressionSyntaxError,
     RationalFunction,
+    SymbolExpression,
+    ZeroDenominator,
     format_rational,
     monomial,
     parse_expression,
 )
-from tkern.expressions import Lit, print_tree
+from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
 
 
 def lower(text, variable="z"):
@@ -39,9 +43,16 @@ def test_complex_literals():
 
 
 def test_combined_literal_prints_in_parentheses_and_lowers_to_itself():
-    printed = print_tree(Lit(1.5 - 2j))
-    assert printed == "(1.5-2.0i)"
-    assert lower(printed).constant_value() == 1.5 - 2j
+    assert format_rational(RationalFunction([1.5 - 2j])) == "(1.5-2i)"
+    assert lower("(1.5-2.0i)").constant_value() == 1.5 - 2j
+
+
+def test_minus_of_a_non_literal_lowers_to_the_negated_value():
+    assert parse_expression("-(z+1)").tree == Neg(BinOp("+", Var("z"), Lit(1 + 0j)))
+    assert lower("-(z+1)").is_close(RationalFunction([-1, -1]))
+    assert lower("-zbar").is_close(-monomial(-1))
+    assert lower("-conj(z)^2").is_close(monomial(-2))
+    assert lower("-B(0.5)").is_close(RationalFunction([0.5, -1], [1, -0.5]))
 
 
 def test_power_with_negative_exponent():
@@ -54,27 +65,11 @@ def test_precedence_and_division():
     assert lower("(1+z)/(1-z)/(1+z)").is_close(RationalFunction([1.0], [1, -1]))
 
 
-def test_parse_print_parse_roundtrip():
-    sources = [
-        "zbar^2",
-        "conj(B(0.5))*zbar",
-        "(z+0.5)/(1+0.5*z)",
-        "1+2i",
-        "-z^3 + 0.25*z - 1",
-        "B(-0.3)*B(0.5i)",
-        "conj(1-z)/(1-z)",
-        "2.5e-2 * z / (1 - 0.5*z)",
-    ]
-    for text in sources:
-        tree = parse_expression(text).tree
-        printed = print_tree(tree)
-        assert parse_expression(printed).tree == tree
-
-
-def test_printer_roundtrip_on_random_trees():
+def _random_trees(count):
+    """Random expression trees from a fixed seed: literals, z, zbar and
+    B(a) at the leaves; +, -, *, /, unary minus, conj and integer powers
+    inside, to depth 4."""
     import numpy as np
-
-    from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
 
     rng = np.random.default_rng(7)
 
@@ -103,22 +98,51 @@ def test_printer_roundtrip_on_random_trees():
             return Conj(rand_tree(depth - 1))
         return Pow(rand_tree(depth - 1), int(rng.integers(-3, 4)))
 
-    def fold(n):
-        # parsing folds unary minus into literals; normalize the reference
-        if isinstance(n, Neg):
-            inner = fold(n.arg)
-            return Lit(-inner.value) if isinstance(inner, Lit) else Neg(inner)
-        if isinstance(n, BinOp):
-            return BinOp(n.op, fold(n.left), fold(n.right))
-        if isinstance(n, Conj):
-            return Conj(fold(n.arg))
-        if isinstance(n, Pow):
-            return Pow(fold(n.base), n.exponent)
-        return n
+    return [rand_tree(int(rng.integers(1, 5))) for _ in range(count)]
 
-    for _ in range(400):
-        tree = rand_tree(int(rng.integers(1, 5)))
-        assert parse_expression(print_tree(tree)).tree == fold(tree)
+
+FIXED_SOURCES = [
+    "zbar^2",
+    "conj(B(0.5))*zbar",
+    "(z+0.5)/(1+0.5*z)",
+    "1+2i",
+    "-z^3 + 0.25*z - 1",
+    "B(-0.3)*B(0.5i)",
+    "conj(1-z)/(1-z)",
+    "2.5e-2 * z / (1 - 0.5*z)",
+]
+
+
+def test_printed_form_reparses_to_the_lowered_value():
+    # the printed form keeps 12 significant digits, so a re-parsed value
+    # agrees to about 1e-5 where roots cluster, and to rounding elsewhere
+    circle = [cmath.exp(2j * cmath.pi * (k + 0.5) / 16) for k in range(16)]
+    trees = [parse_expression(text).tree for text in FIXED_SOURCES] + _random_trees(2000)
+    checked = 0
+    for tree in trees:
+        try:
+            v = SymbolExpression("", tree).to_rational()
+        except ZeroDenominator:  # a division by a tree that lowers to 0
+            continue
+        printed = format_rational(v)
+        w = parse_expression(printed).to_rational()
+        for z in circle:
+            assert abs(w(z) - v(z)) <= 1e-3 * abs(v(z)), (printed, z)
+        checked += 1
+    assert checked > len(trees) - 10
+
+
+def test_leading_minus_one_power_prints_so_it_reparses():
+    # unary minus binds tighter than '^': -z^2 is (-z)^2
+    assert lower("-z^2").is_close(monomial(2))
+    assert format_rational(lower("0 - z^2")) == "-1*z^2"
+    assert format_rational(lower("z^3 - z^2")) == "-1*z^2 + z^3"
+    assert format_rational(lower("(0.25*z^3 - z^2)/(z-0.5)^4")).startswith("(-1*z^2 + 0.25*z^3)/")
+    # a later term, a first power and other coefficients keep their form
+    assert format_rational(lower("z - z^2")) == "z - z^2"
+    assert format_rational(lower("0 - z")) == "-z"
+    assert format_rational(lower("0 - 0.5*z^2")) == "-0.5*z^2"
+    assert format_rational(lower("1/(z - z^2)")) == "-1/(-z + z^2)"
 
 
 def test_canonical_rational_printing_reparses_to_same_function():

@@ -1,5 +1,8 @@
 """Inner-outer and Wiener-Hopf factorization."""
 
+import cmath
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -19,6 +22,7 @@ from tkern import (
     wiener_hopf,
 )
 from tkern.random_instances import random_blaschke, random_rational, random_symbol
+from tkern.rational import BLASCHKE_RADIUS, EPS_ROOT
 
 from conftest import circle
 
@@ -177,6 +181,40 @@ def test_random_subproduct_divides(rng):
 def test_blaschke_parameter_must_be_in_disc():
     with pytest.raises(BlaschkeParameterOutOfDisc):
         BlaschkeProduct(1.0, [(1.0, 1)])
+
+
+@pytest.mark.parametrize("a", [0.99999995, 0.99999999, -0.99999999j, cmath.rect(0.99999997, 0.7)])
+def test_blaschke_parameter_whose_zero_would_cancel_its_pole_is_refused(a):
+    # the zero a and the pole 1/conj(a) lie (1 - |a|^2)/|a| apart, which is
+    # within EPS_ROOT relative to the pole once 1 - |a|^2 <= EPS_ROOT
+    assert 1 - abs(a) ** 2 <= EPS_ROOT
+    with pytest.raises(BlaschkeParameterOutOfDisc):
+        BlaschkeProduct(1.0, [(a, 1)])
+
+
+def test_blaschke_parameters_just_inside_the_bound_keep_their_zeros():
+    # an accepted parameter keeps its zero and its pole
+    rng = np.random.default_rng(3)
+    radii = [0.99999994, 0.9999999]
+    edge = BLASCHKE_RADIUS
+    for _ in range(8):  # the doubles just below the bound
+        edge = math.nextafter(edge, 0)
+        radii.append(edge)
+    params = [r * cmath.exp(1j * angle) for r in radii for angle in 2 * math.pi * rng.random(25)]
+    # within one ulp of sqrt(1 - EPS_ROOT), where the rounded pole still
+    # cancels the zero
+    params += [0.5494454620953289 - 0.8355295232263492j, -0.7143837085518856 + 0.6997541117818847j,
+               0.9847867539963554 + 0.1737669391838438j]
+    kept = 0
+    for a in params:
+        if abs(a) >= BLASCHKE_RADIUS:
+            with pytest.raises(BlaschkeParameterOutOfDisc):
+                BlaschkeProduct(1.0, [(a, 1)])
+            continue
+        b = BlaschkeProduct(1.0, [(a, 1)]).to_rational()
+        assert len(b.zeros()) == 1 and len(b.poles()) == 1, a
+        kept += 1
+    assert kept >= 200
 
 
 @pytest.mark.parametrize("multiplicity", [-1, 0, 1.7])

@@ -36,6 +36,7 @@ from tkern import (
 from tkern.oracle import gram_matrix
 from tkern.random_instances import (
     random_blaschke,
+    random_conjugate_outer,
     random_kernel_symbol,
     random_outer,
     random_symbol,
@@ -353,6 +354,25 @@ def test_huge_outside_root_does_not_cancel_at_the_origin():
     assert not equals(g, h)
 
 
+def test_equals_is_inclusion_both_ways(rng):
+    # equals reads h/g alone; inclusion both ways reads h/g and g/h
+    seen = set()
+    for _ in range(60):
+        g = random_kernel_symbol(rng)
+        pick = rng.random()
+        if pick < 0.4:  # the same kernel: an invertible co-analytic twist
+            h = as_symbol(g.value * random_conjugate_outer(rng, 1, 1))
+        elif pick < 0.7:  # a larger kernel
+            h = as_symbol(g.value * random_blaschke(rng, 1).to_rational().circle_conjugate())
+        else:
+            h = random_kernel_symbol(rng)
+        both = includes(g, h) and includes(h, g)
+        assert equals(g, h) == both
+        assert equals(h, g) == both
+        seen.add(both)
+    assert seen == {True, False}
+
+
 def test_different_dimensions_not_equal():
     assert not equals(monomial(-2), monomial(-3))
 
@@ -424,6 +444,32 @@ def test_dim_from_factorization_rejects_bad_hypotheses():
         dim_from_factorization(one, theta, 1, RationalFunction([-0.5, 1.0]))
     with pytest.raises(PreconditionViolation, match="conjugate-outer"):
         dim_from_factorization(RationalFunction([1, 0.5]), theta, 1, RationalFunction([1, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([1.0], [1.0]),
+        ([-0.3, 1], [-0.5, 1]),  # zero and pole inside
+        ([0, 1], [-0.5, 1]),  # a zero at the origin
+        ([-0.3, 1], [0, 1]),  # a pole at the origin
+        ([-2, 1], [-0.5, 1]),  # a zero outside
+        ([-0.3, 1], [-2, 1]),  # a pole outside
+        ([1.0], [-0.5, 1]),  # a zero at infinity
+        ([0.09, -0.6, 1], [-0.5, 1]),  # a pole at infinity
+        ([0.0], [1.0]),  # the zero function
+    ],
+)
+def test_conjugate_outer_precondition_is_read_on_g_minus(num, den):
+    # the rule on g_minus itself agrees with outerness of its conjugate
+    g_minus = RationalFunction(num, den)
+    theta = BlaschkeProduct(1.0, [(0.0, 1)])
+    gp = RationalFunction([1, 0.5])
+    if g_minus.circle_conjugate().is_outer():
+        assert dim_from_factorization(g_minus, theta, 1, gp) == 1
+    else:
+        with pytest.raises(PreconditionViolation, match="conjugate-outer"):
+            dim_from_factorization(g_minus, theta, 1, gp)
 
 
 def test_shifted_kernel_dimension_drop(rng):
