@@ -30,6 +30,7 @@ from .rational import (
     _power,
     as_rational,
     as_symbol,
+    format_complex,
     monomial,
 )
 
@@ -55,7 +56,7 @@ class BlaschkeProduct(Frozen):
             a = complex(a)
             if abs(a) >= BLASCHKE_RADIUS:
                 raise BlaschkeParameterOutOfDisc(
-                    f"Blaschke zero {a:.12g} is not strictly inside the unit disc"
+                    f"Blaschke zero {format_complex(a)} is not inside |a| < {BLASCHKE_RADIUS:.8g}"
                 )
             norm.append((a, _multiplicity(m)))
         norm.sort(key=lambda am: (am[0].real, am[0].imag))
@@ -68,9 +69,12 @@ class BlaschkeProduct(Frozen):
 
     def to_rational(self) -> RationalFunction:
         # on the circle (1 - conj(a) z) = z conj(z - a), so the product is
-        # constant * p / (z**degree * conj(p)) with p = prod (z - a)
+        # constant * p / (z**degree * conj(p)) with p = prod (z - a). The
+        # power of z cancels the poles of conj(p) at the origin first, so
+        # that a zero of p within EPS_ROOT of 0 does not group with them
         p = RationalFunction._from_roots(1.0, self.zeros)
-        return self.constant * p / (monomial(self.degree) * p.circle_conjugate())
+        reflected = monomial(self.degree) * p.circle_conjugate()
+        return RationalFunction._product((self.constant, p), (reflected,))
 
     def __call__(self, z):
         return self.to_rational()(z)
@@ -94,10 +98,11 @@ class WienerHopfFactorization(Record):
 
     @cached_property
     def minus(self) -> RationalFunction:
-        return self.symbol.value * self.plus * monomial(-self.index)
+        """symbol * plus * z**(-index), reduced once."""
+        return RationalFunction._product((self.symbol.value, self.plus, monomial(-self.index)))
 
     def reconstruct(self) -> RationalFunction:
-        return self.minus * monomial(self.index) / self.plus
+        return RationalFunction._product((self.minus, monomial(self.index)), (self.plus,))
 
 
 def inner_outer(f) -> InnerOuterFactorization:

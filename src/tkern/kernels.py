@@ -74,7 +74,7 @@ class EquivalenceWitness(Record):
     h_plus: RationalFunction
 
     def reconstruct(self, g2) -> RationalFunction:
-        return self.h_minus * as_rational(g2) * self.h_plus
+        return RationalFunction._product((self.h_minus, as_rational(g2), self.h_plus))
 
 
 def kernel(s) -> ToeplitzKernel:
@@ -96,22 +96,23 @@ def kernel(s) -> ToeplitzKernel:
 def in_kernel(f, s) -> bool:
     """Symbolic membership test of ``f`` in ker T_s.
 
-    Decided by pole/zero bookkeeping on the reduced product: f belongs to
-    the kernel iff f is in the Hardy space and z * s * f is in the
-    conjugate Hardy space, that is all its poles lie inside the open unit
-    disc and it is bounded at infinity.
+    Decided by pole/zero bookkeeping on the product z * s * f, reduced
+    once over the roots of its three factors: f belongs to the kernel iff
+    f is in the Hardy space and that product is in the conjugate Hardy
+    space, that is all its poles lie inside the open unit disc and it is
+    bounded at infinity.
     """
     f = as_rational(f)
     s = as_symbol(s)
-    return f.in_hardy2() and (Z * s.value * f).in_conjugate_hardy2()
+    return f.in_hardy2() and RationalFunction._product((Z, s.value, f)).in_conjugate_hardy2()
 
 
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
     """The smallest Toeplitz kernel containing ``k``.
 
-    Factor k into inner times outer; the minimal symbol is the reduction
-    of (1/z) * circle_conjugate(k) / outer. The returned kernel always
-    contains k.
+    Factor k into inner times outer; the minimal symbol is
+    circle_conjugate(k) / (z * outer), reduced once. The returned kernel
+    always contains k.
     """
     k = as_rational(k)
     if k.is_zero:
@@ -119,7 +120,7 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
     if not k.in_hardy2():
         raise NotInHardySpace("minimal kernels are defined for Hardy-space functions")
     io = inner_outer(k)
-    v = k.circle_conjugate() / (Z * io.outer)
+    v = RationalFunction._product((k.circle_conjugate(),), (Z, io.outer))
     symbol = ToeplitzSymbol(v)
     return symbol, kernel(symbol)
 
@@ -127,8 +128,8 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
-    k must be in the kernel, decided on the product z * s * k as in
-    ``in_kernel``; the certificate circle_conjugate(z * s * k), built only
+    k must be in the kernel, decided on the product z * s * k, reduced
+    once, as in ``in_kernel``; the certificate circle_conjugate(z * s * k), built only
     then, must have no zeros in the open unit disc (that is outerness,
     hence maximality).
     """
@@ -138,7 +139,7 @@ def is_maximal(k, s) -> MaximalityCertificate:
         raise NotInvertibleOnCircle("maximality test needs a circle-invertible symbol")
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
-    product = Z * s.value * k
+    product = RationalFunction._product((Z, s.value, k))
     if not (k.in_hardy2() and product.in_conjugate_hardy2()):
         raise NotInKernel("vector is not in the kernel of the symbol")
     cert = product.circle_conjugate()
@@ -214,8 +215,8 @@ def dim_from_factorization(g_minus, theta: BlaschkeProduct, N: int, g_plus) -> i
         raise PreconditionViolation("g_plus does not span a one-dimensional kernel (not rigid)")
     n = theta.degree
     expected = 0 if N <= 0 else n * N
-    assembled = ToeplitzSymbol(g_minus * theta.to_rational() ** (-N) / g_plus)
-    computed = kernel(assembled).dimension
+    assembled = RationalFunction._product((g_minus, theta.to_rational() ** (-N)), (g_plus,))
+    computed = kernel(ToeplitzSymbol(assembled)).dimension
     if computed != expected:
         raise PreconditionViolation(
             f"assembled symbol has kernel dimension {computed}, expected {expected}"

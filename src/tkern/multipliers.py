@@ -138,9 +138,9 @@ def is_multiplier(w, g, h, test_vector=None) -> bool:
 
 def smirnov_multiplier_test(w, g, h) -> bool:
     """Independent route to the same decision: w analytic on the open
-    disc, Carleson condition, and h * w / g in the conjugate Smirnov
-    class: no pole strictly outside the closed unit disc, and bounded at
-    infinity."""
+    disc, Carleson condition, and h * w / g, reduced once over the roots
+    of its three factors, in the conjugate Smirnov class: no pole strictly
+    outside the closed unit disc, and bounded at infinity."""
     w = as_rational(w)
     g, h = as_symbol(g), as_symbol(h)
     Kg = _nontrivial_kernel(g)
@@ -149,15 +149,15 @@ def smirnov_multiplier_test(w, g, h) -> bool:
         return False
     if not carleson_check(w, Kg):
         return False
-    ratio = h.value * w / g.value
+    ratio = RationalFunction._product((h.value, w), (g.value,))
     return not ratio.pole_classification().outside and ratio.order_at_infinity >= 0
 
 
 def multiplier_space(g, h) -> MultiplierSpace:
     """The square-integrable multipliers from ker T_g into ker T_h,
-    computed as the kernel of the reduced symbol (1/z) * h / g."""
+    computed as the kernel of the symbol (1/z) * h / g, reduced once."""
     g, h = as_symbol(g), as_symbol(h)
-    t = ToeplitzSymbol(monomial(-1) * h.value / g.value)
+    t = ToeplitzSymbol(RationalFunction._product((monomial(-1), h.value), (g.value,)))
     if not t.circle_invertible:
         raise NotInvertibleOnCircle("reduced multiplier test symbol has circle zeros or poles")
     if not g.circle_invertible:
@@ -212,7 +212,7 @@ def is_surjective_multiplier(w, g, h) -> SurjectivityReport:
 
     Surjectivity holds iff w is outer, w and 1/w satisfy the Carleson
     conditions for source and target, and the target symbol has the same
-    kernel as g * circle_conjugate(w) / w.
+    kernel as g * circle_conjugate(w) / w, reduced once.
     """
     w = as_rational(w)
     if w.is_zero:
@@ -225,14 +225,14 @@ def is_surjective_multiplier(w, g, h) -> SurjectivityReport:
     outer_ok = not zc.inside and not pc.inside
     forward_ok = carleson_check(w, Kg)
     inverse_ok = carleson_check(RationalFunction(1.0) / w, Kh)
-    candidate = ToeplitzSymbol(g.value * w.circle_conjugate() / w)
+    candidate = ToeplitzSymbol(RationalFunction._product((g.value, w.circle_conjugate()), (w,)))
     identity_ok = equals(h, candidate)
     return SurjectivityReport(w, outer_ok, forward_ok, inverse_ok, identity_ok)
 
 
 def crofoot_companion(theta: BlaschkeProduct, w) -> Optional[BlaschkeProduct]:
     """Companion inner function of a surjective multiplier between model
-    spaces: the reduction of theta * w / circle_conjugate(w), returned
+    spaces: theta * w / circle_conjugate(w), reduced once, returned
     when it is a finite Blaschke product and None otherwise."""
     w = as_rational(w)
     if w.is_zero:
@@ -240,5 +240,5 @@ def crofoot_companion(theta: BlaschkeProduct, w) -> Optional[BlaschkeProduct]:
     zc, pc = w.zero_classification(), w.pole_classification()
     if zc.inside or pc.inside:
         raise NotOuter("companion construction expects an outer multiplier")
-    phi = theta.to_rational() * w / w.circle_conjugate()
+    phi = RationalFunction._product((theta.to_rational(), w), (w.circle_conjugate(),))
     return blaschke_from_rational(phi)

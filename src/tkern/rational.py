@@ -695,27 +695,41 @@ class RationalFunction(Frozen):
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return self if self.is_zero else other
-        return RationalFunction._from_roots(
-            self._gain * other._gain, self._zeros + other._zeros, self._poles + other._poles
-        )
+        return RationalFunction._product((self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDenominator("division by the zero rational function")
-        if self.is_zero:
-            return self
-        return RationalFunction._from_roots(
-            self._gain / other._gain, self._zeros + other._poles, self._poles + other._zeros
-        )
+        return RationalFunction._product((self,), (other,))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
+
+    @staticmethod
+    def _product(factors, divisors=()) -> "RationalFunction":
+        """The product of ``factors`` over the product of ``divisors`` (rational
+        functions or numbers), reduced once: the gains multiply and the root
+        multisets are concatenated, a divisor's zeros as poles, so one
+        ``_reduce`` groups every root of the product, where a chain of
+        products and quotients would reduce once per operator. A zero factor
+        gives the zero function; a zero divisor raises ZeroDenominator."""
+        gain, zeros, poles, is_zero = None, [], [], False
+        for f in factors:
+            f = RationalFunction._coerce(f)
+            gain = f._gain if gain is None else gain * f._gain
+            zeros += f._zeros
+            poles += f._poles
+            is_zero = is_zero or f.is_zero
+        for d in divisors:
+            d = RationalFunction._coerce(d)
+            if d.is_zero:
+                raise ZeroDenominator("division by the zero rational function")
+            gain /= d._gain
+            zeros += d._poles
+            poles += d._zeros
+        if is_zero:
+            return RationalFunction(0.0)
+        return RationalFunction._from_roots(gain, zeros, poles)
 
     def __pow__(self, n: int):
         n = int(n)

@@ -170,7 +170,8 @@ def paper_examples_suite(seed: int = 42, tol: float = 1e-8) -> list[dict]:
         h = random_symbol(rng, max_half_degree=2)
         theta = random_blaschke(rng, int(rng.integers(1, 5)))
         base = kernel(ToeplitzSymbol(monomial(-1) * h.value)).dimension
-        lifted = kernel(ToeplitzSymbol(monomial(-1) * theta.to_rational() * h.value)).dimension
+        shifted = RationalFunction._product((monomial(-1), theta.to_rational(), h.value))
+        lifted = kernel(ToeplitzSymbol(shifted)).dimension
         ok = ok and lifted == max(0, base - theta.degree)
     checks.append(_check("shifted-kernel-dimension-drop", ok))
 

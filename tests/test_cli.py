@@ -266,6 +266,14 @@ def test_blaschke_parameter_whose_zero_cancels_its_pole_is_refused(argv, capsys)
     assert doc["error"] == "blaschke-parameter-out-of-disc"
 
 
+def test_blaschke_refusal_names_the_parameter_and_the_bound(capsys):
+    code = main(["dim", "--symbol", "zbar*B(-0.99999999i)"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"] == "blaschke-parameter-out-of-disc"
+    assert doc["message"] == "Blaschke zero -0.99999999i is not inside |a| < 0.99999995"
+
+
 @pytest.mark.parametrize("a", ["0.9999999", "0.99999994"])
 def test_blaschke_parameter_just_inside_the_bound_keeps_its_zero(a, capsys):
     code, doc = run_cli(["dim", "--symbol", f"zbar*B({a})"], capsys)

@@ -10,15 +10,20 @@ import numpy as np
 import pytest
 
 from tkern import (
+    BlaschkeProduct,
     RationalFunction,
     as_symbol,
+    blaschke_from_rational,
     carleson_check,
+    crofoot_companion,
     equals,
     image_kernel,
     in_kernel,
     includes,
+    inner_outer,
     is_maximal,
     is_multiplier,
+    is_surjective_multiplier,
     kernel,
     minimal_kernel,
     monomial,
@@ -27,9 +32,11 @@ from tkern import (
     principal_angle,
     smirnov_multiplier_test,
     subspace_from_rationals,
+    wiener_hopf,
 )
 from tkern import random_instances
 from tkern.random_instances import (
+    random_blaschke,
     random_kernel_symbol,
     random_outer,
     random_rational,
@@ -226,3 +233,83 @@ def test_product_rules_match_the_conjugate_rules(seed, monkeypatch):
         assert got == _smirnov_by_conjugate(w, g, h)
         seen.add(("smirnov", got))
     assert len(seen) == 6  # each decision answered both ways
+
+
+# -- the chained products, kept as the reference ---------------------------------
+# Each decision reduces its product once, over the roots of all its factors
+# (``RationalFunction._product``), where a chain of ``*`` and ``/`` reduces once
+# per operator. With roots at least EPS_ROOT apart the two give the same value.
+
+
+def _assert_same_value(got, want):
+    assert got.is_zero == want.is_zero
+    assert abs(got._gain - want._gain) <= 1e-12 * abs(want._gain)
+    for a, b in ((got.zeros(), want.zeros()), (got.poles(), want.poles())):
+        assert [m for _, m in a] == [m for _, m in b]
+        assert all(abs(r - s) <= 1e-12 * max(1.0, abs(s)) for (r, _), (s, _) in zip(a, b))
+
+
+def _chained_to_rational(theta):
+    p = RationalFunction._from_roots(1.0, theta.zeros)
+    return theta.constant * p / (monomial(theta.degree) * p.circle_conjugate())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_products_reduced_once_match_the_chained_products(seed, monkeypatch):
+    # roots from 0.1 to 0.9 and from 1.1 to 4, at least 1e-3 apart
+    monkeypatch.setattr(random_instances, "INSIDE_RADII", (0.1, 0.9))
+    monkeypatch.setattr(random_instances, "OUTSIDE_RADII", (1.1, 4.0))
+    rng = np.random.default_rng(seed)
+    z = monomial(1)
+    seen = set()
+    for _ in range(40):
+        g = random_kernel_symbol(rng, 3, 2)
+        h = random_kernel_symbol(rng, 3, 2)
+        if rng.random() < 0.5:  # a kernel that contains ker T_g
+            h = as_symbol(g.value * random_outer(rng, 1, 0).circle_conjugate())
+        w = random_rational(rng, *(int(rng.integers(0, 2)) for _ in range(4)))
+        if rng.random() < 0.2:  # a pole on the circle
+            w = w / RationalFunction([-np.exp(2j * np.pi * rng.random()), 1.0])
+        basis = kernel(g).basis
+        # the ladder plus * z^j cancels exactly against g, and 0 is a zero factor
+        for f in (RationalFunction(0.0), *basis, w, w * basis[-1]):
+            for s in (g, h):
+                chained = z * s.value * f
+                _assert_same_value(RationalFunction._product((z, s.value, f)), chained)
+                got = in_kernel(f, s)
+                assert got == (f.in_hardy2() and chained.in_conjugate_hardy2())
+                seen.add(("in_kernel", got))
+        cert = is_maximal(basis[-1], g).certificate
+        _assert_same_value(cert, (z * g.value * basis[-1]).circle_conjugate())
+        # divisors with a root at the origin: g times z and g over z
+        for d in (g.value, g.value * z, g.value / z):
+            _assert_same_value(RationalFunction._product((h.value, w), (d,)), h.value * w / d)
+        ratio = h.value * w / g.value
+        chained = not ratio.pole_classification().outside and ratio.order_at_infinity >= 0
+        chained = chained and not w.pole_classification().inside and carleson_check(w, kernel(g))
+        got = smirnov_multiplier_test(w, g, h)
+        assert got == chained
+        seen.add(("smirnov", got))
+        space = multiplier_space(g, h)
+        _assert_same_value(space.test_symbol.value, monomial(-1) * h.value / g.value)
+        _assert_same_value(wiener_hopf(g).minus, g.value * basis[0] * monomial(-g.winding))
+        v, _ = minimal_kernel(basis[-1])
+        outer = inner_outer(basis[-1]).outer
+        _assert_same_value(v.value, basis[-1].circle_conjugate() / (z * outer))
+        u = random_outer(rng, int(rng.integers(0, 2)), 1)
+        twisted = as_symbol(g.value * u.circle_conjugate() / u)
+        for target in (h, twisted):
+            got = is_surjective_multiplier(u, g, target).symbol_identity_ok
+            assert got == equals(target, twisted)
+            seen.add(("surjective", got))
+        # a zero at the origin makes theta * u / conj(u) inner when u has no zero
+        theta = random_blaschke(rng, int(rng.integers(1, 4)))
+        theta = BlaschkeProduct(theta.constant, [*theta.zeros, (0j, 1)])
+        _assert_same_value(theta.to_rational(), _chained_to_rational(theta))
+        inner = blaschke_from_rational(_chained_to_rational(theta) * u / u.circle_conjugate())
+        companion = crofoot_companion(theta, u)
+        assert (companion is None) == (inner is None)
+        if companion is not None:
+            _assert_same_value(companion.to_rational(), inner.to_rational())
+        seen.add(("crofoot", companion is not None))
+    assert len(seen) == 8  # each decision answered both ways

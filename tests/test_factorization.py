@@ -192,6 +192,16 @@ def test_blaschke_parameter_whose_zero_would_cancel_its_pole_is_refused(a):
         BlaschkeProduct(1.0, [(a, 1)])
 
 
+@pytest.mark.parametrize("a", [1e-8, 3e-8j, -5e-8 + 5e-8j])
+def test_blaschke_zero_near_the_origin_keeps_its_place(a):
+    # z**degree cancels the poles of conj(p) at the origin before the
+    # quotient is reduced; reduced together with them, the zero a would
+    # group with them and move to a / 4 here
+    b = BlaschkeProduct(1.0, [(a, 1), (0.5, 2)]).to_rational()
+    assert (a, 1) in b.zeros() and len(b.zeros()) == 2
+    assert sorted(m for _, m in b.poles()) == [1, 2]
+
+
 def test_blaschke_parameters_just_inside_the_bound_keep_their_zeros():
     # an accepted parameter keeps its zero and its pole
     rng = np.random.default_rng(3)

@@ -372,3 +372,23 @@ def test_companion_none_when_quotient_not_inner():
 def test_companion_demands_outer_multiplier():
     with pytest.raises(NotOuter):
         crofoot_companion(BlaschkeProduct(1.0, [(0.0, 1)]), RationalFunction([-0.5, 1]))
+
+
+def test_roots_linked_across_three_factors_reduce_as_one_root():
+    # h * w / g has the zeros a (of h) and c (of w) and the pole b (of g):
+    # a-c and c-b are within EPS_ROOT, a-b is not. One chain is one root, so
+    # a zero survives and no pole is left outside the disc. Reduced as the
+    # chain (h * w) / g, the zero first moved to (a + c) / 2, out of reach of
+    # b, and the Smirnov route answered False where the maximal-vector route,
+    # whose w * k cancels c against b, answered True; (h / g) * w answered
+    # True. Exact arithmetic says False: EPS_ROOT cannot tell c from b.
+    a, c, b = 2.0, 2.0 + 1.9e-7, 2.0 + 3.8e-7
+    g = as_symbol(RationalFunction._from_roots(1.0, [(b, 1)], [(0j, 2)]))
+    h = as_symbol(RationalFunction._from_roots(1.0, [(a, 1)], [(0j, 3)]))
+    w = RationalFunction._from_roots(1.0, [(c, 1)])
+    once = RationalFunction._product((h.value, w), (g.value,))
+    assert len(once.zeros()) == 1 and once.poles() == [(0j, 1)]
+    assert (h.value / g.value * w).poles() == [(0j, 1)]
+    assert len((h.value * w / g.value).poles()) == 2  # the order of the chain mattered
+    assert smirnov_multiplier_test(w, g, h)
+    assert is_multiplier(w, g, h)
