@@ -6,12 +6,13 @@ Grammar (EBNF):
     term    := factor (('*'|'/') factor)*
     factor  := base ('^' integer)?
     base    := complex-literal | 'z' | 'zbar' | 'conj' '(' expr ')'
-             | 'B' '(' complex-literal ')' | '(' expr ')' | '-' base
+             | 'B' '(' expr ')' | '(' expr ')' | '-' base
 
 Complex literals are decimals with an optional immediate 'i' suffix
 (0.5, 2i, 1.5e-3i); combined forms like 1+2i parse through the binary
-operators to the same value. 'zbar' lowers to z^-1, conj(.) lowers through
-circle conjugation, and B(a) lowers through ``BlaschkeProduct`` to the
+operators to the same value; one beyond double range is OutOfRange. 'zbar'
+lowers to z^-1, conj(.) through circle conjugation, and B(a), for a
+constant a (B(0.3+0.4i), not B(z)), through ``BlaschkeProduct`` to the
 Blaschke factor (z - a)/(1 - conj(a) z), with its bound
 |a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). Unary minus binds
 tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a value in
@@ -23,10 +24,11 @@ Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Union
 
-from .errors import ExpressionSyntaxError
+from .errors import ExpressionSyntaxError, OutOfRange
 from .factorization import BlaschkeProduct
 from .rational import RationalFunction, Record, monomial
 
@@ -97,6 +99,8 @@ class _Lexer:
                 start = self.pos
                 self.pos = m.end()
                 value = float(m.group())
+                if not math.isfinite(value):
+                    raise OutOfRange(f"the literal {m.group()} is outside double precision")
                 if self.pos < len(text) and text[self.pos] == "i":
                     nxt = text[self.pos + 1 : self.pos + 2]
                     if not nxt or not (nxt.isalnum() or nxt == "_"):
@@ -200,27 +204,24 @@ class _Parser:
                 return Var(name)
             if self.variable == "z" and name == "zbar":
                 return Var("zbar")
-            if self.variable == "z" and name == "conj":
+            if self.variable == "z" and name in ("conj", "B"):
                 self.lex.expect("(")
+                start = self.lex.peek()[2]
                 node = self._expr()
                 self.lex.expect(")")
-                return Conj(node)
-            if self.variable == "z" and name == "B":
-                self.lex.expect("(")
-                neg = False
-                if self.lex.peek()[0] == "-":
-                    self.lex.advance()
-                    neg = True
-                num = self.lex.expect("NUM")
-                self.lex.expect(")")
-                a = -num[1] if neg else num[1]
-                return Blaschke(a)
+                if name == "conj":
+                    return Conj(node)
+                a = _lower(node)
+                if not a.is_constant:
+                    raise ExpressionSyntaxError("the parameter of B(a) must be a constant", start)
+                return Blaschke(a.constant_value())
             raise ExpressionSyntaxError(f"unknown name {name!r}", tok[2])
         raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
 
 
 def parse_expression(text: str, variable: str = "z") -> SymbolExpression:
-    """Parse source text into a syntax tree (no lowering performed)."""
+    """Parse source text into a syntax tree. Only the parameter of a
+    ``B(a)`` is lowered, to the constant that the tree keeps."""
     if variable not in ("z", "s"):
         raise ValueError("variable must be 'z' or 's'")
     tree = _Parser(text, variable).parse()
@@ -231,9 +232,7 @@ def _lower(node: Node) -> RationalFunction:
     if isinstance(node, Lit):
         return RationalFunction([node.value])
     if isinstance(node, Var):
-        if node.name == "zbar":
-            return monomial(-1)
-        return monomial(1)
+        return monomial(-1 if node.name == "zbar" else 1)
     if isinstance(node, Neg):
         return -_lower(node.arg)
     if isinstance(node, Conj):

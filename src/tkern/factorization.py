@@ -28,6 +28,8 @@ from .rational import (
     ToeplitzSymbol,
     _multiplicity,
     _power,
+    _reflect,
+    _sorted_roots,
     as_rational,
     as_symbol,
     format_complex,
@@ -59,22 +61,18 @@ class BlaschkeProduct(Frozen):
                     f"Blaschke zero {format_complex(a)} is not inside |a| < {BLASCHKE_RADIUS:.8g}"
                 )
             norm.append((a, _multiplicity(m)))
-        norm.sort(key=lambda am: (am[0].real, am[0].imag))
         object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "zeros", tuple(norm))
+        object.__setattr__(self, "zeros", tuple(_sorted_roots(norm)))
 
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.zeros)
 
     def to_rational(self) -> RationalFunction:
-        # on the circle (1 - conj(a) z) = z conj(z - a), so the product is
-        # constant * p / (z**degree * conj(p)) with p = prod (z - a). The
-        # power of z cancels the poles of conj(p) at the origin first, so
-        # that a zero of p within EPS_ROOT of 0 does not group with them
-        p = RationalFunction._from_roots(1.0, self.zeros)
-        reflected = monomial(self.degree) * p.circle_conjugate()
-        return RationalFunction._product((self.constant, p), (reflected,))
+        # 1 - conj(a) z = -conj(a) (z - 1/conj(a)): each zero a != 0 gives
+        # the pole 1/conj(a) and divides the gain by -conj(a) (``_reflect``)
+        reflected_gain, poles = _reflect(1.0, self.zeros)
+        return RationalFunction._from_roots(self.constant / reflected_gain, self.zeros, poles)
 
     def __call__(self, z):
         return self.to_rational()(z)

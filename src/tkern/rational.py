@@ -269,17 +269,20 @@ class ComplexPolynomial(Frozen):
         OutOfRange."""
         if lead == 0:
             return ComplexPolynomial()
-        # the monic product so far, ascending; times (z - r), coefficient k
-        # becomes c[k - 1] - r c[k]
-        c = [1 + 0j]
+        # the monic product so far, ascending, then shifted by the roots at
+        # 0; times (z - r), coefficient k becomes c[k - 1] - r c[k]
+        c, shift = [1 + 0j], 0
         for item in roots:
             r, m = item if isinstance(item, tuple) else (item, 1)
             m = _multiplicity(m)
             r = complex(r)
+            if r == 0:
+                shift += m
+                continue
             for _ in range(m):
                 c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
         lead = complex(lead)
-        c = tuple(a * lead for a in c)
+        c = tuple(a * lead for a in [0j] * shift + c)
         if not all(map(cmath.isfinite, c)):
             raise OutOfRange("polynomial coefficients overflow double precision")
         p = object.__new__(ComplexPolynomial)
@@ -746,25 +749,13 @@ class RationalFunction(Frozen):
     # -- circle structure ----------------------------------------------------
 
     def circle_conjugate(self) -> "RationalFunction":
-        """The rational function agreeing with conj(self(z)) on |z| = 1.
-
-        On the circle conj(z - r) = -conj(r) (z - 1/conj(r)) / z, so each
-        root r != 0 reflects to 1/conj(r), the gain takes a factor
-        -conj(r) per zero and its inverse per pole, and the degree
-        difference becomes a power of z. Involution.
-        """
+        """The rational function agreeing with conj(self(z)) on |z| = 1:
+        each root r != 0 reflects to 1/conj(r) (``_reflect``), and the
+        degree difference becomes a power of z. Involution."""
         if self.is_zero:
             return self
-        gain = self._gain.conjugate()
-        zeros, poles = [], []
-        for r, m in self._zeros:
-            if r != 0:
-                gain *= _power(-r.conjugate(), m)
-                zeros.append((1 / r.conjugate(), m))
-        for r, m in self._poles:
-            if r != 0:
-                gain /= _power(-r.conjugate(), m)
-                poles.append((1 / r.conjugate(), m))
+        gain, zeros = _reflect(self._gain.conjugate(), self._zeros)
+        gain, poles = _reflect(gain, self._poles, divide=True)
         shift = self.order_at_infinity
         zeros.append((0j, max(shift, 0)))
         poles.append((0j, max(-shift, 0)))
@@ -976,6 +967,19 @@ def circle_conjugate(r):
     return as_rational(r).circle_conjugate()
 
 
+def _reflect(gain, roots, divide=False) -> tuple[complex, list]:
+    """On |z| = 1, conj(z - r) = -conj(r) (z - 1/conj(r)) / z: each root
+    r != 0 of ``roots`` moves to 1/conj(r), and ``gain`` is multiplied by
+    (-conj r)**m, or divided when ``divide``. Returns both; 0 is dropped."""
+    reflected = []
+    for r, m in roots:
+        if r != 0:
+            factor = _power(-r.conjugate(), m)
+            gain = gain / factor if divide else gain * factor
+            reflected.append((1 / r.conjugate(), m))
+    return gain, reflected
+
+
 def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
     """r(M(z)) for the Moebius map M(z) = (a z + b)/(c z + d), c != 0.
 
@@ -1028,7 +1032,7 @@ def format_complex(c) -> str:
     c = complex(c)
     re, im = c.real, c.imag
     scale = max(abs(re), abs(im))
-    if scale > 0:
+    if 0 < scale < math.inf:  # at an infinite scale, every part would count as noise
         if abs(re) <= 1e-13 * scale:
             re = 0.0
         if abs(im) <= 1e-13 * scale:
@@ -1037,8 +1041,7 @@ def format_complex(c) -> str:
         return f"{re:.12g}"
     if re == 0.0:
         return f"{im:.12g}i"
-    sign = "+" if im > 0 else "-"
-    return f"{re:.12g}{sign}{abs(im):.12g}i"
+    return f"{re:.12g}{im:+.12g}i"
 
 
 def format_polynomial(p: ComplexPolynomial, variable: str = "z", scale=None) -> str:

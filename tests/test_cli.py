@@ -383,6 +383,36 @@ def test_lexer_and_trailing_input_errors_carry_their_position(text, message, pos
     assert (doc["error"], doc["message"], doc["position"]) == ("syntax-error", message, position)
 
 
+# the inputs of the CI step "Error paths answer in JSON"
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1e400*zbar", "out-of-range"),
+        ("zbar*B(1e400)", "out-of-range"),
+        ("zbar*B(z)", "syntax-error"),
+        ("zbar*B(1.0)", "blaschke-parameter-out-of-disc"),
+        ("zbar/0", "zero-denominator"),
+        ("z+@", "syntax-error"),
+        ("(z+1))", "syntax-error"),
+        ("conj(z^2+1e10*z+1e-300)", "out-of-range"),
+    ],
+)
+def test_refused_input_answers_with_one_json_error(text, error, capsys):
+    code = main(["dim", "--symbol", text])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == error
+
+
+def test_blaschke_parameter_may_be_a_complex_expression(capsys):
+    code, doc = run_cli(["dim", "--symbol", "zbar*B(0.3+0.4i)"], capsys)
+    assert code == 0
+    assert doc["result"] == {"dimension": 0, "winding": 0}
+    echoed = parse_expression(doc["inputs"]["symbol"]).to_rational()
+    assert echoed.is_close(parse_expression("zbar*B(0.3+0.4i)").to_rational(), 1e-11)
+
+
 COMMAND_LIST = (
     "{kernel,dim,minkernel,maximal,factor,mult,m2,minf,include,equal,equiv,crofoot,"
     "surjective,rigid,cayley,verify}"

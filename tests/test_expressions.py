@@ -6,7 +6,9 @@ import pytest
 
 from tkern import (
     BlaschkeParameterOutOfDisc,
+    BlaschkeProduct,
     ExpressionSyntaxError,
+    OutOfRange,
     RationalFunction,
     SymbolExpression,
     ZeroDenominator,
@@ -189,6 +191,33 @@ def test_blaschke_parameter_outside_disc_rejected():
     # inside the circle band, where ``BlaschkeProduct`` refuses it too
     with pytest.raises(BlaschkeParameterOutOfDisc):
         lower("B(0.99999999995)")
+
+
+def test_blaschke_parameter_is_read_by_the_expression_grammar():
+    expected = BlaschkeProduct(1.0, [0.3 + 0.4j]).to_rational()
+    for text in ("B(0.3+0.4i)", "B( (0.3 + 0.4i) )", "B(conj(0.3-0.4i))", "B(0.6/2+0.4i)"):
+        assert parse_expression(text).tree == Blaschke(0.3 + 0.4j), text
+        assert lower(text).is_close(expected)
+    for text, a in (("B(-0.5)", -0.5), ("B(-0.5i)", -0.5j), ("B(-1e-3+2e-3i)", -1e-3 + 2e-3j)):
+        assert parse_expression(text).tree == Blaschke(a)
+    assert lower("B(0)").is_close(monomial(1))
+
+
+@pytest.mark.parametrize("text, position", [("zbar*B(z)", 7), ("B( zbar - 1)", 3)])
+def test_blaschke_parameter_must_be_a_constant(text, position):
+    with pytest.raises(ExpressionSyntaxError, match="must be a constant") as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", ["1e400*zbar", "zbar*B(1e400)", "z + 2e308i", "-1e999"])
+def test_literal_beyond_double_range_is_out_of_range(text):
+    with pytest.raises(OutOfRange, match="is outside double precision"):
+        parse_expression(text)
+
+
+def test_literal_that_underflows_is_zero():
+    assert lower("1e-400 + z").is_close(monomial(1))
 
 
 def test_halfplane_variable_mode():

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+import tkern.rational
 from tkern import (
     BlaschkeParameterOutOfDisc,
     BlaschkeProduct,
@@ -181,6 +182,32 @@ def test_random_subproduct_divides(rng):
 def test_blaschke_parameter_must_be_in_disc():
     with pytest.raises(BlaschkeParameterOutOfDisc):
         BlaschkeProduct(1.0, [(1.0, 1)])
+
+
+def test_blaschke_refusal_prints_an_infinite_parameter():
+    with pytest.raises(BlaschkeParameterOutOfDisc, match="^Blaschke zero inf is not inside"):
+        BlaschkeProduct(1.0, [math.inf])
+
+
+def test_blaschke_product_is_built_with_one_reduction(monkeypatch):
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    theta = BlaschkeProduct(1j, [(0.5, 2), (0.3j, 1), (0j, 1)])
+    assert theta.zeros == ((0j, 1), (0.3j, 1), (0.5 + 0j, 2))  # by real, then imaginary part
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    b = theta.to_rational()
+    assert len(calls) == 1
+    # each zero a != 0 gives the pole 1/conj(a); the zero at 0 gives z
+    assert b.zeros() == [(0j, 1), (0.3j, 1), (0.5 + 0j, 2)]
+    assert b.poles() == [(1 / (-0.3j), 1), (2 + 0j, 2)]
+    z = circle(16)
+    direct = 1j * z * (z - 0.3j) / (1 + 0.3j * z) * ((z - 0.5) / (1 - 0.5 * z)) ** 2
+    assert np.max(np.abs(b(z) - direct)) <= 1e-14
 
 
 @pytest.mark.parametrize("a", [0.99999995, 0.99999999, -0.99999999j, cmath.rect(0.99999997, 0.7)])

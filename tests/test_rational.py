@@ -24,6 +24,7 @@ from tkern import (
     cayley_symbol,
     circle_conjugate,
     equals,
+    format_complex,
     in_kernel,
     inner_outer,
     inverse_cayley_symbol,
@@ -139,6 +140,38 @@ def test_from_roots_multiplicity_must_be_an_integer_of_at_least_one(multiplicity
 def test_from_roots_accepts_a_numpy_integer_multiplicity():
     p = ComplexPolynomial.from_roots([(0.5, np.int64(2))])
     assert p.coeffs.tolist() == [0.25, -1.0, 1.0]
+
+
+def _from_roots_by_factors(roots, lead):
+    # reference: one factor (z - r) at a time, a root at the origin included
+    c = [1 + 0j]
+    for r, m in roots:
+        for _ in range(m):
+            c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
+    return tuple(a * lead for a in c)
+
+
+def test_from_roots_shifts_by_the_roots_at_the_origin():
+    rng = np.random.default_rng(5)
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1, -1, 1j, -0.5 - 0.25j,
+              complex(3, -0.0)]
+    for _ in range(500):
+        roots = [(complex(values[i]), int(m)) for i, m in
+                 zip(rng.integers(0, len(values), 5), rng.integers(1, 4, 5))]
+        lead = complex(rng.choice([1.0, -1.0, 1j, 0.5 - 2j]))
+        got = ComplexPolynomial.from_roots(roots, lead)._coeffs
+        # equal to the bit, the sign of every zero part too
+        assert repr(got) == repr(_from_roots_by_factors(roots, lead)), roots
+    p = ComplexPolynomial.from_roots([(0j, 100000), (0.5, 1)], 2.0)
+    assert p.degree == 100001
+    assert p._coeffs[:100000] == (0j,) * 100000 and p._coeffs[100000:] == (-1 + 0j, 2 + 0j)
+
+
+def test_format_complex_keeps_an_infinite_part():
+    assert format_complex(complex(math.inf, 0.0)) == "inf"
+    assert format_complex(complex(0.0, -math.inf)) == "-infi"
+    assert format_complex(complex(math.inf, 1e-20)) == "inf+1e-20i"
+    assert format_complex(complex(1.0, 1e-20)) == "1"
 
 
 def test_from_roots_keeps_high_multiplicity_degree():
@@ -650,6 +683,17 @@ def test_conjugate_of_affine():
     assert cc.is_close(RationalFunction([0.5, 1], [0, 1]))
     z = circle(64)
     assert np.max(np.abs(cc(z) - np.conj(r(z)))) < 1e-12
+
+
+def test_symbol_quotient_and_conjugate_are_those_of_their_values(rng):
+    def state(r):
+        return r._gain, r._zeros, r._poles
+
+    for _ in range(10):
+        g, h = random_symbol(rng), random_symbol(rng)
+        assert state((g / h).value) == state(g.value / h.value)
+        assert state((g / 2j).value) == state(g.value / 2j)
+        assert state(circle_conjugate(g).value) == state(g.value.circle_conjugate())
 
 
 def test_conjugate_of_constant():
