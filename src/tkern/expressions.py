@@ -4,7 +4,7 @@ Grammar (EBNF):
 
     expr    := term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
-    factor  := base ('^' integer)?
+    factor  := base ('^' base)?
     base    := complex-literal | 'z' | 'zbar' | 'conj' '(' expr ')'
              | 'B' '(' expr ')' | '(' expr ')' | '-' base
 
@@ -14,9 +14,10 @@ operators to the same value; one beyond double range is OutOfRange. 'zbar'
 lowers to z^-1, conj(.) through circle conjugation, and B(a), for a
 constant a (B(0.3+0.4i), not B(z)), through ``BlaschkeProduct`` to the
 Blaschke factor (z - a)/(1 - conj(a) z), with its bound
-|a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). Unary minus binds
-tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a value in
-the one form that re-parses to it, up to its 12 printed digits.
+|a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). The exponent of '^' must
+lower to an integer-valued constant (z^-2, z^(1+1), z^2.0). Unary minus
+binds tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a
+value in the one form that re-parses to it, up to its 12 printed digits.
 
 Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
 'conj' and 'B' are circle constructions and are rejected there.
@@ -169,15 +170,12 @@ class _Parser:
         base = self._base()
         if self.lex.peek()[0] == "^":
             self.lex.advance()
-            sign = 1
-            if self.lex.peek()[0] == "-":
-                self.lex.advance()
-                sign = -1
-            tok = self.lex.expect("NUM")
-            value = tok[1]
-            if value.imag != 0 or value.real != int(value.real):
-                raise ExpressionSyntaxError("exponent must be an integer", tok[2])
-            return Pow(base, sign * int(value.real))
+            start = self.lex.peek()[2]
+            e = _lower(self._base())
+            n = e.constant_value() if e.is_constant else None
+            if n is None or n.imag != 0 or not n.real.is_integer():
+                raise ExpressionSyntaxError("exponent must be an integer", start)
+            return Pow(base, int(n.real))
         return base
 
     def _base(self) -> Node:
@@ -221,7 +219,8 @@ class _Parser:
 
 def parse_expression(text: str, variable: str = "z") -> SymbolExpression:
     """Parse source text into a syntax tree. Only the parameter of a
-    ``B(a)`` is lowered, to the constant that the tree keeps."""
+    ``B(a)`` and the exponent of a ``^`` are lowered, to the constants
+    that the tree keeps."""
     if variable not in ("z", "s"):
         raise ValueError("variable must be 'z' or 's'")
     tree = _Parser(text, variable).parse()

@@ -1,8 +1,8 @@
 """Explicit Toeplitz kernels for rational symbols.
 
-A circle-invertible rational symbol with winding number k has a Toeplitz
-kernel of dimension max(0, -k), spanned by the ladder
-``plus * z**j`` (j = 0 .. -k-1) built from the Wiener-Hopf plus factor.
+A circle-invertible rational symbol with winding number k has the kernel
+plus * P_{d-1}, d = max(0, -k): the Wiener-Hopf plus factor times the
+polynomials of degree below d, spanned by the ladder ``plus * z**j``.
 This module computes kernels and minimal kernels, decides maximality of a
 kernel vector, and decides inclusion, equality and equivalence of kernels
 through their symbols.
@@ -10,6 +10,7 @@ through their symbols.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -32,15 +33,20 @@ from .rational import (
 
 
 class ToeplitzKernel(Record):
-    """A symbol together with an explicit basis of its kernel.
-
-    The basis is the monomial ladder ``plus * z**j`` with plus(0) = 1;
-    it is empty exactly when the winding number is nonnegative.
-    """
+    """A symbol's kernel plus * P_{d-1}, held as its dimension d and its
+    Wiener-Hopf plus factor (plus(0) = 1; None when d = 0). The basis, the
+    ladder ``plus * z**j`` (j < d), is built on its first read."""
 
     symbol: ToeplitzSymbol
     dimension: int
-    basis: tuple
+    plus: Optional[RationalFunction]
+
+    @cached_property
+    def basis(self) -> tuple:
+        basis = [self.plus] if self.dimension else []
+        for _ in range(self.dimension - 1):
+            basis.append(basis[-1] * Z)
+        return tuple(basis)
 
     def maximal_vector(self) -> RationalFunction:
         """The top ladder element plus * z**(dim-1), always a maximal
@@ -83,13 +89,8 @@ def kernel(s) -> ToeplitzKernel:
     later calls with the same ``ToeplitzSymbol`` return it."""
     s = as_symbol(s)
     if s._kernel is None:
-        w = s.winding  # raises NotInvertibleOnCircle when undefined
-        basis = []
-        if w < 0:
-            basis.append(wiener_hopf(s).plus)
-            for _ in range(-w - 1):
-                basis.append(basis[-1] * Z)
-        object.__setattr__(s, "_kernel", ToeplitzKernel(s, len(basis), tuple(basis)))
+        d = max(0, -s.winding)  # raises NotInvertibleOnCircle when undefined
+        object.__setattr__(s, "_kernel", ToeplitzKernel(s, d, wiener_hopf(s).plus if d else None))
     return s._kernel
 
 

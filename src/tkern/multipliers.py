@@ -95,12 +95,11 @@ class SurjectivityReport(Record):
 
 
 def carleson_check(w, K: ToeplitzKernel) -> bool:
-    """Rational Carleson condition: w maps the kernel into L2 of the
-    circle iff the reduced product of w and the kernel's plus factor (the
-    first basis element) has no circle pole. The other basis elements
-    plus * z**j have the same circle poles, since z**j moves only roots
-    at the origin."""
-    return not K.basis or not (as_rational(w) * K.basis[0]).pole_classification().on_circle
+    """Rational Carleson condition: w maps the kernel plus * P_{d-1} into
+    L2 of the circle iff the reduced product of w and the kernel's plus
+    factor has no circle pole. Every plus * p has the same circle poles,
+    since p has none."""
+    return K.plus is None or not (as_rational(w) * K.plus).pole_classification().on_circle
 
 
 def _require_nontrivial(s: ToeplitzSymbol) -> None:
@@ -116,15 +115,17 @@ def _nontrivial_kernel(s: ToeplitzSymbol) -> ToeplitzKernel:
 def is_multiplier(w, g, h, test_vector=None) -> bool:
     """Membership of ``w`` in the multiplier space from ker T_g to ker T_h.
 
-    True iff w satisfies the Carleson condition for the source kernel and
-    w * k lands in ker T_h for the canonical maximal vector k (the top
-    ladder element). A user-supplied maximal vector may be passed instead;
-    it is verified before use.
+    True iff w has no pole in the open disc, satisfies the Carleson
+    condition for the source kernel, and w * k lands in ker T_h for the
+    canonical maximal vector k (the top ladder element). A user-supplied
+    maximal vector may be passed instead; it is verified before use.
     """
     w = as_rational(w)
     g, h = as_symbol(g), as_symbol(h)
     Kg = _nontrivial_kernel(g)
     _require_nontrivial(h)
+    if w.pole_classification().inside:
+        return False
     if not carleson_check(w, Kg):
         return False
     if test_vector is None:
@@ -166,13 +167,13 @@ def multiplier_space(g, h) -> MultiplierSpace:
 
 
 def multiplier_space_bounded(g, h) -> MultiplierSpace:
-    """Same space with each basis element re-verified to be bounded
-    (pole-free on the closed disc); for rational data with a
-    finite-dimensional target this coincides with ``multiplier_space``."""
+    """Same space re-verified to be bounded (pole-free on the closed disc)
+    on its plus factor, whose poles every element has; for rational data
+    with a finite-dimensional target this coincides with ``multiplier_space``."""
     ms = multiplier_space(g, h)
-    for b in ms.space.basis:
-        if not b.in_hardy2():
-            raise PreconditionViolation("multiplier basis element is unbounded on the closed disc")
+    plus = ms.space.plus
+    if plus is not None and not plus.in_hardy2():
+        raise PreconditionViolation("multiplier basis element is unbounded on the closed disc")
     return MultiplierSpace(
         ms.source, ms.target, ms.test_symbol, ms.space,
         carleson_filtered=ms.carleson_filtered, bounded_verified=True,
@@ -182,11 +183,11 @@ def multiplier_space_bounded(g, h) -> MultiplierSpace:
 def image_kernel(w, g) -> Optional[ToeplitzKernel]:
     """Decide whether w * ker T_g is itself a Toeplitz kernel.
 
-    The only candidate is the minimal kernel of w * k for a maximal vector
-    k. When its dimension matches dim ker T_g and every transported basis
-    element lies inside, the image is exactly that kernel; otherwise the
-    image is a proper subspace of every Toeplitz kernel containing it and
-    None is returned.
+    The only candidate is the minimal kernel K = plus_v * P_{d-1} of w * k
+    for a maximal vector k. The image w * plus_g * P_{d-1} is K exactly
+    when dim K = d and w * plus_g / plus_v is a constant (a rational r with
+    r and r * z**(d-1) in P_{d-1} is one); otherwise it is a proper
+    subspace of every Toeplitz kernel containing it and None is returned.
     """
     w = as_rational(w)
     if w.is_zero:
@@ -196,15 +197,12 @@ def image_kernel(w, g) -> Optional[ToeplitzKernel]:
     if not carleson_check(w, Kg):
         raise CarlesonFailure("w fails the Carleson condition for the source kernel")
     wk = w * Kg.maximal_vector()
-    if wk.is_zero or not wk.in_hardy2():
+    if not wk.in_hardy2():
         return None
-    v, K = minimal_kernel(wk)
+    K = minimal_kernel(wk)[1]
     if K.dimension != Kg.dimension:
         return None
-    for b in Kg.basis:
-        if not in_kernel(w * b, v):
-            return None
-    return K
+    return K if RationalFunction._product((w, Kg.plus), (K.plus,)).is_constant else None
 
 
 def is_surjective_multiplier(w, g, h) -> SurjectivityReport:

@@ -295,6 +295,16 @@ def test_near_band_warnings_are_listed_once_each(capsys):
     assert [w.split(" lies ")[0] for w in doc["warnings"]] == ["root 0.9999999-0j"]
 
 
+def test_mult_routes_agree_when_the_top_vector_cancels_a_pole_of_w(capsys):
+    # the top ladder vector z of ker T_{zbar^2} cancels w's pole at 0, but
+    # w * 1 = 1/z is not in the Hardy space, so w is no multiplier
+    code, doc = run_cli(["mult", "--w", "zbar", "--g", "zbar^2", "--h", "zbar"], capsys)
+    assert code == 0
+    assert doc["result"] == {
+        "is_multiplier": False, "routes": {"maximal_vector": False, "smirnov": False},
+    }
+
+
 def test_equal_keeps_outside_roots_apart_that_reflection_would_merge(capsys):
     code, doc = run_cli(["equal", "--g", "zbar*(z-10.000005)", "--h", "zbar*(z-10)"], capsys)
     assert code == 0

@@ -6,11 +6,14 @@ bookkeeping). These tests recompute the same answers the expensive way:
 all basis products, numeric null spaces, subspace angles.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from tkern import (
     BlaschkeProduct,
+    ComplexPolynomial,
     RationalFunction,
     as_symbol,
     blaschke_from_rational,
@@ -313,3 +316,79 @@ def test_products_reduced_once_match_the_chained_products(seed, monkeypatch):
             _assert_same_value(companion.to_rational(), inner.to_rational())
         seen.add(("crofoot", companion is not None))
     assert len(seen) == 8  # each decision answered both ways
+
+
+# -- "some and hence all" on the parametrisation ---------------------------------
+# ker T_g = plus_g * P_{d-1}, and plus_g * p is maximal for every p of degree
+# d - 1 with its zeros in the closed disc. For w = (plus_h / plus_g) * z^j,
+# w * plus_g * p = plus_h * z^j * p, so w is a multiplier exactly when
+# 0 <= j <= dim ker T_h - dim ker T_g, whichever maximal vector tests it.
+
+
+def _maximal_vector(rng, K):
+    n = K.dimension - 1
+    zeros = list((0.9 + 0.09 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n)))
+    lead = complex(rng.standard_normal(), rng.standard_normal())
+    return K.plus * RationalFunction(ComplexPolynomial.from_roots(zeros, lead=lead))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_maximal_vector_gives_the_default_answer(seed):
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(20):
+        g = random_kernel_symbol(rng, 3, 2)
+        h = random_kernel_symbol(rng, 3, 2)
+        Kg, Kh = kernel(g), kernel(h)
+        for j in range(-2, 3):
+            w = Kh.plus * monomial(j) / Kg.plus
+            default = is_multiplier(w, g, h)
+            assert default == (0 <= j <= Kh.dimension - Kg.dimension)
+            assert smirnov_multiplier_test(w, g, h) == default
+            for _ in range(5):
+                assert is_multiplier(w, g, h, test_vector=_maximal_vector(rng, Kg)) == default
+            seen.add(default)
+    assert seen == {True, False}
+
+
+# -- image kernels by the transported ladder, kept as the reference -------------
+
+
+def _image_kernel_by_ladder(w, g):
+    """The image is the minimal kernel of w * k when that kernel has the
+    dimension of ker T_g and holds every transported ladder element.
+    Returns the kernel or None, and whether the ladder was reached."""
+    Kg = kernel(g)
+    wk = w * Kg.maximal_vector()
+    if wk.is_zero or not wk.in_hardy2():
+        return None, False
+    v, K = minimal_kernel(wk)
+    if K.dimension != Kg.dimension:
+        return None, False
+    return (K if all(in_kernel(w * b, v) for b in Kg.basis) else None), True
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_image_kernel_matches_the_transported_ladder(seed):
+    rng = np.random.default_rng(seed)
+    seen = Counter()
+    for i in range(500):
+        g = random_kernel_symbol(rng, 3, 2)
+        if i % 4 == 0:  # invertible-analytic: the image is a kernel
+            w = random_outer(rng, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        elif i % 4 == 1:  # poles at the origin, zeros anywhere off the circle
+            counts = (int(rng.integers(0, 3)), int(rng.integers(0, 2)), 0, int(rng.integers(0, 2)))
+            w = random_rational(rng, *counts) * monomial(-int(rng.integers(1, 3)))
+        elif i % 4 == 2:  # zeros and poles anywhere off the circle
+            w = random_rational(rng, *(int(rng.integers(0, 2)) for _ in range(4)))
+        else:  # a zero on the circle
+            w = random_outer(rng, 1, 1) * RationalFunction([1.0, -np.exp(2j * np.pi * rng.random())])
+        want, reached = _image_kernel_by_ladder(w, g)
+        got = image_kernel(w, g)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dimension == want.dimension
+            assert repr(got.symbol.value) == repr(want.symbol.value)
+        seen[i % 4, got is not None, reached] += 1
+    assert sum(n for (_, image, _), n in seen.items() if image) >= 100
+    assert seen[1, False, True] >= 10  # origin poles that reach the ladder

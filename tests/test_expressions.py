@@ -230,6 +230,20 @@ def test_halfplane_variable_mode():
         lower("conj(s)", variable="s")
 
 
+def test_exponent_is_read_by_the_expression_grammar():
+    for text, k in (("z^(2)", 2), ("z^(-1-1)", -2), ("z^-2", -2), ("z^2.0", 2), ("zbar^(4/2)", 2)):
+        tree = parse_expression(text).tree
+        assert type(tree.exponent) is int and tree.exponent == k, text
+    assert lower("z^(-1-1)").is_close(monomial(-2))
+
+
+@pytest.mark.parametrize("text, position", [("z^z", 2), ("z^1.5", 2), ("(1+z)^(2i)", 6)])
+def test_exponent_must_be_an_integer_constant(text, position):
+    with pytest.raises(ExpressionSyntaxError, match="exponent must be an integer") as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
 def test_unknown_exponent_type_rejected():
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("z^1.5")

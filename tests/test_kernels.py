@@ -244,11 +244,41 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     monkeypatch.setattr(tkern.rational, "_reduce", counted)
     K = kernel(g)
     assert K.dimension == 3
-    assert len(calls) == 3  # plus, then plus * z and plus * z^2
+    assert len(calls) == 1  # plus
+    assert len(K.basis) == 3
+    assert len(calls) == 3  # then plus * z and plus * z^2, on the first read
     for b in K.basis:
         calls.clear()
         assert in_kernel(b, g)
         assert len(calls) == 1  # z * g * b, reduced once
+
+
+def test_dimension_only_question_costs_one_reduction(monkeypatch):
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    s = as_symbol(monomial(-100000))
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    K = kernel(s)
+    assert K.dimension == 100000
+    assert len(calls) == 1  # the plus factor; no ladder element is built
+    monkeypatch.undo()
+
+    # the ladder, built on the first read and kept: plus, then each
+    # element times z, element for element the product chain
+    g = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))
+    K = kernel(g)
+    basis = K.basis
+    assert K.basis is basis
+    chain = [wiener_hopf(g).plus]
+    for _ in range(2):
+        chain.append(chain[-1] * monomial(1))
+    assert [repr(b) for b in basis] == [repr(b) for b in chain]
+    assert kernel(monomial(0)).plus is None and kernel(monomial(0)).basis == ()
 
 
 def test_reproducing_kernel_is_not_maximal():

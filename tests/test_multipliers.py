@@ -96,6 +96,16 @@ def test_any_maximal_test_vector_gives_same_answer(rng):
         assert is_multiplier(w, s2, s2, test_vector=other_max) == default
 
 
+def test_pole_in_the_disc_is_no_multiplier_whichever_vector_tests_it():
+    # the maximal vector z + 0.5 cancels w's pole, but w * 1 is not in H^2
+    w = _one_over([0.5, 1])
+    s2, s1 = as_symbol(monomial(-2)), as_symbol(monomial(-1))
+    assert is_maximal(RationalFunction([0.5, 1]), s2).is_maximal
+    for k in (None, RationalFunction([0.5, 1])):
+        assert not is_multiplier(w, s2, s1, test_vector=k)
+    assert not smirnov_multiplier_test(w, s2, s1)
+
+
 def test_supplied_test_vector_must_be_maximal():
     with pytest.raises(PreconditionViolation):
         is_multiplier(

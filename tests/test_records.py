@@ -29,7 +29,7 @@ from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
 
 F = RationalFunction([1.0, 0.5])
 S = as_symbol(monomial(-2))
-K = ToeplitzKernel(S, 2, (F, F * monomial(1)))
+K = ToeplitzKernel(S, 2, F)
 NOTE = (
     "for rational symbols every Smirnov-class multiplier with Carleson control is rational, "
     "so the unrestricted and square-integrable multiplier spaces coincide here"
@@ -53,7 +53,7 @@ RECORDS = [
     (Pow, lambda: {"base": Var("z"), "exponent": 3}, {}),
     (SymbolExpression, lambda: {"source": "conj(B(0.5))^2 - -1.5i", "tree": tree()},
      {"variable": "z"}),
-    (ToeplitzKernel, lambda: {"symbol": S, "dimension": 2, "basis": K.basis}, {}),
+    (ToeplitzKernel, lambda: {"symbol": S, "dimension": 2, "plus": F}, {}),
     (MaximalityCertificate, lambda: {"vector": F, "certificate": F, "is_maximal": True},
      {"failure_witness": None}),
     (EquivalenceWitness, lambda: {"h_minus": F, "h_plus": F}, {}),
