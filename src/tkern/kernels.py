@@ -27,6 +27,7 @@ from .rational import (
     Record,
     ToeplitzSymbol,
     Z,
+    _sorted_roots,
     as_rational,
     as_symbol,
 )
@@ -41,19 +42,31 @@ class ToeplitzKernel(Record):
     dimension: int
     plus: Optional[RationalFunction]
 
+    def _element(self, j: int) -> RationalFunction:
+        """plus * z**j, built with no reduction: every root of plus lies
+        outside the closed disc, so none meets the zero at the origin, and
+        the element keeps plus's gain and poles (and their classification,
+        where plus has one)."""
+        plus = self.plus
+        if j == 0:
+            return plus
+        zeros = tuple(_sorted_roots(plus._zeros + ((0j, j),)))
+        return RationalFunction._reduced(plus._gain, zeros, plus._poles, plus._pole_split)
+
     @cached_property
     def basis(self) -> tuple:
-        basis = [self.plus] if self.dimension else []
-        for _ in range(self.dimension - 1):
-            basis.append(basis[-1] * Z)
-        return tuple(basis)
+        if self.dimension:
+            self.plus.pole_classification()  # classified once, for every element
+        return tuple(map(self._element, range(self.dimension)))
 
     def maximal_vector(self) -> RationalFunction:
         """The top ladder element plus * z**(dim-1), always a maximal
-        vector of the kernel."""
+        vector of the kernel; built alone unless the basis was read."""
         if self.dimension == 0:
             raise ZeroFunction("the trivial kernel has no maximal vector")
-        return self.basis[-1]
+        if "basis" in self.__dict__:
+            return self.basis[-1]
+        return self._element(self.dimension - 1)
 
 
 class MaximalityCertificate(Record):

@@ -265,20 +265,28 @@ class ComplexPolynomial(Frozen):
         """lead * prod (z - r) over ``roots`` (bare roots or (root,
         multiplicity) pairs, each multiplicity an integer >= 1). The degree
         is the root count: the expanded coefficients are not trimmed,
-        however small the leading one. An expansion that overflows raises
-        OutOfRange."""
+        however small the leading one. An expansion that overflows, or a
+        degree that no list can hold, raises OutOfRange."""
         if lead == 0:
             return ComplexPolynomial()
-        # the monic product so far, ascending, then shifted by the roots at
-        # 0; times (z - r), coefficient k becomes c[k - 1] - r c[k]
-        c, shift = [1 + 0j], 0
+        # the roots at 0 become a shift; the degree is summed before any
+        # coefficient is allocated
+        factors, shift, degree = [], 0, 0
         for item in roots:
             r, m = item if isinstance(item, tuple) else (item, 1)
             m = _multiplicity(m)
             r = complex(r)
+            degree += m
             if r == 0:
                 shift += m
-                continue
+            else:
+                factors.append((r, m))
+        if degree > sys.maxsize:  # no list can hold the coefficients
+            raise OutOfRange(f"a polynomial of degree {degree} has no coefficient form")
+        # the monic product so far, ascending; times (z - r), coefficient k
+        # becomes c[k - 1] - r c[k]
+        c = [1 + 0j]
+        for r, m in factors:
             for _ in range(m):
                 c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
         lead = complex(lead)
@@ -510,11 +518,13 @@ def _rounding_scale(terms) -> list[float]:
     |gain| prod (z + |r|) over the term's roots, which bounds the term's
     expansion componentwise. A coefficient at most ``EPS_COEFF`` of its
     scale is rounding noise."""
-    n = max(sum(m for _, m in roots) for _, roots in terms) + 1
-    scale = [0.0] * n
-    for gain, roots in terms:
-        bound = ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))
-        for k, b in enumerate(bound._coeffs):
+    bounds = [
+        ComplexPolynomial.from_roots([(-abs(r), m) for r, m in roots], abs(gain))._coeffs
+        for gain, roots in terms
+    ]
+    scale = [0.0] * max(map(len, bounds))
+    for bound in bounds:
+        for k, b in enumerate(bound):
             scale[k] += b.real
     return scale
 
@@ -567,20 +577,31 @@ class RationalFunction(Frozen):
         if num.is_zero:
             self._assign(0j, (), ())
         else:
-            self._assign(_nonzero_gain(num.lead / den.lead), poly_roots(num), poly_roots(den))
+            gain = _nonzero_gain(num.lead / den.lead)
+            self._assign(gain, *_reduce(poly_roots(num), poly_roots(den)))
 
     @classmethod
     def _from_roots(cls, gain, zeros=(), poles=()) -> "RationalFunction":
         """Package-internal constructor of a nonzero function from known
-        roots: no root finding. The zero function comes from ``__init__``."""
+        roots, reduced once: no root finding. The zero function comes from
+        ``__init__``."""
+        return cls._reduced(_nonzero_gain(gain), *_reduce(zeros, poles))
+
+    @classmethod
+    def _reduced(cls, gain, zeros, poles, pole_split=None) -> "RationalFunction":
+        """Package-internal constructor of a value whose state is already
+        reduced: a nonzero double gain and root multisets in the form
+        ``_reduce`` leaves them, sorted, with no zero and pole within
+        ``EPS_ROOT`` of each other. ``pole_split``, when given, is the
+        circle classification of ``poles``."""
         out = object.__new__(cls)
-        out._assign(_nonzero_gain(gain), zeros, poles)
+        out._assign(gain, zeros, poles, pole_split)
         return out
 
-    def _assign(self, gain: complex, zeros, poles) -> None:
-        zeros, poles = ((), ()) if gain == 0 else _reduce(zeros, poles)
-        state = {"_gain": gain, "_zeros": zeros, "_poles": poles}
-        for name in self.__slots__:  # the derived slots start empty
+    def _assign(self, gain: complex, zeros, poles, pole_split=None) -> None:
+        # the one place that sets the slots, from a reduced state
+        state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_pole_split": pole_split}
+        for name in self.__slots__:  # the other derived slots start empty
             object.__setattr__(self, name, state.get(name))
 
     # -- basic structure ---------------------------------------------------

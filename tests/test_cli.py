@@ -230,6 +230,10 @@ def test_precondition_error_exit_code(capsys):
         ["dim", "--symbol", "conj(z^2 + 3e8*z + 1e-300*(1+1i))"],
         # the zero -1e300/1e-300 of a linear factor is inf
         ["dim", "--symbol", "zbar*(1e-300*z + 1e300)"],
+        # a multiplicity of 10^20: no coefficient list of that degree exists
+        ["dim", "--symbol", "(z-2)^1e20"],
+        ["dim", "--symbol", "zbar*(z-2)^1e20"],
+        ["dim", "--symbol", "z^1e20+1"],
     ],
 )
 def test_values_outside_double_precision_are_errors(argv, capsys):
@@ -405,6 +409,8 @@ def test_lexer_and_trailing_input_errors_carry_their_position(text, message, pos
         ("z+@", "syntax-error"),
         ("(z+1))", "syntax-error"),
         ("conj(z^2+1e10*z+1e-300)", "out-of-range"),
+        ("z^1e20", "out-of-range"),
+        ("zbar^1e20", "out-of-range"),
     ],
 )
 def test_refused_input_answers_with_one_json_error(text, error, capsys):

@@ -19,6 +19,7 @@ from tkern import (
     dim_from_factorization,
     equals,
     fourier_coefficients,
+    image_kernel,
     in_kernel,
     includes,
     is_equivalent,
@@ -39,6 +40,7 @@ from tkern.random_instances import (
     random_conjugate_outer,
     random_kernel_symbol,
     random_outer,
+    random_rational,
     random_symbol,
 )
 
@@ -246,7 +248,7 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     assert K.dimension == 3
     assert len(calls) == 1  # plus
     assert len(K.basis) == 3
-    assert len(calls) == 3  # then plus * z and plus * z^2, on the first read
+    assert len(calls) == 1  # plus * z and plus * z^2 are built with no reduction
     for b in K.basis:
         calls.clear()
         assert in_kernel(b, g)
@@ -279,6 +281,71 @@ def test_dimension_only_question_costs_one_reduction(monkeypatch):
         chain.append(chain[-1] * monomial(1))
     assert [repr(b) for b in basis] == [repr(b) for b in chain]
     assert kernel(monomial(0)).plus is None and kernel(monomial(0)).basis == ()
+
+
+def _ladder_reference(plus, j):
+    # the reference: plus times z**j as one reduced product
+    return plus * monomial(j)
+
+
+def _state(f):
+    return repr(f), (f._gain, f._zeros, f._poles)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_kernel_elements_match_the_reduced_ladder(seed):
+    rng = np.random.default_rng(seed)
+    elements = 0
+    for _ in range(400):
+        # winding -d from inside zeros, inside poles and a pole of order k at 0
+        d = int(rng.integers(1, 9))
+        zi = int(rng.integers(0, 3))
+        k = int(rng.integers(0, d + zi + 1))
+        pi = d + zi - k
+        zo, po = (int(n) for n in rng.integers(0, 4, size=2))
+        s = as_symbol(random_rational(rng, zi, zo, pi, po) * monomial(-k))
+        assert s.winding == -d
+        K = kernel(s)
+        top = K.maximal_vector()  # before the basis is read
+        plus = K.plus
+        for j, b in enumerate(K.basis):
+            ref = _ladder_reference(plus, j)
+            assert _state(b) == _state(ref)
+            assert b.pole_classification() == ref.pole_classification()
+            elements += 1
+        assert _state(top) == _state(K.maximal_vector()) == _state(_ladder_reference(plus, d - 1))
+    assert elements > 1500
+
+
+def test_basis_elements_share_the_pole_classification_of_plus():
+    g = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))
+    K = kernel(g)
+    K.maximal_vector()
+    assert K.plus._pole_split is None  # a lone top vector forces no classification
+    basis = K.basis  # classifies plus's poles once, for every element
+    split = K.plus._pole_split
+    assert split is not None
+    assert all(b.pole_classification() is split for b in basis)
+
+
+def test_maximal_vector_costs_no_reduction_per_dimension(monkeypatch):
+    # is_multiplier's default vector and image_kernel read plus * z**(d-1)
+    # alone, so their reduction count does not grow with d
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    counts = []
+    for degree in (3, 20000):
+        calls.clear()
+        assert is_multiplier(1, monomial(-degree), monomial(-degree))
+        assert image_kernel(1, monomial(-degree)).dimension == degree
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_reproducing_kernel_is_not_maximal():

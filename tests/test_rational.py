@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -135,6 +136,13 @@ def test_from_roots_matches_numpy_expansion(degree):
 def test_from_roots_multiplicity_must_be_an_integer_of_at_least_one(multiplicity):
     with pytest.raises(ValueError, match="multiplicity"):
         ComplexPolynomial.from_roots([(0.5, multiplicity)])
+
+
+@pytest.mark.parametrize("roots", [[(0, 10**20)], [(2, 10**20)], [(2, 1), (0, sys.maxsize)]])
+def test_from_roots_refuses_a_degree_no_list_can_hold(roots):
+    # refused before any coefficient is expanded
+    with pytest.raises(OutOfRange, match="no coefficient form"):
+        ComplexPolynomial.from_roots(roots)
 
 
 def test_from_roots_accepts_a_numpy_integer_multiplicity():
