@@ -61,11 +61,9 @@ class ToeplitzKernel(Record):
 
     def maximal_vector(self) -> RationalFunction:
         """The top ladder element plus * z**(dim-1), always a maximal
-        vector of the kernel; built alone unless the basis was read."""
+        vector of the kernel; built alone, whether or not the basis was read."""
         if self.dimension == 0:
             raise ZeroFunction("the trivial kernel has no maximal vector")
-        if "basis" in self.__dict__:
-            return self.basis[-1]
         return self._element(self.dimension - 1)
 
 
