@@ -56,9 +56,12 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     """Fourier coefficients of a rational function at indices -N..N.
 
     Returns an array ``c`` of length 2N+1 with ``c[N + j]`` the coefficient
-    at index j. Sampling starts at max(256, next power of two >= 4N) and
-    doubles until two successive grids agree to GRID_CONVERGENCE_TOL; a
-    ResolutionWarning is issued if the cap is reached first.
+    at index j. The first grid has m = max(256, next power of two >= 4N)
+    points, or ``sample_count`` if larger, and doubles until two successive
+    grids agree to GRID_CONVERGENCE_TOL; a ResolutionWarning is issued if
+    the cap is reached first. The m-point grid is the even-indexed half of
+    the 2m-point grid, bit for bit, so the first comparison samples f once,
+    at 2m points; each later grid is sampled on its own.
     """
     f = as_rational(f)
     if f.pole_classification().on_circle:
@@ -74,8 +77,9 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     if f.is_zero:
         return np.zeros(2 * N + 1, dtype=complex)
 
-    def extract(m):
-        hat = np.fft.fft(boundary_sampling(f, m).values) / m
+    def extract(values):
+        m = values.size
+        hat = np.fft.fft(values) / m
         return hat[np.arange(-N, N + 1) % m]
 
     m = 256
@@ -85,10 +89,14 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
         if sample_count & (sample_count - 1):
             raise ValueError("sample_count must be a power of two")
         m = max(m, sample_count)
-    prev = extract(m)
+    first = 2 * m if m < _MAX_SAMPLES else m
+    values = boundary_sampling(f, first).values
+    prev = extract(values[:: first // m])
     while m < _MAX_SAMPLES:
         m *= 2
-        cur = extract(m)
+        if values.size != m:
+            values = boundary_sampling(f, m).values
+        cur = extract(values)
         scale = max(1.0, float(np.max(np.abs(cur))))
         if np.max(np.abs(cur - prev)) <= GRID_CONVERGENCE_TOL * scale:
             return cur
@@ -130,8 +138,10 @@ def numeric_kernel(s, degree_cap: int | None = None) -> NumericSubspace:
     nonnegative Fourier indices of symbol * polynomial up to
     degree_cap + numerator degree + denominator degree (a tall matrix, so
     finite-section artifacts of negatively wound symbols are suppressed).
-    Singular values below SVD_NULL_TOL relative to the largest count as
-    null.
+    Singular values below SVD_NULL_TOL relative to the largest singular
+    value or the largest computed Fourier coefficient, whichever is
+    larger, count as null: when the cap is below the kernel's dimension
+    every column is null and the largest singular value is FFT noise.
     """
     s = as_symbol(s)
     if not s.circle_invertible:
@@ -152,7 +162,7 @@ def numeric_kernel(s, degree_cap: int | None = None) -> NumericSubspace:
     ncols = degree_cap + 1
     full_sv = np.zeros(ncols)
     full_sv[: sv.size] = sv
-    null_mask = full_sv <= SVD_NULL_TOL * max(smax, 1e-300)
+    null_mask = full_sv <= SVD_NULL_TOL * max(smax, float(np.max(np.abs(c))), 1e-300)
     kept = full_sv[~null_mask]
     dropped = full_sv[null_mask]
     if dropped.size and kept.size:

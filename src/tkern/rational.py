@@ -839,21 +839,24 @@ class RationalFunction(Frozen):
 
     def taylor(self, n: int):
         """Taylor coefficients at 0 up to degree ``n``, as a numpy array
-        (requires no pole exactly at the origin). The recurrence
-        den * series = num runs in Python complex arithmetic."""
+        (requires no pole exactly at the origin). The numerator's
+        coefficients are convolved, once per unit of multiplicity, with
+        each pole p's series 1/(z - p) = -sum z^k / p^(k+1), truncated to
+        n + 1 terms. An expansion that overflows holds inf or nan, with no
+        warning."""
         if any(r == 0 for r, _ in self._poles):
             raise ZeroDenominator("pole at the origin: no Taylor expansion")
         import numpy as np
 
-        a, b = self.num._coeffs, self.den._coeffs
-        c: list[complex] = []
-        for k in range(n + 1):
-            acc = a[k] if k < len(a) else 0j
-            jmax = min(k, len(b) - 1)
-            if jmax >= 1:
-                acc = acc - sum(x * y for x, y in zip(b[1 : jmax + 1], c[k - 1 :: -1]))
-            c.append(acc / b[0])
-        return np.array(c, dtype=complex)
+        c = np.zeros(n + 1, dtype=complex)
+        a = self.num._coeffs[: n + 1]
+        c[: len(a)] = a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, m in self._poles:
+                series = -np.cumprod(np.full(n + 1, 1 / p))
+                for _ in range(m):
+                    c = np.convolve(c, series)[: n + 1]
+        return c
 
     # -- comparison / display ----------------------------------------------
 

@@ -1,8 +1,11 @@
 """Numeric verification layer: FFT coefficients, SVD null spaces, angles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import tkern.oracle
 from tkern import (
     ClassificationWarning,
     DimensionMismatchWarning,
@@ -18,7 +21,12 @@ from tkern import (
     principal_angle,
     subspace_from_rationals,
 )
-from tkern.oracle import boundary_sampling, winding_by_quadrature
+from tkern.oracle import (
+    GRID_CONVERGENCE_TOL,
+    SAFE_CIRCLE_DISTANCE,
+    boundary_sampling,
+    winding_by_quadrature,
+)
 from tkern.random_instances import random_kernel_symbol, random_symbol
 
 
@@ -79,6 +87,106 @@ def test_boundary_sampling_refuses_a_circle_pole_between_samples():
     assert np.all(np.isfinite(bs.values))
 
 
+def _two_call_fourier(f, N, sample_count=None):
+    # reference: sample the first grid, then each doubled grid, every grid
+    # through its own boundary_sampling call
+    f = tkern.oracle.as_rational(f)
+    if f.pole_classification().on_circle:
+        raise PoleOnCircle("Fourier coefficients need a pole-free boundary")
+    dists = [abs(abs(r) - 1.0) for r, _ in f.poles()]
+    if dists and min(dists) < SAFE_CIRCLE_DISTANCE:
+        warnings.warn(f"pole at distance {min(dists):.3g} from the circle: coefficient "
+                      "decay is slow and default truncation may under-resolve",
+                      ResolutionWarning)
+    if f.is_zero:
+        return np.zeros(2 * N + 1, dtype=complex)
+
+    def extract(m):
+        hat = np.fft.fft(tkern.oracle.boundary_sampling(f, m).values) / m
+        return hat[np.arange(-N, N + 1) % m]
+
+    m = 256
+    while m < max(4 * N, 4):
+        m *= 2
+    if sample_count is not None:
+        if sample_count & (sample_count - 1):
+            raise ValueError("sample_count must be a power of two")
+        m = max(m, sample_count)
+    prev = extract(m)
+    while m < tkern.oracle._MAX_SAMPLES:
+        m *= 2
+        cur = extract(m)
+        scale = max(1.0, float(np.max(np.abs(cur))))
+        if np.max(np.abs(cur - prev)) <= GRID_CONVERGENCE_TOL * scale:
+            return cur
+        prev = cur
+    warnings.warn("Fourier coefficients did not reach grid convergence at the sample cap",
+                  ResolutionWarning)
+    return prev
+
+
+def _fourier_corpus(seed):
+    # (f, N, sample_count): symbols with roots at safe radii and near the
+    # circle, truncations whose first grid has 256 to 2048 points, forced
+    # sample counts, and a pole so close to the circle that the cap is hit
+    rng = np.random.default_rng(seed)
+    radii = [((0.1, 0.45), (2.6, 4.0)), ((0.5, 0.9), (1.1, 2.0)), ((0.9, 0.99), (1.01, 1.05))]
+    for trial in range(36):
+        inside, outside = radii[trial % 3]
+
+        def roots(count, band):
+            r = rng.uniform(*band, count) * np.exp(2j * np.pi * rng.random(count))
+            return [(complex(a), 1) for a in r]
+
+        zeros = roots(int(rng.integers(0, 3)), inside) + roots(int(rng.integers(0, 3)), outside)
+        poles = roots(int(rng.integers(0, 3)), inside) + roots(int(rng.integers(1, 3)), outside)
+        gain = complex(rng.standard_normal(), rng.standard_normal())
+        f = RationalFunction._from_roots(gain, zeros, poles)
+        yield f, (4, 12, 40, 300)[trial % 4], (None, 512, None, 4096)[trial // 4 % 4]
+    far = RationalFunction([1.0], [1.0, -0.5])
+    yield far, 8, 1 << 18
+    yield far, 8, 1 << 19
+    yield RationalFunction([1.0], [1.0, -1 / 1.0001]), 8, None
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_fourier_coefficients_match_the_two_call_loop(seed, monkeypatch):
+    sizes = []
+
+    def counting(f, sample_count):
+        sizes.append(sample_count)
+        return boundary_sampling(f, sample_count)
+
+    monkeypatch.setattr(tkern.oracle, "boundary_sampling", counting)
+    caps = largest = first_converged = 0
+    for f, N, sample_count in _fourier_corpus(seed):
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = _two_call_fourier(f, N, sample_count)
+        expected_sizes, sizes[:] = sizes[:], []
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = fourier_coefficients(f, N, sample_count)
+        got_sizes, sizes[:] = sizes[:], []
+        # the same coefficients, to the bit, and the same warnings
+        assert got.shape == (2 * N + 1,) and np.array_equal(got, expected)
+        assert ([(w.category, str(w.message)) for w in got_warnings]
+                == [(w.category, str(w.message)) for w in expected_warnings])
+        caps += any("sample cap" in str(w.message) for w in got_warnings)
+        largest = max(largest, *got_sizes)
+        # the first two grids are sampled once, at the larger size; later
+        # grids as before; below the cap that is one call fewer
+        m = expected_sizes[0]
+        if m < tkern.oracle._MAX_SAMPLES:
+            assert got_sizes == expected_sizes[1:]
+        else:
+            assert got_sizes == expected_sizes == [m]
+        if len(expected_sizes) == 2:
+            assert len(got_sizes) == 1
+            first_converged += 1
+    assert caps == 3 and largest >= 1024 and first_converged >= 20
+
+
 # -- numeric kernels ------------------------------------------------------------
 
 
@@ -91,6 +199,18 @@ def test_numeric_kernel_of_model_space():
 
 def test_numeric_kernel_trivial():
     assert numeric_kernel(monomial(2), degree_cap=8).dimension == 0
+
+
+@pytest.mark.parametrize(("symbol", "caps"), [
+    (monomial(-2), {0: 1, 1: 2, 2: 2, 8: 2}),
+    (monomial(-3) * RationalFunction([1.0, 0.3]), {0: 1, 1: 2, 2: 2, 3: 2}),
+])
+def test_numeric_kernel_with_a_cap_below_the_dimension(symbol, caps):
+    # every column is in the kernel, so the largest singular value is FFT
+    # noise; the null threshold scales with the symbol's coefficients
+    for cap, dimension in caps.items():
+        ns = numeric_kernel(symbol, degree_cap=cap)
+        assert ns.dimension == dimension, cap
 
 
 def test_numeric_kernel_matches_symbolic_ladder():

@@ -928,3 +928,89 @@ def test_taylor_matches_the_numpy_recurrence():
             expected = _numpy_taylor(r, n)
             assert isinstance(c, np.ndarray) and c.shape == (n + 1,)
             assert np.all(np.abs(c - expected) <= 1e-13 * np.max(np.abs(expected)))
+
+
+def _recurrence_taylor(r, n):
+    # reference: the recurrence den * series = num in Python complex
+    # arithmetic, one coefficient per step
+    a, b = r.num._coeffs, r.den._coeffs
+    c = []
+    for k in range(n + 1):
+        acc = a[k] if k < len(a) else 0j
+        jmax = min(k, len(b) - 1)
+        if jmax >= 1:
+            acc = acc - sum(x * y for x, y in zip(b[1 : jmax + 1], c[k - 1 :: -1]))
+        c.append(acc / b[0])
+    return np.array(c, dtype=complex)
+
+
+def _multiple_pole_corpus(seed):
+    # one pole of multiplicity 2-6 inside or outside the disc, a simple pole
+    # outside in every third case, numerators of degree 0-3, complex gains
+    rng = np.random.default_rng(seed)
+    for trial in range(60):
+        m = 2 + trial % 5
+        lo, hi = (0.5, 0.95) if trial % 2 else (1.1, 3.0)
+        poles = [(complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.random())), m)]
+        if trial % 3 == 0:
+            poles.append((complex(rng.uniform(1.1, 3.0) * np.exp(2j * np.pi * rng.random())), 1))
+        zeros = rng.uniform(0.2, 3.0, trial % 4) * np.exp(2j * np.pi * rng.random(trial % 4))
+        gain = complex(rng.standard_normal(), rng.standard_normal())
+        yield RationalFunction._from_roots(gain, [(complex(a), 1) for a in zeros], poles)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_taylor_matches_the_recurrence_on_multiple_poles(seed):
+    # the recurrence divides by the expanded denominator, whose rounded
+    # coefficients perturb a multiple pole: at multiplicity 6 inside the
+    # disc and degree 200 it is good to about 1e-6 of the largest
+    # coefficient, at multiplicity 2 outside to about 1e-15
+    for r in _multiple_pole_corpus(seed):
+        for n in (0, 1, 7, 60, 200):
+            c = r.taylor(n)
+            expected = _recurrence_taylor(r, n)
+            assert c.shape == (n + 1,) and c.dtype == complex
+            assert np.all(np.abs(c - expected) <= 1e-5 * np.max(np.abs(expected)))
+            if n <= 7:
+                assert np.all(np.abs(c - expected) <= 1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("inside", [False, True])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_taylor_of_a_multiple_pole_is_its_binomial_series(m, inside):
+    # g / (z - p)^m = g (-q)^m sum C(k+m-1, m-1) q^k z^k with q = 1/p, each
+    # coefficient to within 1e-12 of itself up to degree 200
+    rng = np.random.default_rng(100 * m + inside)
+    for _ in range(5):
+        radius = rng.uniform(0.5, 0.95) if inside else rng.uniform(1.1, 3.0)
+        p = complex(radius * np.exp(2j * np.pi * rng.random()))
+        gain = complex(rng.standard_normal(), rng.standard_normal())
+        c = RationalFunction._from_roots(gain, [], [(p, m)]).taylor(200)
+        q = 1 / p
+        expected = np.array([gain * (-q) ** m * math.comb(k + m - 1, m - 1) * q**k
+                             for k in range(201)])
+        assert np.all(np.abs(c - expected) <= 1e-12 * np.abs(expected))
+
+
+def test_taylor_of_a_polynomial_is_its_coefficients():
+    p = RationalFunction([1, 2j, 3])
+    assert np.array_equal(p.taylor(1), [1, 2j])
+    assert np.array_equal(p.taylor(4), [1, 2j, 3, 0, 0])
+    assert np.array_equal(RationalFunction([0.0]).taylor(2), [0, 0, 0])
+
+
+@pytest.mark.parametrize("pole", [1e-5, 1e-5 * cmath.exp(0.3j), 3e-4j])
+def test_an_overflowing_taylor_expansion_holds_non_finite_values_without_warning(pole):
+    # 1/(z - pole)^3 passes 1e308 between degrees 58 and 84; from there on
+    # the recurrence holds inf and nan, with no warning, and so does the
+    # pole series
+    r = RationalFunction._from_roots(2.0 - 1j, [(0.5, 1)], [(pole, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = r.taylor(200)
+    expected = _recurrence_taylor(r, 200)
+    assert c.shape == (201,)
+    assert np.array_equal(np.isfinite(c), np.isfinite(expected))
+    assert not np.all(np.isfinite(c))
+    finite = np.isfinite(expected)
+    assert np.all(np.abs(c[finite] - expected[finite]) <= 1e-11 * np.abs(expected[finite]))
