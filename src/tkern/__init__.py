@@ -88,7 +88,6 @@ from .rational import (
     ToeplitzSymbol,
     as_rational,
     as_symbol,
-    circle_conjugate,
     classify_roots,
     format_complex,
     format_rational,
@@ -111,9 +110,7 @@ _LAZY = {
         "fourier_coefficients",
         "numeric_kernel",
         "principal_angle",
-        "quadrature_norm_squared",
         "subspace_from_rationals",
-        "winding_by_quadrature",
     ),
     "verify": ("run_suite",),
     "random_instances": (),

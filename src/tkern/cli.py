@@ -3,7 +3,8 @@
 Every subcommand prints one JSON document on standard output (or a plain
 text rendering with --text); human-readable logs go to standard error.
 Exit codes: 0 success, 1 verification mismatch, 2 parse or precondition
-errors (with a JSON error object), 141 standard output closed early.
+errors and an unwritable --report path (with a JSON error object), 141
+standard output closed early.
 
 Report envelope:
 
@@ -345,6 +346,12 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     _log(f"running {args.command}")
     try:
+        # NaN fails every comparison: it would switch off the --verify-inline
+        # check, and prints as ``NaN``, which is not JSON
+        if not 0.0 <= args.tol < float("inf"):
+            raise PreconditionViolation(f"--tol must be finite and >= 0, got {args.tol}")
+        if args.seed < 0:
+            raise PreconditionViolation(f"--seed must be >= 0, got {args.seed}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             inputs = _lower_inputs(args)
@@ -358,17 +365,20 @@ def main(argv=None) -> int:
             "seed": args.seed,
         }
     except TkError as exc:
-        err = {
-            "error": exc.code,
-            "message": str(exc),
-            "position": getattr(exc, "position", None),
-        }
-        return _emit(json.dumps(err), 2)
+        return _emit(_error(exc.code, str(exc), getattr(exc, "position", None)), 2)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(doc, fh, indent=2)
+        except OSError as exc:
+            return _emit(_error("report-not-written", f"cannot write the report: {exc}"), 2)
     out = _render_text(doc) if args.text else json.dumps(doc, indent=2)
     return _emit(out, 1 if mismatch else 0)
+
+
+def _error(code: str, message: str, position=None) -> str:
+    """The JSON error object of a refused run (``ERROR_SCHEMA``)."""
+    return json.dumps({"error": code, "message": message, "position": position})
 
 
 def _emit(text: str, code: int) -> int:

@@ -74,9 +74,6 @@ class BlaschkeProduct(Frozen):
         reflected_gain, poles = _reflect(1.0, self.zeros)
         return RationalFunction._from_roots(self.constant / reflected_gain, self.zeros, poles)
 
-    def __call__(self, z):
-        return self.to_rational()(z)
-
     def __repr__(self):
         return f"BlaschkeProduct({self.constant!r}, {list(self.zeros)})"
 
@@ -84,9 +81,6 @@ class BlaschkeProduct(Frozen):
 class InnerOuterFactorization(Record):
     inner: BlaschkeProduct
     outer: RationalFunction
-
-    def reconstruct(self) -> RationalFunction:
-        return self.inner.to_rational() * self.outer
 
 
 class WienerHopfFactorization(Record):
@@ -98,9 +92,6 @@ class WienerHopfFactorization(Record):
     def minus(self) -> RationalFunction:
         """symbol * plus * z**(-index), reduced once."""
         return RationalFunction._product((self.symbol.value, self.plus, monomial(-self.index)))
-
-    def reconstruct(self) -> RationalFunction:
-        return RationalFunction._product((self.minus, monomial(self.index)), (self.plus,))
 
 
 def inner_outer(f) -> InnerOuterFactorization:

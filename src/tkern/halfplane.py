@@ -23,6 +23,8 @@ from .multipliers import is_multiplier
 from .rational import Frozen, RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
 
 _SQRT_PI = math.sqrt(math.pi)
+# Midpoint-rule nodes of the two quadrature norms.
+QUAD_POINTS = 4096
 
 # Moebius data (a, b, c, d) of the Cayley map s = i(1-z)/(1+z) and of its
 # inverse z = (i-s)/(i+s), each as (a w + b)/(c w + d).
@@ -38,9 +40,6 @@ class HalfPlaneRational(Frozen):
     def __init__(self, value):
         object.__setattr__(self, "value", as_rational(value))
 
-    def __call__(self, s):
-        return self.value(s)
-
     def conjugate_on_line(self) -> "HalfPlaneRational":
         """The rational function agreeing with conj(f(s)) for real s: the
         conjugate gain with every zero and pole conjugated."""
@@ -54,14 +53,6 @@ class HalfPlaneRational(Frozen):
                 [(r.conjugate(), m) for r, m in v.poles()],
             )
         )
-
-    def __mul__(self, other):
-        other = other.value if isinstance(other, HalfPlaneRational) else other
-        return HalfPlaneRational(self.value * other)
-
-    def __truediv__(self, other):
-        other = other.value if isinstance(other, HalfPlaneRational) else other
-        return HalfPlaneRational(self.value / other)
 
     def __repr__(self):
         return f"HalfPlaneRational({self.value!r})"
@@ -125,7 +116,7 @@ def halfplane_multiplier_test(w, g, h) -> bool:
     return is_multiplier(W, G, H)
 
 
-def line_norm_squared(f, quad_points: int = 4096) -> float:
+def line_norm_squared(f) -> float:
     """Squared L2 norm on the real line through the circle
     parametrization s = tan(t/2) of the Cayley map itself."""
     f = _as_halfplane(f)
@@ -134,20 +125,20 @@ def line_norm_squared(f, quad_points: int = 4096) -> float:
     cayley_function(f)  # refuses what the transfer refuses
     import numpy as np
 
-    t = (np.arange(quad_points) + 0.5) * (2.0 * np.pi / quad_points)
+    t = (np.arange(QUAD_POINTS) + 0.5) * (2.0 * np.pi / QUAD_POINTS)
     z = np.exp(1j * t)
     s = np.real(1j * (1.0 - z) / (1.0 + z))
     # ds = 2 dt / |1+z|^2 along the parametrization
     weight = 2.0 / np.abs(1.0 + z) ** 2
     vals = np.abs(f.value(s)) ** 2 * weight
-    return float(np.sum(vals) * (2.0 * np.pi / quad_points))
+    return float(np.sum(vals) * (2.0 * np.pi / QUAD_POINTS))
 
 
-def circle_norm_squared(F, quad_points: int = 4096) -> float:
+def circle_norm_squared(F) -> float:
     """Squared L2 norm on the circle with normalized measure."""
     F = as_rational(F)
     import numpy as np
 
-    t = (np.arange(quad_points) + 0.5) * (2.0 * np.pi / quad_points)
+    t = (np.arange(QUAD_POINTS) + 0.5) * (2.0 * np.pi / QUAD_POINTS)
     vals = np.abs(F(np.exp(1j * t))) ** 2
     return float(np.mean(vals))

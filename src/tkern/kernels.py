@@ -90,9 +90,6 @@ class EquivalenceWitness(Record):
     h_minus: RationalFunction
     h_plus: RationalFunction
 
-    def reconstruct(self, g2) -> RationalFunction:
-        return RationalFunction._product((self.h_minus, as_rational(g2), self.h_plus))
-
 
 def kernel(s) -> ToeplitzKernel:
     """The kernel of the Toeplitz operator with rational symbol ``s``,

@@ -32,33 +32,29 @@ from .rational import (
     monomial,
 )
 
-_RATIONAL_SCALE_NOTE = (
-    "for rational symbols every Smirnov-class multiplier with Carleson "
-    "control is rational, so the unrestricted and square-integrable "
-    "multiplier spaces coincide here"
-)
-
-
 class MultiplierSpace(Record):
     """Multipliers from ker T_g into ker T_h as an explicit kernel.
 
     ``test_symbol`` is the reduction of (1/z) * h / g; the space is its
-    Toeplitz kernel. ``carleson_filtered`` records that every basis
-    element satisfies the Carleson condition for the source kernel. This
-    holds by construction: both kernels consist of rational Hardy-space
-    functions, which have no poles on the closed disc, and neither has a
-    product of two of them.
+    Toeplitz kernel. The class constant ``carleson_filtered`` records
+    that every basis element satisfies the Carleson condition for the
+    source kernel. This holds by construction: both kernels consist of
+    rational Hardy-space functions, which have no poles on the closed
+    disc, and neither has a product of two of them.
     """
 
     source: ToeplitzSymbol
     target: ToeplitzSymbol
     test_symbol: ToeplitzSymbol
     space: ToeplitzKernel
-    carleson_filtered: bool
     bounded_verified: bool = False
-    note: str = _RATIONAL_SCALE_NOTE
 
-    _hidden = ("note",)
+    carleson_filtered = True
+    note = (
+        "for rational symbols every Smirnov-class multiplier with Carleson "
+        "control is rational, so the unrestricted and square-integrable "
+        "multiplier spaces coincide here"
+    )
 
     @property
     def dimension(self) -> int:
@@ -163,7 +159,7 @@ def multiplier_space(g, h) -> MultiplierSpace:
         raise NotInvertibleOnCircle("reduced multiplier test symbol has circle zeros or poles")
     if not g.circle_invertible:
         raise NotInvertibleOnCircle("source symbol has circle zeros or poles")
-    return MultiplierSpace(g, h, t, kernel(t), carleson_filtered=True)
+    return MultiplierSpace(g, h, t, kernel(t))
 
 
 def multiplier_space_bounded(g, h) -> MultiplierSpace:
@@ -174,10 +170,7 @@ def multiplier_space_bounded(g, h) -> MultiplierSpace:
     plus = ms.space.plus
     if plus is not None and not plus.in_hardy2():
         raise PreconditionViolation("multiplier basis element is unbounded on the closed disc")
-    return MultiplierSpace(
-        ms.source, ms.target, ms.test_symbol, ms.space,
-        carleson_filtered=ms.carleson_filtered, bounded_verified=True,
-    )
+    return MultiplierSpace(ms.source, ms.target, ms.test_symbol, ms.space, bounded_verified=True)
 
 
 def image_kernel(w, g) -> Optional[ToeplitzKernel]:

@@ -216,38 +216,3 @@ def principal_angle(A: NumericSubspace, B: NumericSubspace) -> float:
         resid = A.basis_matrix - B.basis_matrix @ M.conj().T
     sines = np.linalg.svd(resid, compute_uv=False)
     return float(np.arcsin(np.clip(sines[0], 0.0, 1.0)))
-
-
-def winding_by_quadrature(s, samples: int = 1024) -> int:
-    """Argument-principle winding of a symbol: accumulated phase of the
-    boundary values over one loop, divided by 2 pi."""
-    s = as_symbol(s)
-    if not s.circle_invertible:
-        raise NotInvertibleOnCircle("quadrature winding needs a circle-invertible symbol")
-    z = circle_samples(samples)
-    vals = s.value(z)
-    ratios = np.roll(vals, -1) / vals
-    total = float(np.sum(np.angle(ratios)))
-    return int(np.rint(total / (2.0 * np.pi)))
-
-
-def quadrature_norm_squared(f, samples: int = 2048) -> float:
-    """Mean of |f|^2 over a midpoint circle grid (normalized measure).
-
-    The midpoint offset keeps poles at roots of unity off the grid, so the
-    value grows without bound under sample doubling exactly when |f|^2
-    fails to be integrable; used as a divergence probe.
-    """
-    f = as_rational(f)
-    z = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
-    den_vals = f.den(z)
-    small = np.abs(den_vals) < 1e-300
-    den_vals[small] = 1e-300
-    return float(np.mean(np.abs(f.num(z) / den_vals) ** 2))
-
-
-def gram_matrix(functions, samples: int = 512) -> np.ndarray:
-    """Gram matrix of functions under the sampled circle inner product."""
-    z = circle_samples(samples)
-    vals = np.stack([as_rational(f)(z) for f in functions], axis=0)
-    return (vals @ vals.conj().T) / samples

@@ -67,12 +67,6 @@ def random_symbol(rng, max_half_degree=3, winding=None) -> ToeplitzSymbol:
     return ToeplitzSymbol(random_rational(rng, zi, zo, pi, po))
 
 
-def random_kernel_symbol(rng, max_dimension=4, max_half_degree=2) -> ToeplitzSymbol:
-    """Random symbol with a nontrivial kernel (winding <= -1)."""
-    dim = int(rng.integers(1, max_dimension + 1))
-    return random_symbol(rng, max_half_degree=max_half_degree, winding=-dim)
-
-
 def random_blaschke(rng, degree) -> BlaschkeProduct:
     zeros = _separated_points(rng, degree, INSIDE_RADII, [])
     constant = np.exp(2j * np.pi * rng.random())
@@ -87,15 +81,3 @@ def random_outer(rng, zeros=1, poles=1) -> RationalFunction:
 
 def random_conjugate_outer(rng, zeros=1, poles=1) -> RationalFunction:
     return random_outer(rng, zeros, poles).circle_conjugate()
-
-
-def random_halfplane_hardy(rng, den_degree=2):
-    """Random rational in the Hardy space of the upper half-plane: all
-    poles in the open lower half-plane, decay at infinity."""
-    x = -2.0 + 4.0 * rng.random(den_degree)
-    y = -(0.4 + 2.0 * rng.random(den_degree))
-    poles = x + 1j * y
-    den = ComplexPolynomial.from_roots(list(poles))
-    num_deg = int(rng.integers(0, den_degree))
-    num = ComplexPolynomial(rng.standard_normal(num_deg + 1) + 1j * rng.standard_normal(num_deg + 1))
-    return RationalFunction(num, den)

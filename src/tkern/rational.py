@@ -125,12 +125,10 @@ class Record(Frozen):
     default: an instance that was not given the field reads it from the
     class. A record takes its fields positionally or by keyword, refuses
     assignment, compares and hashes by class and fields, and shows as
-    ``Name(field=value, ...)`` without the fields named in ``_hidden``.
-    Instances keep their fields in ``__dict__``, so ``cached_property``
-    works on them."""
+    ``Name(field=value, ...)``. Instances keep their fields in
+    ``__dict__``, so ``cached_property`` works on them."""
 
     __slots__ = ()
-    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -163,9 +161,7 @@ class Record(Frozen):
         return hash((self.__class__, self._values()))
 
     def __repr__(self):
-        shown = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden
-        )
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 
@@ -819,14 +815,6 @@ class RationalFunction(Frozen):
         in the open unit disc (circle zeros are allowed)."""
         return (not self.is_zero) and self.in_hardy2() and not self.zero_classification().inside
 
-    def is_invertible_analytic(self) -> bool:
-        """The function and its reciprocal are analytic and bounded on the
-        closed disc: no zeros or poles with modulus <= 1."""
-        if self.is_zero:
-            return False
-        zc, pc = self.zero_classification(), self.pole_classification()
-        return not (zc.inside or zc.on_circle or pc.inside or pc.on_circle)
-
     def is_invertible_coanalytic(self) -> bool:
         """The function and its reciprocal are analytic on the closed
         exterior region including infinity: all zeros and poles lie strictly
@@ -950,20 +938,6 @@ class ToeplitzSymbol(Frozen):
             )
         return zc.count_inside() - pc.count_inside()
 
-    def conjugate(self) -> "ToeplitzSymbol":
-        return ToeplitzSymbol(self.value.circle_conjugate())
-
-    def __mul__(self, other):
-        other = as_symbol(other)
-        return ToeplitzSymbol(self.value * other.value)
-
-    def __truediv__(self, other):
-        other = as_symbol(other)
-        return ToeplitzSymbol(self.value / other.value)
-
-    def __call__(self, z):
-        return self.value(z)
-
     def __repr__(self):
         return f"ToeplitzSymbol({self.value!r})"
 
@@ -981,14 +955,6 @@ def as_symbol(x) -> ToeplitzSymbol:
     if isinstance(x, ToeplitzSymbol):
         return x
     return ToeplitzSymbol(as_rational(x))
-
-
-def circle_conjugate(r):
-    """Free-function form of ``RationalFunction.circle_conjugate``; accepts
-    symbols, rationals, polynomials or scalars."""
-    if isinstance(r, ToeplitzSymbol):
-        return r.conjugate()
-    return as_rational(r).circle_conjugate()
 
 
 def _reflect(gain, roots, divide=False) -> tuple[complex, list]:

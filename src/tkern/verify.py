@@ -250,13 +250,10 @@ def paper_examples_suite(seed: int = 42, tol: float = 1e-8) -> list[dict]:
     return checks
 
 
-SUITES = {"paper-examples": paper_examples_suite}
-
-
 def run_suite(name: str, seed: int = 42, tol: float = 1e-8) -> dict:
-    if name not in SUITES:
-        raise PreconditionViolation(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    checks = SUITES[name](seed=seed, tol=tol)
+    if name != "paper-examples":
+        raise PreconditionViolation(f"unknown suite {name!r}; available: ['paper-examples']")
+    checks = paper_examples_suite(seed=seed, tol=tol)
     failed = sum(1 for c in checks if not c["ok"])
     return {
         "suite": name,

@@ -421,6 +421,38 @@ def test_refused_input_answers_with_one_json_error(text, error, capsys):
     assert doc["error"] == error
 
 
+# whole argv refused for a global flag or the suite name; the CI step "Error
+# paths answer in JSON" runs them too
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel", "--symbol", "zbar^2", "--verify-inline", "--tol", "nan"], "--tol must be"),
+        (["kernel", "--symbol", "zbar^2", "--verify-inline", "--tol", "-1"], "--tol must be"),
+        (["dim", "--symbol", "zbar", "--tol", "inf"], "--tol must be"),
+        (["verify", "--suite", "paper-examples", "--seed", "-1"], "--seed must be"),
+        (["verify", "--suite", "nope"], "unknown suite 'nope'; available: ['paper-examples']"),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-inf", "seed-negative", "unknown-suite"],
+)
+def test_refused_flag_answers_with_one_json_error(argv, message, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "precondition-violation"
+    assert message in doc["message"]
+
+
+def test_unwritable_report_answers_with_one_json_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["dim", "--symbol", "zbar", "--report", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "report-not-written"
+    assert not path.exists()
+
+
 def test_blaschke_parameter_may_be_a_complex_expression(capsys):
     code, doc = run_cli(["dim", "--symbol", "zbar*B(0.3+0.4i)"], capsys)
     assert code == 0
@@ -615,7 +647,7 @@ def test_decision_commands_run_without_numpy():
         assert (doc["inputs"], _printed(doc["result"])) == PRINTED[" ".join(argv)], argv
 
 
-# the package's public names, as they were when every module loaded eagerly
+# the package's public names, those loaded eagerly and those loaded on access
 PUBLIC_NAMES = {
     "BlaschkeParameterOutOfDisc", "BlaschkeProduct", "BoundarySampling", "CarlesonFailure",
     "ClassificationWarning", "ComplexPolynomial", "DimensionMismatchWarning", "EquivalenceWitness",
@@ -627,7 +659,7 @@ PUBLIC_NAMES = {
     "ToeplitzSymbol", "TrivialKernel", "UnboundedSymbol", "UndefinedQuotient",
     "WienerHopfFactorization", "ZeroDenominator", "ZeroFunction", "ZeroPolynomial", "as_rational",
     "as_symbol", "blaschke_divides", "blaschke_from_rational", "boundary_sampling",
-    "carleson_check", "cayley_function", "cayley_symbol", "circle_conjugate",
+    "carleson_check", "cayley_function", "cayley_symbol",
     "circle_norm_squared", "circle_samples", "classify_roots", "crofoot_companion",
     "dim_from_factorization", "equals", "errors", "expressions", "factorization", "format_complex",
     "format_rational", "fourier_coefficients", "halfplane", "halfplane_multiplier_test",
@@ -635,9 +667,9 @@ PUBLIC_NAMES = {
     "is_equivalent", "is_maximal", "is_multiplier", "is_rigid", "is_surjective_multiplier",
     "kernel", "kernels", "line_norm_squared", "minimal_kernel", "monomial", "multiplier_space",
     "multiplier_space_bounded", "multipliers", "numeric_kernel", "oracle", "parse_expression",
-    "poly_roots", "principal_angle", "quadrature_norm_squared", "random_instances", "rational",
+    "poly_roots", "principal_angle", "random_instances", "rational",
     "run_suite", "smirnov_multiplier_test", "subspace_from_rationals", "transfer_multiplier",
-    "verify", "wiener_hopf", "winding_by_quadrature", "winding_number",
+    "verify", "wiener_hopf", "winding_number",
 }
 
 

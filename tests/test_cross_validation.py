@@ -40,10 +40,11 @@ from tkern import (
 from tkern import random_instances
 from tkern.random_instances import (
     random_blaschke,
-    random_kernel_symbol,
     random_outer,
     random_rational,
 )
+
+from conftest import random_kernel_symbol
 
 
 def _brute_force_multiplier(w, g, h):

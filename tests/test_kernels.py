@@ -15,7 +15,6 @@ from tkern import (
     RationalFunction,
     ZeroFunction,
     as_symbol,
-    circle_conjugate,
     dim_from_factorization,
     equals,
     fourier_coefficients,
@@ -34,17 +33,15 @@ from tkern import (
     subspace_from_rationals,
     wiener_hopf,
 )
-from tkern.oracle import gram_matrix
 from tkern.random_instances import (
     random_blaschke,
     random_conjugate_outer,
-    random_kernel_symbol,
     random_outer,
     random_rational,
     random_symbol,
 )
 
-from conftest import circle
+from conftest import circle, closed_disc_roots, gram_matrix, random_kernel_symbol
 
 
 # -- kernel -------------------------------------------------------------------
@@ -393,7 +390,7 @@ def test_model_space_chain_inclusion():
 def test_divisor_blaschke_inclusion():
     b = RationalFunction([-0.5, 1], [1, -0.5])
     theta = monomial(1) * b
-    assert includes(circle_conjugate(monomial(1)), circle_conjugate(theta))
+    assert includes(monomial(1).circle_conjugate(), theta.circle_conjugate())
 
 
 def test_includes_reflexive_and_transitive(rng):
@@ -477,20 +474,20 @@ def test_different_dimensions_not_equal():
 def test_model_space_symbol_recognized_up_to_coanalytic_unit():
     theta = monomial(1)
     h_minus = RationalFunction([1, 2], [0, 2])  # 1 + 1/(2z)
-    g = as_symbol(circle_conjugate(theta))
+    g = as_symbol(theta.circle_conjugate())
     assert equals(g, as_symbol(g.value * h_minus))
 
 
 def test_equivalence_witness_for_blaschke_vs_monomial():
     b = RationalFunction([-0.5, 1], [1, -0.5])
-    g1 = as_symbol(circle_conjugate(monomial(1) * b))
+    g1 = as_symbol((monomial(1) * b).circle_conjugate())
     w = is_equivalent(g1, monomial(-2))
     assert w is not None
     z = circle(64)
-    lhs, rhs = g1.value(z), w.reconstruct(monomial(-2))(z)
+    lhs, rhs = g1.value(z), (w.h_minus * monomial(-2) * w.h_plus)(z)
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1.0 + np.max(np.abs(lhs)))
-    assert w.h_plus.is_invertible_analytic()
-    assert (1 / w.h_plus).is_invertible_analytic()
+    assert not closed_disc_roots(w.h_plus)
+    assert not closed_disc_roots(1 / w.h_plus)
     assert w.h_minus.is_invertible_coanalytic()
 
 

@@ -25,9 +25,10 @@ from tkern.oracle import (
     GRID_CONVERGENCE_TOL,
     SAFE_CIRCLE_DISTANCE,
     boundary_sampling,
-    winding_by_quadrature,
 )
-from tkern.random_instances import random_kernel_symbol, random_symbol
+from tkern.random_instances import random_symbol
+
+from conftest import random_kernel_symbol, winding_by_quadrature
 
 
 # -- Fourier coefficients -------------------------------------------------------
