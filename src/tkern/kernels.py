@@ -3,9 +3,10 @@
 A circle-invertible rational symbol with winding number k has the kernel
 plus * P_{d-1}, d = max(0, -k): the Wiener-Hopf plus factor times the
 polynomials of degree below d, spanned by the ladder ``plus * z**j``.
-This module computes kernels and minimal kernels, decides maximality of a
-kernel vector, and decides inclusion, equality and equivalence of kernels
-through their symbols.
+This module computes kernels and minimal kernels, decides membership from
+that parametrisation (f / plus must be a polynomial of degree below d),
+decides maximality of a kernel vector, and decides inclusion, equality and
+equivalence of kernels through their symbols.
 """
 
 from __future__ import annotations
@@ -103,17 +104,25 @@ def kernel(s) -> ToeplitzKernel:
 
 
 def in_kernel(f, s) -> bool:
-    """Symbolic membership test of ``f`` in ker T_s.
+    """Symbolic membership test of ``f`` in ker T_s = plus * P_{d-1}.
 
-    Decided by pole/zero bookkeeping on the product z * s * f, reduced
-    once over the roots of its three factors: f belongs to the kernel iff
-    f is in the Hardy space and that product is in the conjugate Hardy
-    space, that is all its poles lie inside the open unit disc and it is
-    bounded at infinity.
+    f outside the Hardy space is in no kernel. Otherwise the kernel is
+    read, kept on the symbol (so a symbol that is not circle-invertible
+    raises NotInvertibleOnCircle), and f belongs to it iff the quotient
+    f / plus, reduced once over the roots of f and plus, is a polynomial
+    of degree below d: no pole and at most d - 1 zeros, with multiplicity.
+    The zero function is in every kernel; for d = 0 no other function is.
     """
     f = as_rational(f)
-    s = as_symbol(s)
-    return f.in_hardy2() and RationalFunction._product((Z, s.value, f)).in_conjugate_hardy2()
+    if not f.in_hardy2():
+        return False
+    K = kernel(s)
+    if f.is_zero:
+        return True
+    if not K.dimension:
+        return False
+    q = RationalFunction._product((f,), (K.plus,))
+    return not q._poles and sum(m for _, m in q._zeros) < K.dimension
 
 
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
@@ -138,9 +147,10 @@ def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
     k must be in the kernel, decided on the product z * s * k, reduced
-    once, as in ``in_kernel``; the certificate circle_conjugate(z * s * k), built only
-    then, must have no zeros in the open unit disc (that is outerness,
-    hence maximality).
+    once: k in the Hardy space and the product in the conjugate Hardy
+    space. The certificate circle_conjugate(z * s * k), built only then,
+    must have no zeros in the open unit disc (that is outerness, hence
+    maximality).
     """
     k = as_rational(k)
     s = as_symbol(s)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import tkern.random_instances
 import tkern.rational
 from tkern import (
     BlaschkeProduct,
@@ -28,6 +29,7 @@ from tkern import (
     kernel,
     minimal_kernel,
     monomial,
+    parse_expression,
     principal_angle,
     smirnov_multiplier_test,
     subspace_from_rationals,
@@ -249,7 +251,7 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     for b in K.basis:
         calls.clear()
         assert in_kernel(b, g)
-        assert len(calls) == 1  # z * g * b, reduced once
+        assert len(calls) == 1  # b / plus, reduced once
 
 
 def test_dimension_only_question_costs_one_reduction(monkeypatch):
@@ -343,6 +345,103 @@ def test_maximal_vector_costs_no_reduction_per_dimension(monkeypatch):
         assert image_kernel(1, monomial(-degree)).dimension == degree
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# -- membership from the parametrisation ---------------------------------------
+
+
+def _in_kernel_by_product(f, s):
+    # the reference: f in the Hardy space and z * s * f, reduced once over
+    # the roots of its three factors, in the conjugate Hardy space
+    return f.in_hardy2() and RationalFunction._product((monomial(1), s.value, f)).in_conjugate_hardy2()
+
+
+def _with_root_moved(plus, rel):
+    # plus with its first zero (or, if it has none, its first pole) moved by rel, relative
+    zeros, poles = list(plus._zeros), list(plus._poles)
+    roots = zeros or poles
+    r, m = roots[0]
+    roots[0] = (r * (1 + rel), m)
+    return RationalFunction._from_roots(plus._gain, zeros, poles)
+
+
+def _membership_candidates(rng, K):
+    z = monomial(1)
+    out = [RationalFunction(0.0), RationalFunction(1.0), z]
+    if not K.dimension:
+        return out
+    plus, basis = K.plus, K.basis
+    out += basis
+    out.append(sum(basis, RationalFunction(0.0)))
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    out.append(sum((c * b for c, b in zip(coeffs, basis)), RationalFunction(0.0)))
+    out.append(plus * monomial(K.dimension))
+    inside = complex(0.7 * rng.random() * np.exp(2j * np.pi * rng.random()))
+    outside = complex((1.2 + rng.random()) * np.exp(2j * np.pi * rng.random()))
+    extra = complex(3 * rng.random() * np.exp(2j * np.pi * rng.random()))
+    out.append(plus / (z - inside))
+    out.append(plus / (z - outside))
+    out.append(plus * (z - extra))
+    if plus._zeros or plus._poles:
+        out += [_with_root_moved(plus, rel) for rel in (1e-9, 1e-6)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_membership_from_the_parametrisation_matches_the_product_rule(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    answers = []
+    # roots at the safe radii, then from 0.5 to 0.9 and from 1.1 to 2.0
+    for radii in (None, ((0.5, 0.9), (1.1, 2.0))):
+        if radii:
+            monkeypatch.setattr(tkern.random_instances, "INSIDE_RADII", radii[0])
+            monkeypatch.setattr(tkern.random_instances, "OUTSIDE_RADII", radii[1])
+        for _ in range(60):
+            s = random_symbol(rng, max_half_degree=2, winding=-int(rng.integers(-1, 5)))
+            for f in _membership_candidates(rng, kernel(s)):
+                got = in_kernel(f, s)
+                assert got == _in_kernel_by_product(f, s)
+                if got and not f.is_zero:
+                    is_maximal(f, s)  # raises NotInKernel for a vector outside the kernel
+                answers.append(got)
+    assert min(sum(answers), len(answers) - sum(answers)) > 400  # answered both ways
+
+
+def test_membership_reduces_only_the_quotient_and_classifies_nothing(monkeypatch):
+    s = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]) * RationalFunction([-3, 1]))
+    K = kernel(s)
+    assert K.dimension == 3 and K.plus._zeros and K.plus._poles
+    basis = K.basis
+    reduced, classified = [], []
+    reduce, classify_roots = tkern.rational._reduce, tkern.rational.classify_roots
+
+    def counted_reduce(zeros, poles):
+        reduced.append((sorted(map(repr, zeros)), sorted(map(repr, poles))))
+        return reduce(zeros, poles)
+
+    def counted_classify(roots):
+        classified.append(roots)
+        return classify_roots(roots)
+
+    monkeypatch.setattr(tkern.rational, "_reduce", counted_reduce)
+    monkeypatch.setattr(tkern.rational, "classify_roots", counted_classify)
+    for b in basis:
+        reduced.clear()
+        assert in_kernel(b, s)
+        # f's and plus's roots only: s's inside roots and the factor z drop out
+        zeros, poles = b._zeros + K.plus._poles, b._poles + K.plus._zeros
+        assert reduced == [(sorted(map(repr, zeros)), sorted(map(repr, poles)))]
+    assert classified == []
+
+
+@pytest.mark.parametrize("symbol", ["zbar^2*(z-1)", "zbar^2/(z-1i)"])
+def test_membership_refuses_a_symbol_that_is_not_circle_invertible(symbol):
+    s = parse_expression(symbol).to_rational()
+    for f in (RationalFunction(0.0), RationalFunction(1.0), monomial(1)):
+        with pytest.raises(NotInvertibleOnCircle):
+            in_kernel(f, s)
+    # a function outside the Hardy space is in no kernel, decided before the symbol is read
+    assert not in_kernel(RationalFunction([1.0], [-0.5, 1.0]), s)
 
 
 def test_reproducing_kernel_is_not_maximal():

@@ -135,7 +135,8 @@ def test_two_route_agreement(rng):
 
 def test_two_route_check_factors_the_source_once(monkeypatch):
     # the source kernel is kept on its symbol, so the maximal-vector route
-    # and the conjugate-Smirnov route share one Wiener-Hopf factorization
+    # and the conjugate-Smirnov route share one Wiener-Hopf factorization;
+    # the membership test w * k in ker T_h factors the target h, once
     factored = []
     wiener_hopf = tkern.kernels.wiener_hopf
 
@@ -148,9 +149,11 @@ def test_two_route_check_factors_the_source_once(monkeypatch):
     h = as_symbol(monomial(-4))
     w = RationalFunction([1, 1])
     assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
-    assert len(factored) == 1
+    assert sum(s is g for s in factored) == 1
+    assert len({id(s) for s in factored}) == len(factored)  # no symbol factored twice
     assert kernel(g) is kernel(g)
-    assert len(factored) == 1
+    assert sum(s is g for s in factored) == 1
+    assert len({id(s) for s in factored}) == len(factored)
 
 
 def test_two_route_check_classifies_each_root_multiset_once(monkeypatch, rng):
