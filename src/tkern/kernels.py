@@ -111,6 +111,7 @@ def in_kernel(f, s) -> bool:
     raises NotInvertibleOnCircle), and f belongs to it iff the quotient
     f / plus, reduced once over the roots of f and plus, is a polynomial
     of degree below d: no pole and at most d - 1 zeros, with multiplicity.
+    Only the reduced roots are read; no quotient gain is formed.
     The zero function is in every kernel; for d = 0 no other function is.
     """
     f = as_rational(f)
@@ -121,8 +122,8 @@ def in_kernel(f, s) -> bool:
         return True
     if not K.dimension:
         return False
-    q = RationalFunction._product((f,), (K.plus,))
-    return not q._poles and sum(m for _, m in q._zeros) < K.dimension
+    zeros, poles = RationalFunction._quotient_roots(f, K.plus)
+    return not poles and sum(m for _, m in zeros) < K.dimension
 
 
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:

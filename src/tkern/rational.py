@@ -530,12 +530,24 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
     group the zeros cancel the poles: an excess of zeros leaves one zero at
     the zeros' multiplicity-weighted mean, an excess of poles one pole at
     the poles' mean, a balance nothing. Both multisets come sorted by
-    (real, imaginary) part."""
+    (real, imaginary) part. Each distinct value is grouped once, as equal
+    values lie at distance 0; a group goes back to its entries in order."""
     # poles carry negative multiplicities
     roots = [(complex(r), int(m)) for r, m in zeros if m > 0]
     roots += [(complex(r), -int(m)) for r, m in poles if m > 0]
+    points = [r for r, _ in roots]
+    if len(set(points)) < len(points):
+        # group distinct values once (0j, -0j are one), then hand each group to its entries
+        entries: dict[complex, list[int]] = {}
+        for i, r in enumerate(points):
+            entries.setdefault(r, []).append(i)
+        members = list(entries.values())
+        groups = [members[g[0]] if len(g) == 1 else sorted(i for k in g for i in members[k])
+                  for g in _group_roots(list(entries), EPS_ROOT)]
+    else:
+        groups = _group_roots(points, EPS_ROOT)
     zs, ps = [], []
-    for group in _group_roots([r for r, _ in roots], EPS_ROOT):
+    for group in groups:
         if len(group) == 1:
             r, m = roots[group[0]]
         else:
@@ -750,6 +762,12 @@ class RationalFunction(Frozen):
         if is_zero:
             return RationalFunction(0.0)
         return RationalFunction._from_roots(gain, zeros, poles)
+
+    @staticmethod
+    def _quotient_roots(f, g) -> tuple[tuple, tuple]:
+        """The reduced (zeros, poles) of f / g, for nonzero rational
+        functions f and g, with no gain and no value formed."""
+        return _reduce(f._zeros + g._poles, f._poles + g._zeros)
 
     def __pow__(self, n: int):
         n = int(n)

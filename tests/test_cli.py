@@ -309,6 +309,16 @@ def test_mult_routes_agree_when_the_top_vector_cancels_a_pole_of_w(capsys):
     }
 
 
+def test_mult_forms_no_quotient_gain(capsys):
+    # w * plus_g / plus_h has the gain 1e-320, a subnormal; neither route reads it
+    argv = ["mult", "--w", "1e-300/(1e20-1e-180*z)", "--g", "zbar", "--h", "zbar*(z-1e200)"]
+    code, doc = run_cli(argv, capsys)
+    assert code == 0
+    assert doc["result"] == {
+        "is_multiplier": True, "routes": {"maximal_vector": True, "smirnov": True},
+    }
+
+
 def test_equal_keeps_outside_roots_apart_that_reflection_would_merge(capsys):
     code, doc = run_cli(["equal", "--g", "zbar*(z-10.000005)", "--h", "zbar*(z-10)"], capsys)
     assert code == 0

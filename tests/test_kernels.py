@@ -1,5 +1,6 @@
 """Kernels: bases, minimal kernels, maximality, inclusion, equivalence."""
 
+import cmath
 import time
 
 import numpy as np
@@ -432,6 +433,43 @@ def test_membership_reduces_only_the_quotient_and_classifies_nothing(monkeypatch
         zeros, poles = b._zeros + K.plus._poles, b._poles + K.plus._zeros
         assert reduced == [(sorted(map(repr, zeros)), sorted(map(repr, poles)))]
     assert classified == []
+
+
+def test_membership_groups_each_distinct_root_once_and_builds_no_value(monkeypatch):
+    n = 24
+    zeros = [(cmath.rect(0.1 + 0.7 * k / n, 2.4 * k), 1) for k in range(n)]
+    s = as_symbol(BlaschkeProduct(1.0, zeros).to_rational().circle_conjugate())
+    K = kernel(s)
+    assert K.dimension == n and len(K.plus._poles) == n and not K.plus._zeros
+    grouped, built = [], []
+    group_roots, reduced = tkern.rational._group_roots, RationalFunction._reduced
+
+    def counted_group(points, tol_factor):
+        grouped.append(len(points))
+        return group_roots(points, tol_factor)
+
+    def counted_reduced(cls, *state):
+        built.append(state)
+        return reduced(*state)
+
+    for j in (1, n // 2, n - 1):
+        f = K.basis[j]
+        grouped.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tkern.rational, "_group_roots", counted_group)
+            m.setattr(RationalFunction, "_reduced", classmethod(counted_reduced))
+            assert in_kernel(f, s)
+        # f / plus has 2n + 1 root entries but n + 1 distinct values: the
+        # origin and plus's n poles
+        assert grouped == [n + 1]
+        assert built == []
+
+
+def test_membership_forms_no_quotient_gain():
+    # f / plus is the constant 1e-500, not a double; membership never reads it
+    s = parse_expression("zbar^2*(z-1e200)").to_rational()
+    f = kernel(s).plus * 1e-250 * 1e-250
+    assert in_kernel(f, s)
 
 
 @pytest.mark.parametrize("symbol", ["zbar^2*(z-1)", "zbar^2/(z-1i)"])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 import warnings
 
@@ -457,6 +458,62 @@ def test_sweep_matches_the_matrix_reference(tol, monkeypatch):
         groups = tkern.rational._group_roots(points, tol)
         assert [[points[i] for i in g] for g in groups] == _group_points_by_pairs(points, tol)
         assert tkern.rational._reduce(zeros, poles) == _reduce_by_pairs(zeros, poles, tol)
+
+
+def _reduce_over_every_entry(zeros, poles):
+    # reference: the reduction that grouped every entry, repeated values
+    # included, in one pass of ``_group_roots``
+    roots = [(complex(r), int(m)) for r, m in zeros if m > 0]
+    roots += [(complex(r), -int(m)) for r, m in poles if m > 0]
+    zs, ps = [], []
+    for group in tkern.rational._group_roots([r for r, _ in roots], tkern.rational.EPS_ROOT):
+        if len(group) == 1:
+            r, m = roots[group[0]]
+        else:
+            m = sum(roots[i][1] for i in group)
+            if not m:
+                continue
+            r = tkern.rational._mean([roots[i] for i in group if (roots[i][1] > 0) == (m > 0)])
+        if m > 0:
+            zs.append((r, m))
+        else:
+            ps.append((r, -m))
+    return tuple(tkern.rational._sorted_roots(zs)), tuple(tkern.rational._sorted_roots(ps))
+
+
+def _reduction_corpus(rnd):
+    # zeros and poles drawn from one small pool, so that values repeat
+    # exactly across the two sides: near copies 0.1 to 2 EPS_ROOT away,
+    # three-link chains of steps 0.7 EPS_ROOT, both signed zeros, moduli
+    # from 1e-7 to 1e8 and multiplicities from 0 to 3
+    tol = tkern.rational.EPS_ROOT
+    pool = [0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    for _ in range(rnd.randint(1, 4)):
+        pool.append(rnd.choice((1e-7, 1.0, 1e8)) * rnd.uniform(0.5, 2.0) * cmath.rect(1.0, rnd.uniform(0.0, 2 * math.pi)))
+
+    def entry():
+        r = rnd.choice(pool)
+        kind = rnd.randrange(4)
+        if kind == 1:  # a near copy
+            r += tol * rnd.uniform(0.1, 2.0) * max(1.0, abs(r)) * cmath.rect(1.0, rnd.uniform(0.0, 2 * math.pi))
+        elif kind == 2:  # a link of a chain
+            r += 0.7 * tol * max(1.0, abs(r)) * rnd.randrange(3)
+        return r, rnd.randrange(4)
+
+    return [entry() for _ in range(rnd.randrange(12))], [entry() for _ in range(rnd.randrange(12))]
+
+
+def test_reduce_by_distinct_values_matches_the_every_entry_reference():
+    rnd = random.Random(2025)
+    signed_zeros = set()
+    for _ in range(20000):
+        zeros, poles = _reduction_corpus(rnd)
+        got = tkern.rational._reduce(zeros, poles)
+        assert repr(got) == repr(_reduce_over_every_entry(zeros, poles)), (zeros, poles)
+        for side, roots in enumerate(got):
+            signed_zeros.update((side, repr(r)) for r, _ in roots if not r)
+    # a zero and a pole at the origin each won with each sign of its parts
+    assert signed_zeros >= {(side, repr(r)) for side in (0, 1) for r in (0j, -0j)}
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
