@@ -544,7 +544,7 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
         members = list(entries.values())
         groups = [members[g[0]] if len(g) == 1 else sorted(i for k in g for i in members[k])
                   for g in _group_roots(list(entries), EPS_ROOT)]
-    else:
+    else:  # no value repeats: the entries are the distinct values
         groups = _group_roots(points, EPS_ROOT)
     zs, ps = [], []
     for group in groups:

@@ -504,9 +504,11 @@ def _reduction_corpus(rnd):
 
 
 def test_reduce_by_distinct_values_matches_the_every_entry_reference():
+    # repr tells 0j from -0j, which ``_reduce_by_pairs`` may not match: its
+    # pole means weigh by positive multiplicities
     rnd = random.Random(2025)
     signed_zeros = set()
-    for _ in range(20000):
+    for _ in range(2000):
         zeros, poles = _reduction_corpus(rnd)
         got = tkern.rational._reduce(zeros, poles)
         assert repr(got) == repr(_reduce_over_every_entry(zeros, poles)), (zeros, poles)
