@@ -8,8 +8,9 @@ and inner-outer factorizations, and the Cayley bridge to the upper
 half-plane. A numeric oracle (FFT coefficients, SVD null spaces,
 principal angles) cross-checks every symbolic result. Numpy is loaded
 only with the oracle, the verification suite and its random instances, and
-by the few steps that work on arrays: a root solve of degree 2 or more,
-Taylor series, and evaluation at an array of points.
+by the few steps that work on arrays: a root solve of degree 3 or more
+(degree 2 is solved in closed form) or with a near-multiple root, Taylor
+series, and evaluation at an array of points.
 """
 
 from .errors import (

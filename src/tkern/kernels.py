@@ -175,7 +175,8 @@ def includes(g, h) -> bool:
     its poles inside the open unit disc and be bounded at infinity."""
     g = as_symbol(g)
     h = as_symbol(h)
-    return (h.value / g.value).in_conjugate_hardy2()
+    ratio = RationalFunction._product((h.value,), (g.value,), unit_gain=True)
+    return ratio.in_conjugate_hardy2()
 
 
 def equals(g, h) -> bool:
@@ -183,7 +184,8 @@ def equals(g, h) -> bool:
     in the conjugate Hardy space, that is h/g invertible co-analytic."""
     g = as_symbol(g)
     h = as_symbol(h)
-    return (h.value / g.value).is_invertible_coanalytic()
+    ratio = RationalFunction._product((h.value,), (g.value,), unit_gain=True)
+    return ratio.is_invertible_coanalytic()
 
 
 def is_equivalent(g1, g2) -> Optional[EquivalenceWitness]:

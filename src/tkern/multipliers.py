@@ -95,7 +95,10 @@ def carleson_check(w, K: ToeplitzKernel) -> bool:
     L2 of the circle iff the reduced product of w and the kernel's plus
     factor has no circle pole. Every plus * p has the same circle poles,
     since p has none."""
-    return K.plus is None or not (as_rational(w) * K.plus).pole_classification().on_circle
+    if K.plus is None:
+        return True
+    product = RationalFunction._product((as_rational(w), K.plus), unit_gain=True)
+    return not product.pole_classification().on_circle
 
 
 def _require_nontrivial(s: ToeplitzSymbol) -> None:
@@ -146,7 +149,7 @@ def smirnov_multiplier_test(w, g, h) -> bool:
         return False
     if not carleson_check(w, Kg):
         return False
-    ratio = RationalFunction._product((h.value, w), (g.value,))
+    ratio = RationalFunction._product((h.value, w), (g.value,), unit_gain=True)
     return not ratio.pole_classification().outside and ratio.order_at_infinity >= 0
 
 
@@ -195,7 +198,8 @@ def image_kernel(w, g) -> Optional[ToeplitzKernel]:
     K = minimal_kernel(wk)[1]
     if K.dimension != Kg.dimension:
         return None
-    return K if RationalFunction._product((w, Kg.plus), (K.plus,)).is_constant else None
+    ratio = RationalFunction._product((w, Kg.plus), (K.plus,), unit_gain=True)
+    return K if ratio.is_constant else None
 
 
 def is_surjective_multiplier(w, g, h) -> SurjectivityReport:
@@ -216,8 +220,8 @@ def is_surjective_multiplier(w, g, h) -> SurjectivityReport:
     outer_ok = not zc.inside and not pc.inside
     forward_ok = carleson_check(w, Kg)
     inverse_ok = carleson_check(RationalFunction(1.0) / w, Kh)
-    candidate = ToeplitzSymbol(RationalFunction._product((g.value, w.circle_conjugate()), (w,)))
-    identity_ok = equals(h, candidate)
+    candidate = RationalFunction._product((g.value, w.circle_conjugate()), (w,), unit_gain=True)
+    identity_ok = equals(h, ToeplitzSymbol(candidate))
     return SurjectivityReport(w, outer_ok, forward_ok, inverse_ok, identity_ok)
 
 

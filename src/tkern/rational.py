@@ -27,10 +27,11 @@ Conventions:
   * roots are classified against the unit circle with band ``EPS_CIRCLE``;
   * coefficients and values at a number are computed in Python ``complex``
     arithmetic. Numpy is imported only where arrays are needed: the
-    companion-matrix eigenvalues of ``poly_roots`` at degree 2 and more,
-    the refinement of a near-multiple factor, ``RationalFunction.taylor``,
-    evaluation at an array, and ``ComplexPolynomial.coeffs``, the
-    coefficients as an array built on access.
+    companion-matrix eigenvalues of ``poly_roots`` at degree 3 and more
+    (degree 2 is solved in closed form), the refinement of a near-multiple
+    factor, ``RationalFunction.taylor``, evaluation at an array, and
+    ``ComplexPolynomial.coeffs``, the coefficients as an array built on
+    access.
 """
 
 from __future__ import annotations
@@ -69,14 +70,14 @@ BLASCHKE_RADIUS = math.sqrt(1.0 - EPS_ROOT) - sys.float_info.epsilon
 # ClassificationWarning: the band cannot prove they are off the circle.
 NEAR_CIRCLE = 1e-6
 # The one grouping radius (relative) of root finding, applied to the
-# Newton-stepped eigenvalues. A root with no other root this close is
-# simple and is reported with its step. Closer roots form a near-multiple
-# group whose monic factor is re-derived by Newton refinement on the factor
-# coefficients: eigenvalues alone are not backward-stable enough there,
-# and the step moves the members of a split multiple root asymmetrically,
-# which ruins re-expanded products. Genuinely distinct roots caught by the
-# net re-separate when the refined factor is re-rooted, so the radius errs
-# on the large side.
+# Newton-stepped eigenvalues and to a quadratic's closed-form roots. A root
+# with no other root this close is simple and is reported as it is. Closer
+# roots form a near-multiple group whose monic factor is re-derived by
+# Newton refinement on the factor coefficients: eigenvalues alone are not
+# backward-stable enough there, and the step moves the members of a split
+# multiple root asymmetrically, which ruins re-expanded products.
+# Genuinely distinct roots caught by the net re-separate when the refined
+# factor is re-rooted, so the radius errs on the large side.
 COARSE_CLUSTER = 1e-2
 
 
@@ -320,10 +321,12 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     coefficients; the factor's roots are grouped again at the noise floor
     of an m-fold root, and each group is one root at its mean. A companion
     matrix that overflows (a coefficient over the leading one is not a
-    double) raises OutOfRange. A root of degree 1 is -c0/c1 in Python
-    complex arithmetic, checked by the same grouping pass; numpy is
-    imported only from degree 2 on, for the eigenvalues and the factor
-    refinement.
+    double) raises OutOfRange. A root of degree 1 is -c0/c1; the roots of
+    degree 2 come from the quadratic formula on the monic coefficients, in
+    its form that does not cancel, and take the eigenvalues only where the
+    formula overflows. Both are Python complex arithmetic, checked by the
+    same grouping pass; numpy is imported only for the eigenvalues, from
+    degree 3 on, and for the refinement of a near-multiple group.
     """
     p = ComplexPolynomial._coerce(p)
     if p.is_zero:
@@ -336,26 +339,36 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
     c = c[k0:]
     if len(c) == 1:
         return out
+    points = None
     if len(c) == 2:
         points = [-c[0] / c[1]]
     else:
+        monic = [a / c[-1] for a in c[:-1]]
+        if not all(map(cmath.isfinite, monic)):
+            raise OutOfRange("the companion matrix of a polynomial overflows double precision")
+        if len(monic) == 2:
+            # z^2 + b z + q: the sign of d makes |b + d| >= |b - d|, so h does
+            # not cancel, and q / h is the other root (Higham 2002, section 1.8)
+            q, b = monic
+            d = cmath.sqrt(b * b - 4 * q)
+            h = -(b - d if (b.conjugate() * d).real < 0 else b + d) / 2
+            if h and cmath.isfinite(h):  # else b * b overflowed or q underflowed
+                points = [h, q / h]
+    if points is None:
         import numpy as np
 
         # the companion matrix as numpy's polycompanion builds it, so that
-        # the eigenvalues are those of npoly.polyroots
-        arr = np.array(c, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            last = arr[:-1] / arr[-1]
-        if not np.isfinite(last).all():
-            raise OutOfRange("the companion matrix of a polynomial overflows double precision")
-        mat = np.eye(arr.size - 1, k=-1, dtype=complex)
-        mat[:, -1] -= last
+        # the eigenvalues are those of npoly.polyroots: ones below the diagonal
+        n = len(monic)
+        mat = np.zeros((n, n), dtype=complex)
+        mat.flat[n :: n + 1] = 1
+        mat[:, -1] -= monic
         raw = np.linalg.eigvals(mat)
         raw.sort()
         # one Newton step on every eigenvalue before grouping: it also pulls
         # in the eigenvalue ring of a multiple root, which can start out
         # wider than COARSE_CLUSTER
-        points = _newton_step(arr, raw.tolist())
+        points = _newton_step(np.array(c, dtype=complex), raw.tolist())
     for group in _group_roots(points, COARSE_CLUSTER):
         if len(group) == 1:
             out.append((points[group[0]], 1))
@@ -363,7 +376,7 @@ def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
         import numpy.polynomial.polynomial as npoly
 
         m = len(group)
-        factor = _refine_factor(arr, npoly.polyfromroots([points[i] for i in group]))
+        factor = _refine_factor(c, npoly.polyfromroots([points[i] for i in group]))
         # noise floor of an m-fold root: below it the subroots are one root
         noise = max(EPS_ROOT, 10.0 * sys.float_info.epsilon ** (1.0 / m))
         sub = npoly.polyroots(factor).tolist()
@@ -404,10 +417,11 @@ def _newton_step(c, points: list[complex]) -> list[complex]:
 
 
 def _refine_factor(parent, factor):
-    """Newton refinement of a monic factor of ``parent`` in its own
-    coefficients (numpy arrays): up to four rounds drive the division
-    remainder to zero. Quadratically convergent near a true factor; returns
-    the input unchanged when the correction is untrustworthy."""
+    """Newton refinement of a monic factor (a numpy array) of ``parent``
+    (ascending coefficients) in the factor's own coefficients: up to four
+    rounds drive the division remainder to zero. Quadratically convergent
+    near a true factor; returns the input unchanged when the correction is
+    untrustworthy."""
     import numpy as np
     import numpy.polynomial.polynomial as npoly
 
@@ -738,13 +752,14 @@ class RationalFunction(Frozen):
         return self._coerce(other) / self
 
     @staticmethod
-    def _product(factors, divisors=()) -> "RationalFunction":
+    def _product(factors, divisors=(), unit_gain=False) -> "RationalFunction":
         """The product of ``factors`` over the product of ``divisors`` (rational
         functions or numbers), reduced once: the gains multiply and the root
         multisets are concatenated, a divisor's zeros as poles, so one
         ``_reduce`` groups every root of the product, where a chain of
         products and quotients would reduce once per operator. A zero factor
-        gives the zero function; a zero divisor raises ZeroDenominator."""
+        gives the zero function; a zero divisor raises ZeroDenominator. With
+        ``unit_gain`` the gain is 1, for a caller that reads only the roots."""
         gain, zeros, poles, is_zero = None, [], [], False
         for f in factors:
             f = RationalFunction._coerce(f)
@@ -761,7 +776,7 @@ class RationalFunction(Frozen):
             poles += d._zeros
         if is_zero:
             return RationalFunction(0.0)
-        return RationalFunction._from_roots(gain, zeros, poles)
+        return RationalFunction._from_roots(1.0 if unit_gain else gain, zeros, poles)
 
     @staticmethod
     def _quotient_roots(f, g) -> tuple[tuple, tuple]:

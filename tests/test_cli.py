@@ -319,6 +319,41 @@ def test_mult_forms_no_quotient_gain(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        # the quotient h / g has the gain 1e400 in both
+        (["include", "--g", "1e-200*zbar", "--h", "1e200*zbar^2"], {"includes": True}),
+        (["equal", "--g", "1e-200*zbar", "--h", "1e200*zbar"], {"equal": True}),
+        # the Smirnov route's h * w / g has the gain 1e-600
+        (["mult", "--w", "1e-300", "--g", "1e300*zbar", "--h", "zbar"],
+         {"is_multiplier": True, "routes": {"maximal_vector": True, "smirnov": True}}),
+    ],
+    ids=["include", "equal", "mult"],
+)
+def test_decisions_read_no_product_gain(argv, result, capsys):
+    # a kernel does not change with its symbol's constant factor
+    code, doc = run_cli(argv, capsys)
+    assert code == 0
+    assert doc["result"] == result
+
+
+def test_maximal_certificate_beyond_double_range_is_refused(capsys):
+    # the printed certificate conj(z * s * k) has the gain 1e-320, a subnormal
+    code = main(["maximal", "--vector", "1e-300", "--symbol", "1e-20*zbar^2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == "out-of-range"
+
+
+def test_quadratic_whose_discriminant_overflows_is_decided(capsys):
+    # b * b = 1e400 overflows the closed form; the eigenvalues answer
+    code, doc = run_cli(["dim", "--symbol", "zbar^3*(z^2+1e200*z+1)"], capsys)
+    assert code == 0
+    assert doc["result"] == {"dimension": 2, "winding": -2}
+
+
 def test_equal_keeps_outside_roots_apart_that_reflection_would_merge(capsys):
     code, doc = run_cli(["equal", "--g", "zbar*(z-10.000005)", "--h", "zbar*(z-10)"], capsys)
     assert code == 0

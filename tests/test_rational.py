@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -350,6 +352,87 @@ def test_roots_with_the_numpy_step_match(monkeypatch):
         with np.errstate(all="ignore"):  # the numpy step warns on the 3e308
             expected = poly_roots(p)
         _assert_roots_close(roots, expected)
+
+
+def _quadratic_corpus(rng):
+    # (roots, lead) of quadratics: separated roots at safe and near radii, a
+    # double root, pairs 1e-3 apart (inside COARSE_CLUSTER), moduli from 1e-6
+    # to 1e6, b = 0, real pairs and imaginary pairs
+    def point(lo, hi):
+        return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
+
+    corpus = []
+    for _ in range(40):
+        corpus += [
+            [point(0.1, 0.45), point(2.6, 4.0)],
+            [point(0.5, 0.9), point(1.1, 2.0)],
+            [point(0.1, 4.0)] * 2,
+            [r := point(0.1, 4.0), r * (1 + 1e-3 * cmath.exp(2j * math.pi * rng.random()))],
+            [point(1.0, 1.0) * 10 ** rng.uniform(-6, 6) for _ in range(2)],
+            [r := point(0.1, 4.0), -r],
+            list(rng.uniform(-4.0, 4.0, 2)),
+            list(1j * rng.uniform(-4.0, 4.0, 2)),
+            [r := point(0.1, 4.0), r.conjugate()],
+        ]
+    return [(roots, point(0.5, 2.0)) for roots in corpus]
+
+
+def _take_the_eigenvalues(monkeypatch):
+    # a discriminant whose square root overflows sends every quadratic to
+    # the companion-matrix eigenvalues
+    overflowing = types.SimpleNamespace(**vars(cmath))
+    overflowing.sqrt = lambda x: complex(math.inf, 0.0)
+    monkeypatch.setattr(tkern.rational, "cmath", overflowing)
+
+
+def test_quadratic_roots_match_the_eigenvalue_path(monkeypatch):
+    rng = np.random.default_rng(2026)
+    polys = [ComplexPolynomial.from_roots(roots, lead) for roots, lead in _quadratic_corpus(rng)]
+    found = [poly_roots(p) for p in polys]
+    assert {len(roots) for roots in found} == {1, 2}
+    # the reference: the eigenvalues with the numpy step
+    _take_the_eigenvalues(monkeypatch)
+    monkeypatch.setattr(
+        tkern.rational, "_newton_step", lambda c, points: _numpy_newton_step(c, points)[0]
+    )
+    for p, roots in zip(polys, found):
+        expected = poly_roots(p)
+        assert len(roots) == len(expected)
+        # a conjugate pair's real parts may differ in the last bit, and so
+        # sort the other way round: each root is matched to its nearest
+        for r, m in roots:
+            s, k = min(expected, key=lambda sk: abs(sk[0] - r))
+            assert m == k
+            # a simple root 1e-3 from the other is conditioned 1e3 times
+            # worse; both paths then lie within a few rounding errors of it,
+            # eps times its condition sum |c_j| |s|^j / |p'(s)|
+            c = p._coeffs
+            der = abs(c[1] + 2 * c[2] * s)
+            bound = sum(abs(a) * abs(s) ** j for j, a in enumerate(c)) / der if m == 1 else 0.0
+            assert abs(r - s) <= max(1e-12 * abs(s), 8 * sys.float_info.epsilon * bound)
+
+
+def test_quadratic_whose_discriminant_overflows_takes_the_eigenvalues(monkeypatch):
+    # b * b = 1e400 is not a double; the roots are -1e200 and -1e-200
+    p = ComplexPolynomial([1, 1e200, 1])
+    found = poly_roots(p)
+    _take_the_eigenvalues(monkeypatch)
+    assert found == poly_roots(p)
+    _assert_roots_close(found, [(-1e200, 1), (-1e-200, 1)])
+
+
+def test_quadratic_whose_companion_matrix_overflows_is_out_of_range():
+    # the roots are +-1e160i, but 1e160 / 1e-160 is not a double
+    with pytest.raises(OutOfRange) as info:
+        poly_roots(ComplexPolynomial([1e160, 0, 1e-160]))
+    assert str(info.value) == "the companion matrix of a polynomial overflows double precision"
+
+
+def test_a_quadratic_loads_no_numpy():
+    code = "import sys, tkern; tkern.RationalFunction([2, 3, 1]); print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_horner_evaluation_matches_polyval():
