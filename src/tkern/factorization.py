@@ -17,7 +17,6 @@ from functools import cached_property
 from .errors import (
     BlaschkeParameterOutOfDisc,
     NotInHardySpace,
-    NotInvertibleOnCircle,
     ZeroFunction,
 )
 from .rational import (
@@ -126,8 +125,7 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     winding number.
     """
     s = as_symbol(s)
-    if not s.circle_invertible:
-        raise NotInvertibleOnCircle("symbol has a zero or pole on the unit circle")
+    index = s.winding  # raises NotInvertibleOnCircle when undefined
     zc = s.value.zero_classification()
     pc = s.value.pole_classification()
 
@@ -138,7 +136,7 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     for r, m in pc.outside:
         gain /= _power(-r, m)
     plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
-    return WienerHopfFactorization(s, s.winding, plus)
+    return WienerHopfFactorization(s, index, plus)
 
 
 def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:

@@ -5,8 +5,10 @@ plus * P_{d-1}, d = max(0, -k): the Wiener-Hopf plus factor times the
 polynomials of degree below d, spanned by the ladder ``plus * z**j``.
 This module computes kernels and minimal kernels, decides membership from
 that parametrisation (f / plus must be a polynomial of degree below d),
-decides maximality of a kernel vector, and decides inclusion, equality and
-equivalence of kernels through their symbols.
+decides maximality of a kernel vector, decides inclusion and equality of
+kernels by membership of one maximal vector, and equivalence of kernels
+through their symbols. Every kernel question reads ``kernel``, whose one
+circle gate is ``ToeplitzSymbol.winding``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Optional
 from .errors import (
     NotInHardySpace,
     NotInKernel,
-    NotInvertibleOnCircle,
     NotOuter,
     PreconditionViolation,
     ZeroFunction,
@@ -147,16 +148,16 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
-    k must be in the kernel, decided on the product z * s * k, reduced
-    once: k in the Hardy space and the product in the conjugate Hardy
-    space. The certificate circle_conjugate(z * s * k), built only then,
-    must have no zeros in the open unit disc (that is outerness, hence
-    maximality).
+    The kernel of s is read first (a circle root raises
+    NotInvertibleOnCircle). k must be in the kernel, decided on the
+    product z * s * k, reduced once: k in the Hardy space and the product
+    in the conjugate Hardy space. The certificate circle_conjugate(z * s *
+    k), built only then, must have no zeros in the open unit disc (that is
+    outerness, hence maximality).
     """
     k = as_rational(k)
     s = as_symbol(s)
-    if not s.circle_invertible:
-        raise NotInvertibleOnCircle("maximality test needs a circle-invertible symbol")
+    kernel(s)  # raises NotInvertibleOnCircle when the winding is undefined
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
     product = RationalFunction._product((Z, s.value, k))
@@ -170,22 +171,23 @@ def is_maximal(k, s) -> MaximalityCertificate:
 
 
 def includes(g, h) -> bool:
-    """ker T_g is contained in ker T_h, decided through the symbol
-    quotient: h/g must be in the conjugate Hardy space, that is have all
-    its poles inside the open unit disc and be bounded at infinity."""
-    g = as_symbol(g)
-    h = as_symbol(h)
-    ratio = RationalFunction._product((h.value,), (g.value,), unit_gain=True)
-    return ratio.in_conjugate_hardy2()
+    """ker T_g is contained in ker T_h. The trivial kernel lies in every
+    kernel; a nontrivial one is the smallest Toeplitz kernel containing its
+    maximal vector k, so it lies in ker T_h exactly when k does, which a
+    larger dimension rules out first. Both kernels are read, so a symbol
+    with a circle root raises NotInvertibleOnCircle."""
+    g, h = as_symbol(g), as_symbol(h)
+    Kg, Kh = kernel(g), kernel(h)
+    if not Kg.dimension:
+        return True
+    return Kg.dimension <= Kh.dimension and in_kernel(Kg.maximal_vector(), h)
 
 
 def equals(g, h) -> bool:
-    """ker T_g equals ker T_h: inclusion both ways, that is h/g and g/h
-    in the conjugate Hardy space, that is h/g invertible co-analytic."""
-    g = as_symbol(g)
-    h = as_symbol(h)
-    ratio = RationalFunction._product((h.value,), (g.value,), unit_gain=True)
-    return ratio.is_invertible_coanalytic()
+    """ker T_g equals ker T_h: equal dimensions, and ker T_g contained in
+    ker T_h (``includes``)."""
+    g, h = as_symbol(g), as_symbol(h)
+    return kernel(g).dimension == kernel(h).dimension and includes(g, h)
 
 
 def is_equivalent(g1, g2) -> Optional[EquivalenceWitness]:

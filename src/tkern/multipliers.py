@@ -155,13 +155,14 @@ def smirnov_multiplier_test(w, g, h) -> bool:
 
 def multiplier_space(g, h) -> MultiplierSpace:
     """The square-integrable multipliers from ker T_g into ker T_h,
-    computed as the kernel of the symbol (1/z) * h / g, reduced once."""
+    computed as the kernel of the symbol (1/z) * h / g, reduced once.
+    The source kernel must be nontrivial (TrivialKernel otherwise), and
+    the test symbol free of circle roots (NotInvertibleOnCircle)."""
     g, h = as_symbol(g), as_symbol(h)
+    _require_nontrivial(g)
     t = ToeplitzSymbol(RationalFunction._product((monomial(-1), h.value), (g.value,)))
     if not t.circle_invertible:
         raise NotInvertibleOnCircle("reduced multiplier test symbol has circle zeros or poles")
-    if not g.circle_invertible:
-        raise NotInvertibleOnCircle("source symbol has circle zeros or poles")
     return MultiplierSpace(g, h, t, kernel(t))
 
 

@@ -848,16 +848,6 @@ class RationalFunction(Frozen):
         in the open unit disc (circle zeros are allowed)."""
         return (not self.is_zero) and self.in_hardy2() and not self.zero_classification().inside
 
-    def is_invertible_coanalytic(self) -> bool:
-        """The function and its reciprocal are analytic on the closed
-        exterior region including infinity: all zeros and poles lie strictly
-        inside the disc and the value at infinity is finite and nonzero."""
-        if self.is_zero:
-            return False
-        zc, pc = self.zero_classification(), self.pole_classification()
-        interior_only = not (zc.on_circle or zc.outside or pc.on_circle or pc.outside)
-        return interior_only and self.order_at_infinity == 0
-
     def taylor(self, n: int):
         """Taylor coefficients at 0 up to degree ``n``, as a numpy array
         (requires no pole exactly at the origin). The numerator's
@@ -963,13 +953,12 @@ class ToeplitzSymbol(Frozen):
 
     @property
     def winding(self) -> int:
-        zc = self.value.zero_classification()
-        pc = self.value.pole_classification()
-        if zc.on_circle or pc.on_circle:
+        if not self.circle_invertible:
             raise NotInvertibleOnCircle(
                 "symbol has a zero or pole on the unit circle; winding undefined"
             )
-        return zc.count_inside() - pc.count_inside()
+        v = self.value
+        return v.zero_classification().count_inside() - v.pole_classification().count_inside()
 
     def __repr__(self):
         return f"ToeplitzSymbol({self.value!r})"

@@ -30,6 +30,17 @@ def closed_disc_roots(r):
     return zc.inside + zc.on_circle + pc.inside + pc.on_circle
 
 
+def is_invertible_coanalytic(r) -> bool:
+    """r and 1/r are analytic on the closed exterior including infinity:
+    all zeros and poles lie strictly inside the disc and the value at
+    infinity is finite and nonzero."""
+    if r.is_zero:
+        return False
+    zc, pc = r.zero_classification(), r.pole_classification()
+    interior_only = not (zc.on_circle or zc.outside or pc.on_circle or pc.outside)
+    return interior_only and r.order_at_infinity == 0
+
+
 # -- references and generators that only the tests use -------------------------
 
 

@@ -338,6 +338,47 @@ def test_decisions_read_no_product_gain(argv, result, capsys):
     assert doc["result"] == result
 
 
+TRIVIAL_KERNEL_RELATIONS = [
+    (["include", "--g", "z", "--h", "z^2"], {"includes": True}),
+    (["equal", "--g", "z", "--h", "z^2"], {"equal": True}),
+    (["equal", "--g", "1", "--h", "z"], {"equal": True}),
+    (["include", "--g", "1", "--h", "2-z"], {"includes": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, result", TRIVIAL_KERNEL_RELATIONS, ids=[" ".join(a) for a, _ in TRIVIAL_KERNEL_RELATIONS]
+)
+def test_trivial_kernels_are_included_and_equal(argv, result, capsys):
+    # every symbol here has winding >= 0, so each kernel is {0}
+    code, doc = run_cli(argv, capsys)
+    assert code == 0
+    assert doc["result"] == result
+
+
+# the first two and the fourth are in the CI step "Error paths answer in JSON"
+REFUSED_KERNEL_RELATIONS = [
+    # a circle root leaves the kernel undefined, whatever the other symbol
+    (["include", "--g", "zbar*(z-1)", "--h", "zbar^2"], "not-invertible-on-circle"),
+    (["equal", "--g", "zbar*(z-1)", "--h", "1"], "not-invertible-on-circle"),
+    (["equal", "--g", "zbar", "--h", "zbar^2*(z-1)"], "not-invertible-on-circle"),
+    # a multiplier space needs a nontrivial source kernel
+    (["m2", "--g", "1", "--h", "1"], "trivial-kernel"),
+    (["minf", "--g", "1", "--h", "zbar^2"], "trivial-kernel"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", REFUSED_KERNEL_RELATIONS, ids=[" ".join(a) for a, _ in REFUSED_KERNEL_RELATIONS]
+)
+def test_refused_kernel_relation_answers_with_one_json_error(argv, error, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"] == error
+
+
 def test_maximal_certificate_beyond_double_range_is_refused(capsys):
     # the printed certificate conj(z * s * k) has the gain 1e-320, a subnormal
     code = main(["maximal", "--vector", "1e-300", "--symbol", "1e-20*zbar^2"])

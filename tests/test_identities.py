@@ -5,6 +5,8 @@ Operators, 2nd ed., 2006):
   * index: dim ker T_g - dim ker T_conj(g) = -wind g;
   * shift: dim ker T_{zbar g} = max(0, 1 - wind g), and ker T_g lies in
     ker T_{zbar g};
+  * upward shift: ker T_{zg} lies in ker T_g, and equals it exactly when
+    wind g >= 0, where both kernels are {0};
   * outer conjugation: for h with its zeros and poles outside the closed
     disc, T_{conj(h) g h} = T_conj(h) T_g T_h, so dim ker T_{conj(h) g h} =
     dim ker T_g and b / h lies in ker T_{conj(h) g h} for each b in ker T_g;
@@ -108,6 +110,15 @@ def test_shift(stratum, seed):
         assert kernel(shifted).dimension == max(0, 1 - s.winding)
         assert includes(s, shifted)
         assert all(in_kernel(b, shifted) for b in kernel(s).basis)
+
+
+@pytest.mark.parametrize("stratum, seed", CASES, ids=IDS)
+def test_upward_shift(stratum, seed):
+    for g, _ in _cases(stratum, seed):
+        s = ToeplitzSymbol(g)
+        raised = ToeplitzSymbol(monomial(1) * g)
+        assert includes(raised, s)
+        assert equals(raised, s) == (s.winding >= 0)
 
 
 @pytest.mark.parametrize("stratum, seed", CASES, ids=IDS)

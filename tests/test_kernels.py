@@ -44,7 +44,13 @@ from tkern.random_instances import (
     random_symbol,
 )
 
-from conftest import circle, closed_disc_roots, gram_matrix, random_kernel_symbol
+from conftest import (
+    circle,
+    closed_disc_roots,
+    gram_matrix,
+    is_invertible_coanalytic,
+    random_kernel_symbol,
+)
 
 
 # -- kernel -------------------------------------------------------------------
@@ -586,7 +592,7 @@ def test_huge_outside_root_does_not_cancel_at_the_origin():
 
 
 def test_equals_is_inclusion_both_ways(rng):
-    # equals reads h/g alone; inclusion both ways reads h/g and g/h
+    # equals reads the dimensions and one inclusion; compare it with both
     seen = set()
     for _ in range(60):
         g = random_kernel_symbol(rng)
@@ -625,7 +631,7 @@ def test_equivalence_witness_for_blaschke_vs_monomial():
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * (1.0 + np.max(np.abs(lhs)))
     assert not closed_disc_roots(w.h_plus)
     assert not closed_disc_roots(1 / w.h_plus)
-    assert w.h_minus.is_invertible_coanalytic()
+    assert is_invertible_coanalytic(w.h_minus)
 
 
 def test_winding_obstruction_blocks_equivalence():
