@@ -7,8 +7,8 @@ This module computes kernels and minimal kernels, decides membership from
 that parametrisation (f / plus must be a polynomial of degree below d),
 decides maximality of a kernel vector, decides inclusion and equality of
 kernels by membership of one maximal vector, and equivalence of kernels
-through their symbols. Every kernel question reads ``kernel``, whose one
-circle gate is ``ToeplitzSymbol.winding``.
+through their symbols. Every kernel question reaches the one circle gate,
+``ToeplitzSymbol.winding``.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 def is_maximal(k, s) -> MaximalityCertificate:
     """Decide whether ``k`` is a maximal vector for ker T_s.
 
-    The kernel of s is read first (a circle root raises
+    The winding of s is read first (a circle root raises
     NotInvertibleOnCircle). k must be in the kernel, decided on the
     product z * s * k, reduced once: k in the Hardy space and the product
     in the conjugate Hardy space. The certificate circle_conjugate(z * s *
@@ -157,7 +157,7 @@ def is_maximal(k, s) -> MaximalityCertificate:
     """
     k = as_rational(k)
     s = as_symbol(s)
-    kernel(s)  # raises NotInvertibleOnCircle when the winding is undefined
+    s.winding  # raises NotInvertibleOnCircle when undefined
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
     product = RationalFunction._product((Z, s.value, k))
@@ -173,14 +173,11 @@ def is_maximal(k, s) -> MaximalityCertificate:
 def includes(g, h) -> bool:
     """ker T_g is contained in ker T_h. The trivial kernel lies in every
     kernel; a nontrivial one is the smallest Toeplitz kernel containing its
-    maximal vector k, so it lies in ker T_h exactly when k does, which a
-    larger dimension rules out first. Both kernels are read, so a symbol
-    with a circle root raises NotInvertibleOnCircle."""
-    g, h = as_symbol(g), as_symbol(h)
-    Kg, Kh = kernel(g), kernel(h)
-    if not Kg.dimension:
-        return True
-    return Kg.dimension <= Kh.dimension and in_kernel(Kg.maximal_vector(), h)
+    maximal vector k, so it lies in ker T_h exactly when k does
+    (``in_kernel``, which reads ker T_h). A circle root of g, or of h when
+    ker T_g is nontrivial, raises NotInvertibleOnCircle."""
+    Kg = kernel(g)
+    return not Kg.dimension or in_kernel(Kg.maximal_vector(), h)
 
 
 def equals(g, h) -> bool:

@@ -953,12 +953,13 @@ class ToeplitzSymbol(Frozen):
 
     @property
     def winding(self) -> int:
-        if not self.circle_invertible:
+        zc = self.value.zero_classification()
+        pc = self.value.pole_classification()
+        if zc.on_circle or pc.on_circle:
             raise NotInvertibleOnCircle(
                 "symbol has a zero or pole on the unit circle; winding undefined"
             )
-        v = self.value
-        return v.zero_classification().count_inside() - v.pole_classification().count_inside()
+        return zc.count_inside() - pc.count_inside()
 
     def __repr__(self):
         return f"ToeplitzSymbol({self.value!r})"

@@ -343,6 +343,7 @@ TRIVIAL_KERNEL_RELATIONS = [
     (["equal", "--g", "z", "--h", "z^2"], {"equal": True}),
     (["equal", "--g", "1", "--h", "z"], {"equal": True}),
     (["include", "--g", "1", "--h", "2-z"], {"includes": True}),
+    (["include", "--g", "1", "--h", "zbar*(z-1)"], {"includes": True}),
 ]
 
 
@@ -350,7 +351,8 @@ TRIVIAL_KERNEL_RELATIONS = [
     "argv, result", TRIVIAL_KERNEL_RELATIONS, ids=[" ".join(a) for a, _ in TRIVIAL_KERNEL_RELATIONS]
 )
 def test_trivial_kernels_are_included_and_equal(argv, result, capsys):
-    # every symbol here has winding >= 0, so each kernel is {0}
+    # every source symbol here has winding >= 0, so ker T_g is {0}, which
+    # lies in every kernel, even that of a target with a circle root
     code, doc = run_cli(argv, capsys)
     assert code == 0
     assert doc["result"] == result
