@@ -31,7 +31,6 @@ from .errors import (
     TkError,
     TrivialKernel,
     UnboundedSymbol,
-    UndefinedQuotient,
     ZeroDenominator,
     ZeroFunction,
     ZeroPolynomial,

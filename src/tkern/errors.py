@@ -45,10 +45,6 @@ class TrivialKernel(TkError):
     code = "trivial-kernel"
 
 
-class UndefinedQuotient(TkError):
-    code = "undefined-quotient"
-
-
 class CarlesonFailure(TkError):
     code = "carleson-failure"
 

@@ -744,7 +744,7 @@ PUBLIC_NAMES = {
     "NotInvertibleOnCircle", "NotOuter", "NotSquareIntegrable", "NumericSubspace", "OutOfRange",
     "PoleOnCircle", "PreconditionViolation", "RationalFunction", "ResolutionWarning",
     "RootClassification", "SurjectivityReport", "SymbolExpression", "TkError", "ToeplitzKernel",
-    "ToeplitzSymbol", "TrivialKernel", "UnboundedSymbol", "UndefinedQuotient",
+    "ToeplitzSymbol", "TrivialKernel", "UnboundedSymbol",
     "WienerHopfFactorization", "ZeroDenominator", "ZeroFunction", "ZeroPolynomial", "as_rational",
     "as_symbol", "blaschke_divides", "blaschke_from_rational", "boundary_sampling",
     "carleson_check", "cayley_function", "cayley_symbol",

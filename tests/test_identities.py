@@ -10,7 +10,11 @@ Operators, 2nd ed., 2006):
   * outer conjugation: for h with its zeros and poles outside the closed
     disc, T_{conj(h) g h} = T_conj(h) T_g T_h, so dim ker T_{conj(h) g h} =
     dim ker T_g and b / h lies in ker T_{conj(h) g h} for each b in ker T_g;
-  * scale: T_{cg} = c T_g, so ker T_{cg} = ker T_g for every constant c != 0.
+  * scale: T_{cg} = c T_g, so ker T_{cg} = ker T_g for every constant c != 0;
+  * equivalence (the source paper, arXiv 1611.08429): for the same h, 1/h
+    maps ker T_g onto ker T_{conj(h) g h}, so it is a surjective multiplier
+    and both multiplier routes accept it when ker T_g is nontrivial, while
+    (1/h) / (z - t) with t on the circle fails the Carleson condition.
 
 Each symbol is drawn at a stratum of radii and decided in factored form and
 in coefficient form, so that root finding runs on the second.
@@ -28,8 +32,11 @@ from tkern import (
     equals,
     in_kernel,
     includes,
+    is_multiplier,
+    is_surjective_multiplier,
     kernel,
     monomial,
+    smirnov_multiplier_test,
 )
 
 # (inside radii, outside radii) of the zeros and poles
@@ -138,3 +145,21 @@ def test_scale(stratum, seed):
             assert kernel(ToeplitzSymbol(c * g)).dimension == dimension
         # the quotient of the two symbols has the gain 1e600
         assert equals(1e-300 * g, 1e300 * g)
+
+
+@pytest.mark.parametrize("stratum, seed", CASES, ids=IDS)
+def test_equivalence_by_an_outer_function(stratum, seed):
+    rng = np.random.default_rng([seed, list(STRATA).index(stratum), 1])
+    for g, h in _cases(stratum, seed):
+        s = ToeplitzSymbol(g)
+        if s.winding >= 0:
+            continue
+        conjugated = ToeplitzSymbol(RationalFunction._product((h.circle_conjugate(), g, h)))
+        w = RationalFunction(1.0) / h
+        assert is_surjective_multiplier(w, s, conjugated).holds
+        assert is_multiplier(w, s, conjugated) and smirnov_multiplier_test(w, s, conjugated)
+        t = complex(np.exp(2j * np.pi * rng.random()))
+        v = w / RationalFunction([-t, 1])
+        assert not is_multiplier(v, s, conjugated)
+        assert not smirnov_multiplier_test(v, s, conjugated)
+        assert not is_surjective_multiplier(v, s, conjugated).carleson_forward_ok
