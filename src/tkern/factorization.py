@@ -27,6 +27,7 @@ from .rational import (
     ToeplitzSymbol,
     _multiplicity,
     _power,
+    _quotient_zero_count,
     _reflect,
     _sorted_roots,
     as_rational,
@@ -142,8 +143,8 @@ def wiener_hopf(s) -> WienerHopfFactorization:
 def blaschke_divides(alpha: BlaschkeProduct, theta: BlaschkeProduct) -> bool:
     """True when every zero of ``alpha`` appears among ``theta``'s zeros
     with at least the same multiplicity: theta's zeros over alpha's, with
-    roots matched within EPS_ROOT, leave no pole."""
-    return not RationalFunction._from_roots(1.0, theta.zeros, alpha.zeros).poles()
+    roots matched within EPS_ROOT, leave no pole (``_quotient_zero_count``)."""
+    return _quotient_zero_count(theta.zeros, alpha.zeros) is not None
 
 
 def blaschke_from_rational(r):

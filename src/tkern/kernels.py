@@ -4,11 +4,11 @@ A circle-invertible rational symbol with winding number k has the kernel
 plus * P_{d-1}, d = max(0, -k): the Wiener-Hopf plus factor times the
 polynomials of degree below d, spanned by the ladder ``plus * z**j``.
 This module computes kernels and minimal kernels, decides membership from
-that parametrisation (f / plus must be a polynomial of degree below d),
-decides maximality of a kernel vector, decides inclusion and equality of
-kernels by membership of one maximal vector, and equivalence of kernels
-through their symbols. Every kernel question reaches the one circle gate,
-``ToeplitzSymbol.winding``.
+that parametrisation (f / plus must be a polynomial of degree below d,
+read from net root multiplicities), decides maximality of a kernel
+vector, decides inclusion and equality of kernels by membership of one
+maximal vector, and equivalence of kernels through their symbols. Every
+kernel question reaches the one circle gate, ``ToeplitzSymbol.winding``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .rational import (
     Record,
     ToeplitzSymbol,
     Z,
+    _quotient_zero_count,
     _sorted_roots,
     as_rational,
     as_symbol,
@@ -110,9 +111,10 @@ def in_kernel(f, s) -> bool:
     f outside the Hardy space is in no kernel. Otherwise the kernel is
     read, kept on the symbol (so a symbol that is not circle-invertible
     raises NotInvertibleOnCircle), and f belongs to it iff the quotient
-    f / plus, reduced once over the roots of f and plus, is a polynomial
-    of degree below d: no pole and at most d - 1 zeros, with multiplicity.
-    Only the reduced roots are read; no quotient gain is formed.
+    f / plus, reduced over the roots of f and plus, is a polynomial of
+    degree below d: no pole and at most d - 1 zeros, with multiplicity,
+    read from net root multiplicities (``_quotient_zero_count``) with no
+    quotient, root mean or gain formed. A ladder element groups nothing.
     The zero function is in every kernel; for d = 0 no other function is.
     """
     f = as_rational(f)
@@ -123,8 +125,8 @@ def in_kernel(f, s) -> bool:
         return True
     if not K.dimension:
         return False
-    zeros, poles = RationalFunction._quotient_roots(f, K.plus)
-    return not poles and sum(m for _, m in zeros) < K.dimension
+    n = _quotient_zero_count(f._zeros + K.plus._poles, f._poles + K.plus._zeros)
+    return n is not None and n < K.dimension
 
 
 def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:

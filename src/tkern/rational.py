@@ -576,6 +576,27 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
     return tuple(_sorted_roots(zs)), tuple(_sorted_roots(ps))
 
 
+def _quotient_zero_count(zeros, poles) -> int | None:
+    """None when ``_reduce(zeros, poles)`` leaves a pole, else the number of
+    zeros it leaves, with multiplicity, read from the net multiplicity of
+    each distinct value (zeros +, poles -; 0j and -0j are one value) with no
+    root value formed. Reduction keeps the signed total, and a group leaves
+    a pole exactly when its net is negative, so the distinct values are
+    grouped at EPS_ROOT, once, only when some value's net is negative."""
+    net: dict[complex, int] = {}
+    for r, m in zeros:
+        if m > 0:
+            net[r] = net.get(r, 0) + m
+    for r, m in poles:
+        if m > 0:
+            net[r] = net.get(r, 0) - m
+    if min(net.values(), default=0) >= 0:
+        return sum(net.values())
+    points = list(net)
+    counts = [sum(net[points[i]] for i in g) for g in _group_roots(points, EPS_ROOT)]
+    return None if min(counts) < 0 else sum(counts)
+
+
 class RationalFunction(Frozen):
     """A rational function in factored form: gain * prod (z - a)**m over
     its zeros a, divided by prod (z - b)**n over its poles b.
@@ -777,12 +798,6 @@ class RationalFunction(Frozen):
         if is_zero:
             return RationalFunction(0.0)
         return RationalFunction._from_roots(1.0 if unit_gain else gain, zeros, poles)
-
-    @staticmethod
-    def _quotient_roots(f, g) -> tuple[tuple, tuple]:
-        """The reduced (zeros, poles) of f / g, for nonzero rational
-        functions f and g, with no gain and no value formed."""
-        return _reduce(f._zeros + g._poles, f._poles + g._zeros)
 
     def __pow__(self, n: int):
         n = int(n)

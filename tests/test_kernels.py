@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import tkern.kernels
 import tkern.random_instances
 import tkern.rational
 from tkern import (
@@ -237,12 +238,18 @@ def test_192_distinct_zeros_model_space_stays_fast():
 
 
 def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
-    calls = []
-    reduce = tkern.rational._reduce
+    # the kernel reduces its one product, plus; membership of a ladder
+    # element reduces and groups nothing
+    calls, grouped = [], []
+    reduce, group_roots = tkern.rational._reduce, tkern.rational._group_roots
 
     def counted(zeros, poles):
         calls.append(1)
         return reduce(zeros, poles)
+
+    def counted_group(points, tol_factor):
+        grouped.append(len(points))
+        return group_roots(points, tol_factor)
 
     g = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]))  # winding -3
     wh = wiener_hopf(g)
@@ -256,10 +263,11 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     assert len(calls) == 1  # plus
     assert len(K.basis) == 3
     assert len(calls) == 1  # plus * z and plus * z^2 are built with no reduction
+    monkeypatch.setattr(tkern.rational, "_group_roots", counted_group)
     for b in K.basis:
         calls.clear()
         assert in_kernel(b, g)
-        assert len(calls) == 1  # b / plus, reduced once
+        assert calls == [] and grouped == []  # every root of plus cancels exactly
 
 
 def test_dimension_only_question_costs_one_reduction(monkeypatch):
@@ -416,30 +424,29 @@ def test_membership_from_the_parametrisation_matches_the_product_rule(seed, monk
 
 
 def test_membership_reduces_only_the_quotient_and_classifies_nothing(monkeypatch):
+    # the count reads f's and plus's roots only, and no reduction or
+    # classification runs
     s = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1]) * RationalFunction([-3, 1]))
     K = kernel(s)
     assert K.dimension == 3 and K.plus._zeros and K.plus._poles
     basis = K.basis
-    reduced, classified = [], []
-    reduce, classify_roots = tkern.rational._reduce, tkern.rational.classify_roots
+    counted, reduced, classified = [], [], []
+    count = tkern.kernels._quotient_zero_count
 
-    def counted_reduce(zeros, poles):
-        reduced.append((sorted(map(repr, zeros)), sorted(map(repr, poles))))
-        return reduce(zeros, poles)
+    def counted_count(zeros, poles):
+        counted.append((sorted(map(repr, zeros)), sorted(map(repr, poles))))
+        return count(zeros, poles)
 
-    def counted_classify(roots):
-        classified.append(roots)
-        return classify_roots(roots)
-
-    monkeypatch.setattr(tkern.rational, "_reduce", counted_reduce)
-    monkeypatch.setattr(tkern.rational, "classify_roots", counted_classify)
+    monkeypatch.setattr(tkern.kernels, "_quotient_zero_count", counted_count)
+    monkeypatch.setattr(tkern.rational, "_reduce", lambda *a: reduced.append(a))
+    monkeypatch.setattr(tkern.rational, "classify_roots", lambda *a: classified.append(a))
     for b in basis:
-        reduced.clear()
+        counted.clear()
         assert in_kernel(b, s)
-        # f's and plus's roots only: s's inside roots and the factor z drop out
+        # s's inside roots and the factor z drop out
         zeros, poles = b._zeros + K.plus._poles, b._poles + K.plus._zeros
-        assert reduced == [(sorted(map(repr, zeros)), sorted(map(repr, poles)))]
-    assert classified == []
+        assert counted == [(sorted(map(repr, zeros)), sorted(map(repr, poles)))]
+    assert reduced == [] and classified == []
 
 
 def test_membership_groups_each_distinct_root_once_and_builds_no_value(monkeypatch):
@@ -459,17 +466,37 @@ def test_membership_groups_each_distinct_root_once_and_builds_no_value(monkeypat
         built.append(state)
         return reduced(*state)
 
+    def moved(f, step):
+        # f with its first pole moved by ``step``, relative
+        (p, m), *rest = f._poles
+        return RationalFunction._from_roots(f._gain, f._zeros, [(p * (1 + step), m), *rest])
+
     for j in (1, n // 2, n - 1):
         f = K.basis[j]
-        grouped.clear()
-        with monkeypatch.context() as m:
-            m.setattr(tkern.rational, "_group_roots", counted_group)
-            m.setattr(RationalFunction, "_reduced", classmethod(counted_reduced))
-            assert in_kernel(f, s)
-        # f / plus has 2n + 1 root entries but n + 1 distinct values: the
-        # origin and plus's n poles
-        assert grouped == [n + 1]
-        assert built == []
+        # the pole of f moved by 1e-9 still links to plus's; by 1e-3 it does not
+        cases = [(f, True, []), (moved(f, 1e-9), True, [n + 2]), (moved(f, 1e-3), False, [n + 2])]
+        for v, member, groups in cases:
+            grouped.clear()
+            with monkeypatch.context() as m:
+                m.setattr(tkern.rational, "_group_roots", counted_group)
+                m.setattr(RationalFunction, "_reduced", classmethod(counted_reduced))
+                assert in_kernel(v, s) == member
+            # a ladder element cancels every root of plus exactly and groups
+            # nothing; a moved pole leaves a negative net, and the n + 2
+            # distinct values (the origin, plus's n poles, the moved pole)
+            # are grouped once
+            assert grouped == groups
+    assert built == []
+
+
+@pytest.mark.parametrize("root, included", [("2.0000001", True), ("2.000001", False)])
+def test_inclusion_links_the_roots_of_the_two_plus_factors(root, included):
+    # the maximal vector z * plus_g over plus_h leaves a negative net at the
+    # zero of plus_h, which the grouping links to the zero 2 of plus_g only
+    # within EPS_ROOT
+    g = parse_expression("zbar^2*(z-2)").to_rational()
+    h = parse_expression(f"zbar^2*(z-{root})").to_rational()
+    assert includes(g, h) == included
 
 
 def test_membership_forms_no_quotient_gain():

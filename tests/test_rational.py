@@ -601,6 +601,26 @@ def test_reduce_by_distinct_values_matches_the_every_entry_reference():
     assert signed_zeros >= {(side, repr(r)) for side in (0, 1) for r in (0j, -0j)}
 
 
+def test_quotient_zero_count_reads_what_reduce_leaves():
+    # None when the reduction leaves a pole, else the multiplicity of the
+    # zeros it leaves; the corpus crosses chains of EPS_ROOT links between
+    # zeros and poles, so the grouping fallback answers both ways
+    rnd = random.Random(29)
+    seen = set()
+    for _ in range(3000):
+        zeros, poles = _reduction_corpus(rnd)
+        left_zeros, left_poles = tkern.rational._reduce(zeros, poles)
+        expected = None if left_poles else sum(m for _, m in left_zeros)
+        assert tkern.rational._quotient_zero_count(zeros, poles) == expected, (zeros, poles)
+        net = {}
+        for r, m in zeros:
+            net[r] = net.get(r, 0) + m
+        for r, m in poles:
+            net[r] = net.get(r, 0) - m
+        seen.add((min(net.values(), default=0) < 0, expected is None))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_tiny_constant_term_is_not_a_root_at_the_origin(n):
     # 0.3**n is far below 1e-12 of the leading coefficient from n = 24 on;
