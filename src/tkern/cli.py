@@ -27,19 +27,10 @@ import os
 import sys
 import warnings
 
+# Each handler imports the modules it calls, so a command compiles only
+# those: ``tk dim`` loads no multiplier or half-plane code.
 from .errors import PreconditionViolation, TkError
 from .expressions import parse_expression
-from .factorization import blaschke_from_rational, inner_outer, wiener_hopf
-from .halfplane import HalfPlaneRational, cayley_function, cayley_symbol
-from .kernels import equals, includes, is_equivalent, is_maximal, is_rigid, kernel, minimal_kernel
-from .multipliers import (
-    crofoot_companion,
-    is_multiplier,
-    is_surjective_multiplier,
-    multiplier_space,
-    multiplier_space_bounded,
-    smirnov_multiplier_test,
-)
 from .rational import RationalFunction, as_symbol, format_complex, format_rational
 
 ENVELOPE_SCHEMA = {
@@ -114,21 +105,29 @@ def _kernel_result(K, verify_inline: bool, tol: float):
 
 
 def _cmd_kernel(args):
+    from .kernels import kernel
+
     return _kernel_result(kernel(args.symbol), args.verify_inline, args.tol)
 
 
 def _cmd_dim(args):
+    from .kernels import kernel
+
     s = as_symbol(args.symbol)
     return {"dimension": kernel(s).dimension, "winding": s.winding}, False
 
 
 def _cmd_minkernel(args):
+    from .kernels import minimal_kernel
+
     v, K = minimal_kernel(args.vector)
     result, _ = _kernel_result(K, False, args.tol)
     return {**result, **_shown("symbol", v.value)}, False
 
 
 def _cmd_maximal(args):
+    from .kernels import is_maximal
+
     cert = is_maximal(args.vector, args.symbol)
     return {
         "is_maximal": cert.is_maximal,
@@ -138,6 +137,8 @@ def _cmd_maximal(args):
 
 
 def _cmd_factor(args):
+    from .factorization import inner_outer, wiener_hopf
+
     if args.mode == "inner-outer":
         io = inner_outer(args.f)
         return {
@@ -150,6 +151,8 @@ def _cmd_factor(args):
 
 
 def _cmd_mult(args):
+    from .multipliers import is_multiplier, smirnov_multiplier_test
+
     # one symbol each for g and h, so both routes share its kept kernel
     w, g, h = args.w, as_symbol(args.g), as_symbol(args.h)
     via_vector = is_multiplier(w, g, h)
@@ -172,22 +175,32 @@ def _space_result(ms):
 
 
 def _cmd_m2(args):
+    from .multipliers import multiplier_space
+
     return _space_result(multiplier_space(args.g, args.h)), False
 
 
 def _cmd_minf(args):
+    from .multipliers import multiplier_space_bounded
+
     return _space_result(multiplier_space_bounded(args.g, args.h)), False
 
 
 def _cmd_include(args):
+    from .kernels import includes
+
     return {"includes": includes(args.g, args.h)}, False
 
 
 def _cmd_equal(args):
+    from .kernels import equals
+
     return {"equal": equals(args.g, args.h)}, False
 
 
 def _cmd_equiv(args):
+    from .kernels import is_equivalent
+
     witness = is_equivalent(args.g1, args.g2)
     if witness is None:
         return {"equivalent": False, "h_minus": None, "h_plus": None}, False
@@ -199,6 +212,9 @@ def _cmd_equiv(args):
 
 
 def _cmd_crofoot(args):
+    from .factorization import blaschke_from_rational
+    from .multipliers import crofoot_companion
+
     theta = blaschke_from_rational(args.theta)
     if theta is None:
         raise PreconditionViolation("theta does not reduce to a finite Blaschke product")
@@ -215,6 +231,8 @@ def _cmd_crofoot(args):
 
 
 def _cmd_surjective(args):
+    from .multipliers import is_surjective_multiplier
+
     report = is_surjective_multiplier(args.w, args.g, args.h)
     return {
         "holds": report.holds,
@@ -226,10 +244,14 @@ def _cmd_surjective(args):
 
 
 def _cmd_rigid(args):
+    from .kernels import is_rigid
+
     return {"rigid": is_rigid(args.p)}, False
 
 
 def _cmd_cayley(args):
+    from .halfplane import HalfPlaneRational, cayley_function, cayley_symbol
+
     f = HalfPlaneRational(args.f)
     if args.mode == "function":
         out = cayley_function(f)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 from .errors import NotSquareIntegrable, UnboundedSymbol
-from .multipliers import is_multiplier
 from .rational import Frozen, RationalFunction, ToeplitzSymbol, _compose_mobius, as_rational
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -110,6 +109,8 @@ def inverse_cayley_symbol(G) -> HalfPlaneRational:
 def halfplane_multiplier_test(w, g, h) -> bool:
     """Half-plane multiplier membership, decided by conjugation: transfer
     the symbols and the candidate to the disc and run the disc test."""
+    from .multipliers import is_multiplier  # here, so the transfers load no multiplier code
+
     W = transfer_multiplier(w)
     G = cayley_symbol(g)
     H = cayley_symbol(h)

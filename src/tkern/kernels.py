@@ -121,11 +121,17 @@ def in_kernel(f, s) -> bool:
     if not f.in_hardy2():
         return False
     K = kernel(s)
-    if f.is_zero:
-        return True
+    return f.is_zero or _in_span(f._zeros, f._poles, K)
+
+
+def _in_span(zeros, poles, K: ToeplitzKernel) -> bool:
+    """A nonzero Hardy-space function with these zeros and poles, which
+    need not be reduced, lies in K = plus * P_{d-1}: the net root
+    multiplicities of f / plus (``_quotient_zero_count``) leave no pole
+    and fewer than d zeros. For d = 0 no such function does."""
     if not K.dimension:
         return False
-    n = _quotient_zero_count(f._zeros + K.plus._poles, f._poles + K.plus._zeros)
+    n = _quotient_zero_count(zeros + K.plus._poles, poles + K.plus._zeros)
     return n is not None and n < K.dimension
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ZeroFunction,
 )
 from .factorization import BlaschkeProduct, blaschke_from_rational
-from .kernels import ToeplitzKernel, equals, in_kernel, is_maximal, kernel, minimal_kernel
+from .kernels import ToeplitzKernel, _in_span, equals, is_maximal, kernel, minimal_kernel
 from .rational import (
     RationalFunction,
     Record,
@@ -113,7 +113,8 @@ def is_multiplier(w, g, h, test_vector=None) -> bool:
 
     True iff w has no pole in the open disc, satisfies the Carleson
     condition for the source kernel, and w * k lands in ker T_h for the
-    canonical maximal vector k (the top ladder element). A user-supplied
+    canonical maximal vector k (the top ladder element), read from the
+    roots of w, k and the plus factor of ker T_h. A user-supplied
     maximal vector may be passed instead; it is verified before use.
     """
     w = as_rational(w)
@@ -130,7 +131,11 @@ def is_multiplier(w, g, h, test_vector=None) -> bool:
         k = as_rational(test_vector)
         if not is_maximal(k, g).is_maximal:
             raise PreconditionViolation("supplied test vector is not maximal for the source kernel")
-    return in_kernel(w * k, h)
+    # w has no pole on the closed disc and k lies in the Hardy space, so
+    # w * k does too: its membership reads the roots of w and k, with no
+    # product or gain formed
+    Kh = kernel(h)
+    return w.is_zero or _in_span(w._zeros + k._zeros, w._poles + k._poles, Kh)
 
 
 def smirnov_multiplier_test(w, g, h) -> bool:

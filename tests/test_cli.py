@@ -653,19 +653,24 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     assert json.loads(report.read_text())["result"]["failed"] == 0
 
 
-def _imported_top_level(args):
-    """Top-level names of every module that ``python -X importtime
-    <args>`` tries to import, read from the import-time report on
-    stderr; a failed attempt (``copy`` probes for ``org``) is listed too."""
+def _imported(args):
+    """Every module that ``python -X importtime <args>`` tries to import,
+    read from the import-time report on stderr; a failed attempt (``copy``
+    probes for ``org``) is listed too."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
+        line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def _imported_top_level(args):
+    """Top-level names of the modules in ``_imported(args)``."""
+    return {name.split(".")[0] for name in _imported(args)}
 
 
 @pytest.mark.parametrize(
@@ -697,6 +702,78 @@ def test_runtime_generates_no_code(args):
     # in every process; tkern's records need neither
     baseline = _imported_top_level(["-c", "pass"])
     assert not (_imported_top_level(args) - baseline) & {"dataclasses", "inspect"}
+
+
+def _imported_tkern_modules(args):
+    return {name for name in _imported(args) if name == "tkern" or name.startswith("tkern.")}
+
+
+def test_import_compiles_no_submodule():
+    assert _imported_tkern_modules(["-c", "import tkern"]) == {"tkern"}
+
+
+def test_each_command_imports_only_the_modules_it_uses():
+    assert _imported_tkern_modules(["-m", "tkern", "dim", "--symbol", "zbar^2"]) == {
+        f"tkern{suffix}" for suffix in
+        ("", ".cli", ".errors", ".rational", ".expressions", ".factorization", ".kernels")
+    }
+    factor = _imported_tkern_modules(
+        ["-m", "tkern", "factor", "--mode", "wiener-hopf", "--f", "(z+0.5)/(1+0.5*z)"]
+    )
+    assert "tkern.factorization" in factor
+    assert not factor & {"tkern.kernels", "tkern.multipliers", "tkern.halfplane"}
+    cayley = _imported_tkern_modules(
+        ["-m", "tkern", "cayley", "--mode", "symbol", "--f", "(s-1i)/(s+1i)"]
+    )
+    assert "tkern.halfplane" in cayley
+    assert not cayley & {"tkern.kernels", "tkern.multipliers"}
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in tkern.__all__:
+        value = getattr(tkern, name)
+        if isinstance(value, type(tkern)):
+            assert value is importlib.import_module(f"tkern.{name}")
+        else:
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("tkern.") and vars(home)[name] is value, name
+    assert dir(tkern) == sorted(tkern.__all__)
+
+
+# in a fresh interpreter, reads one name of each module in turn, and prints
+# for each the public names of that module missing from vars(tkern) after the
+# read, and whether the name was bound before it
+_FIRST_USE = """
+import json, sys
+import tkern
+report = {}
+for name in sys.argv[1:]:
+    bound = name in vars(tkern)
+    home = sys.modules[getattr(tkern, name).__module__]
+    own = [n for n in tkern.__all__ if getattr(vars(home).get(n), "__module__", "") == home.__name__]
+    report[name] = (bound, [n for n in own if n not in vars(tkern)])
+print(json.dumps(report))
+"""
+
+
+def test_first_use_binds_every_name_of_the_module():
+    # once bound, a name is a plain attribute of the package, and the
+    # per-layer tracer, which rebinds the aliases it finds in vars(tkern),
+    # sees every name of a module that was used
+    first = ["TkError", "parse_expression", "wiener_hopf", "in_kernel", "is_multiplier",
+             "cayley_function", "poly_roots", "numeric_kernel", "run_suite"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE, *first], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {name: [False, []] for name in first}
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from tkern import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
 
 
 # the two commands that run the oracle, and so load numpy

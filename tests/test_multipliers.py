@@ -34,6 +34,7 @@ from tkern import (
     multiplier_space_bounded,
     smirnov_multiplier_test,
 )
+from tkern.rational import EPS_ROOT
 from tkern.random_instances import (
     random_outer,
     random_rational,
@@ -514,3 +515,81 @@ def test_roots_linked_across_three_factors_reduce_as_one_root():
     assert len((h.value * w / g.value).poles()) == 2  # the order of the chain mattered
     assert smirnov_multiplier_test(w, g, h)
     assert is_multiplier(w, g, h)
+
+
+def test_roots_linked_across_w_k_and_plus_reduce_as_one_root():
+    # the chain d - a - b - c, each link within EPS_ROOT and no other: w has
+    # the zero a, k = plus_g the pole b (a zero of g), and f / plus_h the
+    # zero c and the pole d (a zero and a pole of h). Read over all of them
+    # at once the chain is one root of net multiplicity 0, so w * k / plus_h
+    # is a constant, as the Smirnov route's h * w / g reduces it. Reduced
+    # first as w * k, a cancelled b and the pole d was left, out of reach
+    # of c: the routes split, maximal vector False and Smirnov True.
+    d, a, b, c = 2.0, 2.0 + 1.5e-7, 2.0 + 3e-7, 2.0 + 4.5e-7
+    g = as_symbol(RationalFunction._from_roots(1.0, [(b, 1)], [(0j, 1)]))
+    h = as_symbol(RationalFunction._from_roots(1.0, [(c, 1)], [(0j, 2), (d, 1)]))
+    w = RationalFunction._from_roots(1.0, [(a, 1)])
+    assert not in_kernel(w * kernel(g).maximal_vector(), h)
+    assert is_multiplier(w, g, h)
+    assert smirnov_multiplier_test(w, g, h)
+
+
+def _chained_triple(rng):
+    """(w, g, h) whose roots outside the disc form one or two chains of
+    EPS_ROOT links, each root given at random to a zero or a pole of w, g
+    or h; g and h have 1 to 3 poles at the origin."""
+    roles = [[] for _ in range(6)]
+    for _ in range(int(rng.integers(1, 3))):
+        x = complex((1.5 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random()))
+        step = EPS_ROOT * abs(x) * (0.55 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        for _ in range(int(rng.integers(2, 6))):
+            roles[int(rng.integers(0, 6))].append((x, 1))
+            x += step * np.exp(0.3j * rng.standard_normal())
+    wz, wp, gz, gp, hz, hp = roles
+    g = as_symbol(RationalFunction._from_roots(1.0, gz, gp + [(0j, int(rng.integers(1, 4)))]))
+    h = as_symbol(RationalFunction._from_roots(1.0, hz, hp + [(0j, int(rng.integers(1, 4)))]))
+    return RationalFunction._from_roots(1.0, wz, wp), g, h
+
+
+def test_membership_of_w_times_k_reads_the_roots_of_w_k_and_plus(rng):
+    # the reference builds w * k and asks in_kernel, the route before the
+    # product was dropped. On the seeded triples they agree; on chains of
+    # EPS_ROOT links they differ only where the reduction of w * k cancelled
+    # part of a chain first (as in the test above): there the reference
+    # answers False, and is_multiplier True with the Smirnov route
+    triples = _seeded_triples(rng) + [_chained_triple(rng) for _ in range(1500)]
+    split = []
+    for i, (w, g, h) in enumerate(triples):
+        answer = is_multiplier(w, g, h)
+        assert answer == smirnov_multiplier_test(w, g, h), i
+        if not w.pole_classification().inside and carleson_check(w, kernel(g)):
+            reference = in_kernel(w * kernel(g).maximal_vector(), h)
+            if answer != reference:
+                split.append((i, reference, answer))
+    # 16 of the 1,500 chained triples split, all the same way; 174 are multipliers
+    assert all(i >= 60 and (ref, ans) == (False, True) for i, ref, ans in split)
+    assert len(split) == 16 and sum(map(is_multiplier, *zip(*triples[60:]))) == 174
+
+
+def test_is_multiplier_builds_no_product(monkeypatch):
+    # with both kernels kept and w classified, the decision reads roots only
+    # w * k = (1 + z) * (1 + z/2) * z**2, with k the top vector of ker T_g
+    g, h = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1])), as_symbol(monomial(-5))
+    w, h4 = RationalFunction([1, 1]), as_symbol(monomial(-4))
+    assert is_multiplier(w, g, h) and not is_multiplier(w, g, h4)
+    calls = []
+    for name in ("_reduce", "classify_roots"):
+        original = getattr(tkern.rational, name)
+        monkeypatch.setattr(tkern.rational, name,
+                            lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    assert is_multiplier(w, g, h) and not is_multiplier(w, g, h4)
+    assert calls == []
+
+
+def test_membership_of_w_times_k_forms_no_gain():
+    # k = plus_g has the gain -1e-20, so w * k would have the gain -1e-320,
+    # below double range: building it raised OutOfRange
+    w = RationalFunction(1e-300)
+    g = as_symbol(RationalFunction._from_roots(1.0, [], [(0j, 1), (1e20, 1)]))
+    assert kernel(g).maximal_vector()._gain == -1e-20
+    assert is_multiplier(w, g, g) and smirnov_multiplier_test(w, g, g)
