@@ -8,7 +8,9 @@ coefficient map, and subspaces are compared through principal angles.
 
 from __future__ import annotations
 
+import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,13 @@ def circle_samples(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+@lru_cache(maxsize=8)
+def _circle_grid(n: int) -> np.ndarray:
+    z = circle_samples(n)
+    z.flags.writeable = False
+    return z
+
+
 class BoundarySampling(Record):
     """Samples of a function at the n-th roots of unity."""
 
@@ -44,11 +53,12 @@ class BoundarySampling(Record):
 
 def boundary_sampling(f, sample_count: int) -> BoundarySampling:
     """Refused when f has a pole on the circle (band ``EPS_CIRCLE``),
-    whether or not a sample falls on it."""
+    whether or not a sample falls on it. The points are the grid of
+    ``circle_samples``, kept read-only for the last few sample counts."""
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("boundary samples need a pole-free circle")
-    z = circle_samples(sample_count)
+    z = _circle_grid(sample_count)
     return BoundarySampling(sample_count, f.num(z) / f.den(z))
 
 
@@ -59,10 +69,17 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     at index j. The first grid has m = max(256, next power of two >= 4N)
     points, or ``sample_count`` if larger, and doubles until two successive
     grids agree to GRID_CONVERGENCE_TOL; a ResolutionWarning is issued if
-    the cap is reached first. The m-point grid is the even-indexed half of
-    the 2m-point grid, bit for bit, so the first comparison samples f once,
-    at 2m points; each later grid is sampled on its own.
+    the cap is reached first. The first comparison samples f once, at 2m
+    points, and takes one FFT: the m-point grid is the even half of the
+    2m-point grid, so its coefficient at k is hat[k] + hat[k + m] of the
+    2m-point coefficients (the radix-2 split). That aliased grid is only
+    compared against; the coefficients returned always come from the FFT
+    of the grid they are reported for. Each later grid is sampled on its
+    own. A negative N, or a ``sample_count`` that is not a positive power
+    of two, is refused with ValueError.
     """
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("Fourier coefficients need a pole-free boundary")
@@ -77,30 +94,32 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     if f.is_zero:
         return np.zeros(2 * N + 1, dtype=complex)
 
-    def extract(values):
-        m = values.size
-        hat = np.fft.fft(values) / m
-        return hat[np.arange(-N, N + 1) % m]
+    def transform(m):
+        hat = np.fft.fft(boundary_sampling(f, m).values) / m
+        return hat, np.concatenate((hat[m - N :], hat[: N + 1]))
 
     m = 256
     while m < max(4 * N, 4):
         m *= 2
     if sample_count is not None:
-        if sample_count & (sample_count - 1):
-            raise ValueError("sample_count must be a power of two")
+        if sample_count < 1 or sample_count & (sample_count - 1):
+            raise ValueError(f"sample_count must be a positive power of two, got {sample_count}")
         m = max(m, sample_count)
-    first = 2 * m if m < _MAX_SAMPLES else m
-    values = boundary_sampling(f, first).values
-    prev = extract(values[:: first // m])
-    while m < _MAX_SAMPLES:
-        m *= 2
-        if values.size != m:
-            values = boundary_sampling(f, m).values
-        cur = extract(values)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if np.max(np.abs(cur - prev)) <= GRID_CONVERGENCE_TOL * scale:
-            return cur
-        prev = cur
+    if m >= _MAX_SAMPLES:
+        prev = transform(m)[1]
+    else:
+        hat, cur = transform(2 * m)
+        # the m-point grid's coefficient at k is hat[k] + hat[k + m]
+        prev = cur + hat[m - N : m + N + 1]
+        while True:
+            m *= 2
+            scale = max(1.0, float(np.max(np.abs(cur))))
+            if np.max(np.abs(cur - prev)) <= GRID_CONVERGENCE_TOL * scale:
+                return cur
+            prev = cur
+            if m >= _MAX_SAMPLES:
+                break
+            cur = transform(2 * m)[1]
     warnings.warn(
         "Fourier coefficients did not reach grid convergence at the sample cap",
         ResolutionWarning,
@@ -142,35 +161,35 @@ def numeric_kernel(s, degree_cap: int | None = None) -> NumericSubspace:
     value or the largest computed Fourier coefficient, whichever is
     larger, count as null: when the cap is below the kernel's dimension
     every column is null and the largest singular value is FFT noise.
+    The matrix is tall, so the SVD gives one singular value per column,
+    sorted: the null ones are a tail, the gap ratio is the last kept value
+    over the first null one, and the basis is the matching tail of the
+    right singular vectors. A negative degree_cap is refused with
+    ValueError.
     """
     s = as_symbol(s)
     if not s.circle_invertible:
         raise NotInvertibleOnCircle("numeric kernel needs a circle-invertible symbol")
     if degree_cap is None:
         degree_cap = default_degree_cap(s)
+    elif degree_cap < 0:
+        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
     v = s.value
-    bandwidth = v.num.degree + v.den.degree
-    rows = degree_cap + bandwidth + 1
-    nfour = max(degree_cap, rows - 1)
-    c = fourier_coefficients(v, nfour)
+    rows = degree_cap + v.num.degree + v.den.degree + 1
+    c = fourier_coefficients(v, rows - 1)
 
-    idx = nfour + np.arange(rows)[:, None] - np.arange(degree_cap + 1)[None, :]
-    A = c[idx]
-
-    _, sv, vh = np.linalg.svd(A, full_matrices=False)
-    smax = sv[0] if sv.size else 0.0
-    ncols = degree_cap + 1
-    full_sv = np.zeros(ncols)
-    full_sv[: sv.size] = sv
-    null_mask = full_sv <= SVD_NULL_TOL * max(smax, float(np.max(np.abs(c))), 1e-300)
-    kept = full_sv[~null_mask]
-    dropped = full_sv[null_mask]
-    if dropped.size and kept.size:
-        gap = float(kept.min() / max(dropped.max(), 1e-300))
+    idx = rows - 1 + np.arange(rows)[:, None] - np.arange(degree_cap + 1)[None, :]
+    _, sv, vh = np.linalg.svd(c[idx], full_matrices=False)
+    values = sv.tolist()
+    null_tol = SVD_NULL_TOL * max(values[0], float(np.max(np.abs(c))), 1e-300)
+    kept = len(values)
+    while kept and values[kept - 1] <= null_tol:
+        kept -= 1
+    if 0 < kept < len(values):
+        gap = values[kept - 1] / max(values[kept], 1e-300)
     else:
         gap = float("inf")
-    basis = vh.conj().T[:, null_mask]
-    return NumericSubspace(degree_cap, basis, singular_values=full_sv, gap_ratio=gap)
+    return NumericSubspace(degree_cap, vh[kept:].conj().T, singular_values=sv, gap_ratio=gap)
 
 
 def subspace_from_rationals(functions, degree_cap: int) -> NumericSubspace:
@@ -185,11 +204,20 @@ def subspace_from_rationals(functions, degree_cap: int) -> NumericSubspace:
     return NumericSubspace(degree_cap, q[:, keep])
 
 
+# sin of the largest angle above which its cosine, not its sine, is read
+_SINE_LIMIT = math.sqrt(1 - 0.7**2)
+
+
 def principal_angle(A: NumericSubspace, B: NumericSubspace) -> float:
     """Largest principal angle between two subspaces, in [0, pi/2].
 
     When the dimensions differ a DimensionMismatchWarning is raised and
     the angle of the overlap (the smaller dimension) is still returned.
+    The angle is read from one SVD, of the residual of the smaller basis
+    projected onto the larger, as an arcsine, which is accurate for small
+    angles. Only when its sine exceeds sqrt(1 - 0.7^2), a cosine below 0.7,
+    is it read instead as the arccosine of the smallest singular value of
+    the cross product of the bases, a second SVD.
     """
     if A.degree_cap != B.degree_cap:
         raise ValueError("subspaces use different degree caps")
@@ -203,16 +231,13 @@ def principal_angle(A: NumericSubspace, B: NumericSubspace) -> float:
     if A.dimension == 0 or B.dimension == 0:
         return 0.0 if A.dimension == B.dimension else float(np.pi / 2)
     M = A.basis_matrix.conj().T @ B.basis_matrix
-    sv = np.linalg.svd(M, compute_uv=False)
-    k = min(A.dimension, B.dimension)
-    cos_small = float(np.clip(sv[k - 1], -1.0, 1.0))
-    if cos_small < 0.7:
-        return float(np.arccos(cos_small))
-    # sine-based residual is accurate for small angles: project the
-    # smaller basis onto the larger and measure what is left over
     if A.dimension >= B.dimension:
         resid = B.basis_matrix - A.basis_matrix @ M
     else:
         resid = A.basis_matrix - B.basis_matrix @ M.conj().T
-    sines = np.linalg.svd(resid, compute_uv=False)
-    return float(np.arcsin(np.clip(sines[0], 0.0, 1.0)))
+    sine = float(np.linalg.svd(resid, compute_uv=False)[0])
+    if sine <= _SINE_LIMIT:
+        return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
+    sv = np.linalg.svd(M, compute_uv=False)
+    k = min(A.dimension, B.dimension)
+    return float(np.arccos(np.clip(sv[k - 1], -1.0, 1.0)))

@@ -246,9 +246,11 @@ class ComplexPolynomial(Frozen):
         c = self._coeffs
         if not c:
             return 0j if isinstance(z, complex) else 0j * z
+        # a fresh value of z's shape: an array is updated in place
         val = c[-1] + z * 0
         for a in c[-2::-1]:
-            val = val * z + a
+            val *= z
+            val += a
         return val
 
     # -- arithmetic --------------------------------------------------------

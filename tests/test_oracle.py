@@ -24,7 +24,10 @@ from tkern import (
 from tkern.oracle import (
     GRID_CONVERGENCE_TOL,
     SAFE_CIRCLE_DISTANCE,
+    SVD_NULL_TOL,
+    NumericSubspace,
     boundary_sampling,
+    circle_samples,
 )
 from tkern.random_instances import random_symbol
 
@@ -188,6 +191,68 @@ def test_fourier_coefficients_match_the_two_call_loop(seed, monkeypatch):
     assert caps == 3 and largest >= 1024 and first_converged >= 20
 
 
+def _counting(monkeypatch, module, name):
+    # wrap module.name; the returned list gets the keyword arguments of each call
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_first_grid_comparison_takes_one_fft(monkeypatch):
+    ffts = _counting(monkeypatch, np.fft, "fft")
+    sizes = _counting(monkeypatch, tkern.oracle, "boundary_sampling")
+    c = fourier_coefficients(RationalFunction([1.0], [1.0, -0.5]), 10)
+    assert len(ffts) == 1 and len(sizes) == 1
+    assert np.max(np.abs(c[10:] - 0.5 ** np.arange(11))) < 1e-10
+
+
+@pytest.mark.parametrize("degree", [252, 256, 260, -252, -256, -260])
+def test_the_first_comparison_sees_what_the_coarse_grid_aliases(degree, monkeypatch):
+    # on the 256-point grid z^degree lands on index -4, 0 or 4, the ends
+    # and middle of the window -4..4, so the first comparison must fail and
+    # the grid double
+    f = monomial(degree)
+    expected = _two_call_fourier(f, 4)
+    sizes = _counting(monkeypatch, tkern.oracle, "boundary_sampling")
+    got = fourier_coefficients(f, 4)
+    assert np.array_equal(got, expected)
+    assert len(sizes) == 2
+
+
+def test_the_kept_circle_grid_is_read_only_and_bounded():
+    # boundary_sampling reads a kept grid; circle_samples gives a fresh one
+    boundary_sampling(monomial(1), 64)
+    kept = tkern.oracle._circle_grid(64)
+    fresh = circle_samples(64)
+    assert not kept.flags.writeable and fresh.flags.writeable
+    assert np.array_equal(kept, fresh)
+    with pytest.raises(ValueError):
+        kept[0] = 0
+    for n in range(1, 41):
+        bs = boundary_sampling(monomial(2), n)
+        assert np.array_equal(bs.values, circle_samples(n) ** 2)
+    info = tkern.oracle._circle_grid.cache_info()
+    assert info.currsize <= info.maxsize <= 8
+
+
+@pytest.mark.parametrize(("call", "name"), [
+    (lambda: fourier_coefficients(monomial(1), -1), "N"),
+    (lambda: fourier_coefficients(RationalFunction([0.0]), -1), "N"),
+    (lambda: fourier_coefficients(monomial(1), 4, sample_count=0), "sample_count"),
+    (lambda: fourier_coefficients(monomial(1), 4, sample_count=-4), "sample_count"),
+    (lambda: fourier_coefficients(monomial(1), 4, sample_count=768), "sample_count"),
+    (lambda: numeric_kernel(monomial(-2), degree_cap=-1), "degree_cap"),
+])
+def test_invalid_oracle_sizes_are_refused(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
 # -- numeric kernels ------------------------------------------------------------
 
 
@@ -239,6 +304,80 @@ def test_numeric_agrees_with_symbolic_on_random_symbols(rng):
         assert ns.gap_ratio > 1e3
 
 
+def _mask_numeric_kernel(s, degree_cap=None):
+    # reference: every singular value padded to the column count, and the
+    # null columns, kept values and gap read through a boolean mask
+    s = as_symbol(s)
+    if degree_cap is None:
+        degree_cap = tkern.oracle.default_degree_cap(s)
+    v = s.value
+    bandwidth = v.num.degree + v.den.degree
+    rows = degree_cap + bandwidth + 1
+    nfour = max(degree_cap, rows - 1)
+    c = fourier_coefficients(v, nfour)
+    A = c[nfour + np.arange(rows)[:, None] - np.arange(degree_cap + 1)[None, :]]
+    _, sv, vh = np.linalg.svd(A, full_matrices=False)
+    smax = sv[0] if sv.size else 0.0
+    full_sv = np.zeros(degree_cap + 1)
+    full_sv[: sv.size] = sv
+    null_mask = full_sv <= SVD_NULL_TOL * max(smax, float(np.max(np.abs(c))), 1e-300)
+    kept, dropped = full_sv[~null_mask], full_sv[null_mask]
+    if dropped.size and kept.size:
+        gap = float(kept.min() / max(dropped.max(), 1e-300))
+    else:
+        gap = float("inf")
+    return NumericSubspace(degree_cap, vh.conj().T[:, null_mask],
+                           singular_values=full_sv, gap_ratio=gap)
+
+
+def _two_svd_principal_angle(A, B):
+    # reference: the cosines' SVD first, then the sines' below 0.7
+    if A.dimension == 0 or B.dimension == 0:
+        return 0.0 if A.dimension == B.dimension else float(np.pi / 2)
+    M = A.basis_matrix.conj().T @ B.basis_matrix
+    sv = np.linalg.svd(M, compute_uv=False)
+    cos_small = float(np.clip(sv[min(A.dimension, B.dimension) - 1], -1.0, 1.0))
+    if cos_small < 0.7:
+        return float(np.arccos(cos_small))
+    if A.dimension >= B.dimension:
+        resid = B.basis_matrix - A.basis_matrix @ M
+    else:
+        resid = A.basis_matrix - B.basis_matrix @ M.conj().T
+    return float(np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False)[0], 0.0, 1.0)))
+
+
+def _kernel_symbols(seed):
+    # the corpus's functions at safe, near and very near radii, wound by
+    # zbar^0..zbar^3 so that most have a kernel
+    for trial, (f, _, _) in enumerate(_fourier_corpus(seed)):
+        if trial == 36:
+            return
+        yield as_symbol(f * monomial(-(trial % 4)))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_oracle_outputs_match_the_references(seed):
+    dimensions = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for s in _kernel_symbols(seed):
+            got, expected = numeric_kernel(s), _mask_numeric_kernel(s)
+            assert np.array_equal(got.singular_values, expected.singular_values)
+            assert got.basis_matrix.shape == expected.basis_matrix.shape
+            assert np.array_equal(got.basis_matrix, expected.basis_matrix)
+            assert got.gap_ratio == expected.gap_ratio
+            sub = subspace_from_rationals(kernel(s).basis, got.degree_cap)
+            assert principal_angle(sub, got) == _two_svd_principal_angle(sub, expected)
+            dimensions.add(got.dimension)
+    assert len(dimensions) >= 3
+
+
+def test_numeric_kernel_takes_one_svd(monkeypatch):
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    assert numeric_kernel(monomial(-2), degree_cap=8).dimension == 2
+    assert len(svds) == 1 and svds[0].get("compute_uv", True)
+
+
 # -- principal angles -------------------------------------------------------------
 
 
@@ -265,6 +404,33 @@ def test_dimension_mismatch_warns_and_returns_overlap():
     with pytest.warns(DimensionMismatchWarning):
         angle = principal_angle(a, b)
     assert angle < 1e-12
+
+
+def _pair_at(angle_deg, dims=(2, 2), seed=0):
+    # two subspaces of C^9 whose largest principal angle is angle_deg, in a
+    # seeded random unitary frame
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    t = np.radians(angle_deg)
+    a = q[:, : dims[0]]
+    b = q[:, : dims[1]].copy()
+    b[:, 0] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, 8]
+    return NumericSubspace(8, a), NumericSubspace(8, b)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("angle_deg", [30, 44, 45.57, 46, 60, 90])
+def test_principal_angle_matches_the_two_svd_reference(angle_deg, dims, monkeypatch):
+    A, B = _pair_at(angle_deg, dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DimensionMismatchWarning)
+        expected = _two_svd_principal_angle(A, B)
+        svds = _counting(monkeypatch, np.linalg, "svd")
+        got = principal_angle(A, B)
+    assert got == expected
+    assert got == pytest.approx(np.radians(angle_deg), abs=1e-12)
+    # one SVD below arccos(0.7) = 45.573 degrees, where the sine is read
+    assert len(svds) == (1 if angle_deg < 45.573 else 2)
 
 
 # -- quadrature winding ------------------------------------------------------------
