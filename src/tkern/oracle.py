@@ -54,7 +54,10 @@ class BoundarySampling(Record):
 def boundary_sampling(f, sample_count: int) -> BoundarySampling:
     """Refused when f has a pole on the circle (band ``EPS_CIRCLE``),
     whether or not a sample falls on it. The points are the grid of
-    ``circle_samples``, kept read-only for the last few sample counts."""
+    ``circle_samples``, kept read-only for the last few sample counts. A
+    ``sample_count`` below 1 is refused with ValueError."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("boundary samples need a pole-free circle")

@@ -13,8 +13,9 @@ Conventions:
     with a monic denominator, the circle classification of its zeros and
     of its poles, a symbol's kernel) is computed on first use and kept;
   * products, quotients, powers, circle conjugation and Moebius
-    composition move or merge the root multisets; only coefficient input
-    and sums find roots (``poly_roots``);
+    composition move or merge the root multisets, and a polynomial built
+    by ``ComplexPolynomial.from_roots`` keeps its roots; only coefficient
+    input and sums find roots (``poly_roots``);
   * one single-linkage grouping (``_group_roots``) decides which roots are
     the same root, in root finding and in reduction: roots that match
     within a relative tolerance are linked, and a chain of links is one
@@ -203,15 +204,21 @@ class ComplexPolynomial(Frozen):
 
     The coefficients are kept as a tuple of Python ``complex``; ``coeffs``
     gives them as a read-only numpy array, built on each access. The zero
-    polynomial has no coefficients and degree -1. Instances are immutable
-    values.
+    polynomial has no coefficients and degree -1. A polynomial built by
+    ``from_roots`` keeps its roots as given, as (root, multiplicity) pairs,
+    and a copy keeps them too; coefficient input has none (``_roots`` is
+    None). Instances are immutable values.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_roots")
 
     def __init__(self, coeffs=()):
-        c = coeffs._coeffs if isinstance(coeffs, ComplexPolynomial) else _trim(coeffs)
+        if isinstance(coeffs, ComplexPolynomial):
+            c, roots = coeffs._coeffs, coeffs._roots
+        else:
+            c, roots = _trim(coeffs), None
         object.__setattr__(self, "_coeffs", c)
+        object.__setattr__(self, "_roots", roots)
 
     # -- basic structure ---------------------------------------------------
 
@@ -264,10 +271,11 @@ class ComplexPolynomial(Frozen):
         """lead * prod (z - r) over ``roots`` (bare roots or (root,
         multiplicity) pairs, each multiplicity an integer >= 1). The degree
         is the root count: the expanded coefficients are not trimmed,
-        however small the leading one. An expansion that overflows, or a
-        degree that no list can hold, raises OutOfRange."""
-        if lead == 0:
-            return ComplexPolynomial()
+        however small the leading one. The roots are kept, so a
+        ``RationalFunction`` built from this polynomial finds none. Every
+        root and multiplicity is checked, with lead 0 too: a root that is
+        not finite, an expansion that overflows, or a degree that no list
+        can hold raises OutOfRange."""
         # the roots at 0 become a shift; the degree is summed before any
         # coefficient is allocated
         factors, shift, degree = [], 0, 0
@@ -275,11 +283,15 @@ class ComplexPolynomial(Frozen):
             r, m = item if isinstance(item, tuple) else (item, 1)
             m = _multiplicity(m)
             r = complex(r)
+            if not cmath.isfinite(r):
+                _bad_root()
             degree += m
             if r == 0:
                 shift += m
             else:
                 factors.append((r, m))
+        if lead == 0:
+            return ComplexPolynomial()
         if degree > sys.maxsize:  # no list can hold the coefficients
             raise OutOfRange(f"a polynomial of degree {degree} has no coefficient form")
         # the monic product so far, ascending; times (z - r), coefficient k
@@ -294,6 +306,7 @@ class ComplexPolynomial(Frozen):
             raise OutOfRange("polynomial coefficients overflow double precision")
         p = object.__new__(ComplexPolynomial)
         object.__setattr__(p, "_coeffs", c)
+        object.__setattr__(p, "_roots", (*factors, (0j, shift)) if shift else tuple(factors))
         return p
 
     # -- comparison / display ----------------------------------------------
@@ -608,8 +621,9 @@ class RationalFunction(Frozen):
     within ``EPS_ROOT`` cancel, so the quotient is always reduced. The
     coefficients ``num`` and ``den`` (monic) and the circle classifications
     are derived on first use and kept. Only coefficient input and sums find
-    roots; products, quotients, powers, circle conjugation and Moebius
-    composition move or merge the multisets.
+    roots: a polynomial built by ``ComplexPolynomial.from_roots`` gives the
+    roots it keeps, and products, quotients, powers, circle conjugation and
+    Moebius composition move or merge the multisets.
     """
 
     __slots__ = ("_gain", "_zeros", "_poles", "_num", "_den", "_zero_split", "_pole_split")
@@ -623,7 +637,9 @@ class RationalFunction(Frozen):
             self._assign(0j, (), ())
         else:
             gain = _nonzero_gain(num.lead / den.lead)
-            self._assign(gain, *_reduce(poly_roots(num), poly_roots(den)))
+            # a polynomial built from its roots keeps them: only coefficient input is solved
+            roots = [poly_roots(p) if p._roots is None else p._roots for p in (num, den)]
+            self._assign(gain, *_reduce(*roots))
 
     @classmethod
     def _from_roots(cls, gain, zeros=(), poles=()) -> "RationalFunction":

@@ -62,8 +62,11 @@ def _separated(rng, n, radii, taken):
 
 def _both_forms(lead, zeros, poles):
     zeros, poles = [(r, 1) for r in zeros], [(r, 1) for r in poles]
+    # the second form is coefficient input: a from_roots polynomial would
+    # hand its kept roots over, and no root would be solved
     num, den = ComplexPolynomial.from_roots(zeros, lead), ComplexPolynomial.from_roots(poles)
-    return RationalFunction._from_roots(lead, zeros, poles), RationalFunction(num, den)
+    return (RationalFunction._from_roots(lead, zeros, poles),
+            RationalFunction(ComplexPolynomial(num._coeffs), ComplexPolynomial(den._coeffs)))
 
 
 @functools.cache

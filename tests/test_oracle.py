@@ -247,10 +247,15 @@ def test_the_kept_circle_grid_is_read_only_and_bounded():
     (lambda: fourier_coefficients(monomial(1), 4, sample_count=-4), "sample_count"),
     (lambda: fourier_coefficients(monomial(1), 4, sample_count=768), "sample_count"),
     (lambda: numeric_kernel(monomial(-2), degree_cap=-1), "degree_cap"),
+    (lambda: boundary_sampling(monomial(1), 0), "sample_count"),
+    (lambda: boundary_sampling(monomial(1), -3), "sample_count"),
 ])
 def test_invalid_oracle_sizes_are_refused(call, name):
+    # refused before a circle grid is read or kept
+    before = tkern.oracle._circle_grid.cache_info()
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
+    assert tkern.oracle._circle_grid.cache_info() == before
 
 
 # -- numeric kernels ------------------------------------------------------------

@@ -135,8 +135,18 @@ def test_from_roots_matches_numpy_expansion(degree):
 
 @pytest.mark.parametrize("multiplicity", [-1, 0, 1.7])
 def test_from_roots_multiplicity_must_be_an_integer_of_at_least_one(multiplicity):
-    with pytest.raises(ValueError, match="multiplicity"):
-        ComplexPolynomial.from_roots([(0.5, multiplicity)])
+    # checked with lead 0 too, where no coefficient is expanded
+    for lead in (1.0, 0):
+        with pytest.raises(ValueError, match="multiplicity"):
+            ComplexPolynomial.from_roots([(0.5, multiplicity)], lead)
+
+
+@pytest.mark.parametrize("lead", [1.0, 0])
+@pytest.mark.parametrize("root", [float("nan"), complex("inf"), complex(0.5, -math.inf)])
+def test_from_roots_refuses_a_root_that_is_not_finite(root, lead):
+    # a kept root must be finite: refused before any expansion, as a root
+    with pytest.raises(OutOfRange, match="a root is outside double precision"):
+        ComplexPolynomial.from_roots([0.5, (root, 2)], lead)
 
 
 @pytest.mark.parametrize("roots", [[(0, 10**20)], [(2, 10**20)], [(2, 1), (0, sys.maxsize)]])
@@ -983,6 +993,88 @@ def test_powers_match_repeated_products(rng):
         1 + np.max(np.abs(r(z) ** -2.0))
     )
     assert (r**0).is_close(RationalFunction([1.0]))
+
+
+def test_a_value_built_from_roots_solves_nothing(monkeypatch):
+    # from_roots keeps its roots, and a copy keeps them; coefficient input
+    # is solved, one poly_roots call per polynomial
+    num = ComplexPolynomial.from_roots([0.3, (2.5j, 2), (0, 3)], 1.5 - 0.5j)
+    den = ComplexPolynomial.from_roots([(-3.0, 1), 0.2 + 0.1j])
+    calls, solve = [], tkern.rational.poly_roots
+    monkeypatch.setattr(tkern.rational, "poly_roots", lambda p: calls.append(p) or solve(p))
+    built = RationalFunction(num, den)
+    copied = RationalFunction(ComplexPolynomial(num), ComplexPolynomial(den))
+    assert calls == []
+    solved = RationalFunction(ComplexPolynomial(list(num._coeffs)), ComplexPolynomial(list(den._coeffs)))
+    assert len(calls) == 2
+    assert ComplexPolynomial(list(num._coeffs))._roots is None
+    assert copied.zeros() == built.zeros() and copied.poles() == built.poles()
+    assert solved.is_close(built)
+
+
+@pytest.mark.parametrize("roots", [[(2, 12)], [2] * 12, [(2.0, 5), (2, 7)]])
+def test_a_multiple_root_built_from_roots_stays_one_root(roots):
+    # (z - 2)^12 holds one 12-fold zero; solving its coefficients splits it
+    f = RationalFunction(ComplexPolynomial.from_roots(roots))
+    assert f.zeros() == [(2 + 0j, 12)] and f.poles() == []
+    assert ComplexPolynomial.from_roots(roots)._coeffs == ComplexPolynomial.from_roots([(2, 12)])._coeffs
+
+
+def test_the_triple_root_of_a_product_built_from_roots_is_kept():
+    # (z - 1)^2 (z^32 - 1): the root 1 of z^32 - 1 meets the double root
+    unity = [cmath.exp(2j * math.pi * k / 32) for k in range(32)]
+    f = RationalFunction(ComplexPolynomial.from_roots([(1, 2), *unity]))
+    assert (1 + 0j, 3) in f.zeros()
+    assert sum(m for _, m in f.zeros()) == 34 and all(m == 1 for r, m in f.zeros() if r != 1)
+
+
+# the workloads' radii, (inside, outside): safe, and near the circle (defect c)
+RADII = {"safe": ((0.1, 0.45), (2.6, 4.0)), "near": ((0.5, 0.9), (1.1, 2.0))}
+FROM_ROOTS_STRATA = ["safe", "near", "chain", "repeat", "origin"]
+
+
+def _from_roots_case(rng, stratum):
+    """(lead, zeros, poles), as (root, multiplicity) pairs: up to two roots
+    inside and two outside of each kind, and the stratum's extra roots."""
+    inside, outside = RADII.get(stratum, RADII["safe"])
+
+    def point(radii):
+        return complex(rng.uniform(*radii) * cmath.exp(2j * math.pi * rng.random()))
+
+    def pairs():
+        return [(point(radii), int(rng.integers(1, 3)))
+                for radii in (inside, outside) for _ in range(rng.integers(0, 3))]
+
+    zeros, poles = pairs(), pairs()
+    if stratum == "chain":
+        # links shorter than EPS_ROOT spanning more than it, and a pole that
+        # cancels against the chain
+        r, step = point(inside), 0.6 * tkern.rational.EPS_ROOT
+        zeros += [(r + k * step, 1) for k in range(4)]
+        poles += [(r + (1.5 + 0.5j) * step, 2)]
+    elif stratum == "repeat":
+        # one value as separate entries: among the zeros, among the poles,
+        # and on both sides of the quotient
+        r, s = point(inside), point(outside)
+        zeros += [(r, 1), (r, 2), (s, 1)]
+        poles += [(s, 1), (s, 2), (r, 1)]
+    elif stratum == "origin":
+        zeros += [(0j, int(rng.integers(1, 4))), (complex(-0.0, 0.0), 1)]
+        poles += [(0j, int(rng.integers(1, 6)))]
+    lead = complex(rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random()))
+    return lead, zeros, poles
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("stratum", FROM_ROOTS_STRATA)
+def test_from_roots_input_holds_the_state_of_the_factored_form(stratum, seed):
+    rng = np.random.default_rng([seed, FROM_ROOTS_STRATA.index(stratum)])
+    for _ in range(200):
+        lead, zeros, poles = _from_roots_case(rng, stratum)
+        num, den = ComplexPolynomial.from_roots(zeros, lead), ComplexPolynomial.from_roots(poles)
+        got = RationalFunction(num, den)
+        want = RationalFunction._from_roots(lead, zeros, poles)
+        assert (got._gain, got._zeros, got._poles) == (want._gain, want._zeros, want._poles)
 
 
 def test_products_and_factorizations_find_no_roots(monkeypatch):
