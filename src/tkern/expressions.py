@@ -229,7 +229,7 @@ def parse_expression(text: str, variable: str = "z") -> SymbolExpression:
 
 def _lower(node: Node) -> RationalFunction:
     if isinstance(node, Lit):
-        return RationalFunction([node.value])
+        return RationalFunction._coerce(node.value)
     if isinstance(node, Var):
         return monomial(-1 if node.name == "zbar" else 1)
     if isinstance(node, Neg):

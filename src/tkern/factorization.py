@@ -152,7 +152,8 @@ def blaschke_from_rational(r):
 
     Returns the BlaschkeProduct, or None when the function is not inner
     (zeros outside the open disc, or boundary modulus more than
-    ``INNER_TOL`` away from 1).
+    ``INNER_TOL`` away from 1). r / B, for B with r's zeros, is the constant
+    r._gain / B._gain when its roots cancel to none (``_quotient_zero_count``).
     """
     r = as_rational(r)
     if r.is_zero:
@@ -161,13 +162,12 @@ def blaschke_from_rational(r):
     if zc.on_circle or zc.outside:
         return None
     try:
-        candidate = BlaschkeProduct(1.0, zc.inside)
+        b = BlaschkeProduct(1.0, zc.inside).to_rational()
     except BlaschkeParameterOutOfDisc:
         return None
-    ratio = r / candidate.to_rational()
-    if not ratio.is_constant:
+    if _quotient_zero_count(r._zeros + b._poles, r._poles + b._zeros) != 0:
         return None
-    c = ratio.constant_value()
+    c = r._gain / b._gain
     if abs(abs(c) - 1.0) > INNER_TOL:
         return None
     for k in range(64):

@@ -27,6 +27,7 @@ from .rational import (
     RationalFunction,
     Record,
     ToeplitzSymbol,
+    _quotient_zero_count,
     as_rational,
     as_symbol,
     monomial,
@@ -180,8 +181,9 @@ def image_kernel(w, g) -> Optional[ToeplitzKernel]:
     The only candidate is the minimal kernel K = plus_v * P_{d-1} of w * k
     for a maximal vector k. The image w * plus_g * P_{d-1} is K exactly
     when dim K = d and w * plus_g / plus_v is a constant (a rational r with
-    r and r * z**(d-1) in P_{d-1} is one); otherwise it is a proper
-    subspace of every Toeplitz kernel containing it and None is returned.
+    r and r * z**(d-1) in P_{d-1} is one): its roots cancel to none
+    (``_quotient_zero_count``). Otherwise it is a proper subspace of every
+    Toeplitz kernel containing it and None is returned.
     """
     w = as_rational(w)
     if w.is_zero:
@@ -196,8 +198,8 @@ def image_kernel(w, g) -> Optional[ToeplitzKernel]:
     K = minimal_kernel(wk)[1]
     if K.dimension != Kg.dimension:
         return None
-    ratio = RationalFunction._product((w, Kg.plus), (K.plus,), unit_gain=True)
-    return K if ratio.is_constant else None
+    zeros, poles = w._zeros + Kg.plus._zeros, w._poles + Kg.plus._poles
+    return K if _quotient_zero_count(zeros + K.plus._poles, poles + K.plus._zeros) == 0 else None
 
 
 def is_surjective_multiplier(w, g, h) -> SurjectivityReport:

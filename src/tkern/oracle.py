@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -55,9 +56,9 @@ def boundary_sampling(f, sample_count: int) -> BoundarySampling:
     """Refused when f has a pole on the circle (band ``EPS_CIRCLE``),
     whether or not a sample falls on it. The points are the grid of
     ``circle_samples``, kept read-only for the last few sample counts. A
-    ``sample_count`` below 1 is refused with ValueError."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    ``sample_count`` below 1 or not an integer is refused with ValueError."""
+    if not isinstance(sample_count, Integral) or sample_count < 1:
+        raise ValueError(f"sample_count must be an integer of at least 1, got {sample_count}")
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("boundary samples need a pole-free circle")
@@ -78,11 +79,11 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     2m-point coefficients (the radix-2 split). That aliased grid is only
     compared against; the coefficients returned always come from the FFT
     of the grid they are reported for. Each later grid is sampled on its
-    own. A negative N, or a ``sample_count`` that is not a positive power
-    of two, is refused with ValueError.
+    own. An N that is not a nonnegative integer, or a ``sample_count`` that
+    is not a positive power of two, is refused with ValueError.
     """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    if not isinstance(N, Integral) or N < 0:
+        raise ValueError(f"N must be a nonnegative integer, got {N}")
     f = as_rational(f)
     if f.pole_classification().on_circle:
         raise PoleOnCircle("Fourier coefficients need a pole-free boundary")
@@ -167,16 +168,16 @@ def numeric_kernel(s, degree_cap: int | None = None) -> NumericSubspace:
     The matrix is tall, so the SVD gives one singular value per column,
     sorted: the null ones are a tail, the gap ratio is the last kept value
     over the first null one, and the basis is the matching tail of the
-    right singular vectors. A negative degree_cap is refused with
-    ValueError.
+    right singular vectors. A degree_cap that is not a nonnegative integer
+    is refused with ValueError.
     """
     s = as_symbol(s)
     if not s.circle_invertible:
         raise NotInvertibleOnCircle("numeric kernel needs a circle-invertible symbol")
     if degree_cap is None:
         degree_cap = default_degree_cap(s)
-    elif degree_cap < 0:
-        raise ValueError(f"degree_cap must be nonnegative, got {degree_cap}")
+    elif not isinstance(degree_cap, Integral) or degree_cap < 0:
+        raise ValueError(f"degree_cap must be a nonnegative integer, got {degree_cap}")
     v = s.value
     rows = degree_cap + v.num.degree + v.den.degree + 1
     c = fourier_coefficients(v, rows - 1)

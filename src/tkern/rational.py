@@ -42,7 +42,7 @@ import math
 import sys
 import warnings
 from itertools import zip_longest
-from numbers import Integral, Number
+from numbers import Integral, Number, Real
 
 from .errors import (
     ClassificationWarning,
@@ -176,6 +176,12 @@ def _multiplicity(m) -> int:
     if isinstance(m, Integral) and m >= 1:
         return int(m)
     raise ValueError(f"multiplicity must be an integer >= 1, got {m!r}")
+
+
+def _integer(n, name: str) -> int:
+    if isinstance(n, Integral) or isinstance(n, Real) and float(n).is_integer():
+        return int(n)
+    raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
 def _scalar(x) -> complex:
@@ -555,28 +561,17 @@ def _rounding_scale(terms) -> list[float]:
 
 
 def _reduce(zeros, poles) -> tuple[tuple, tuple]:
-    """Group zeros and poles together at EPS_ROOT (``_group_roots``). In a
-    group the zeros cancel the poles: an excess of zeros leaves one zero at
-    the zeros' multiplicity-weighted mean, an excess of poles one pole at
-    the poles' mean, a balance nothing. Both multisets come sorted by
-    (real, imaginary) part. Each distinct value is grouped once, as equal
-    values lie at distance 0; a group goes back to its entries in order."""
+    """Group zeros and poles together at EPS_ROOT, in one ``_group_roots``
+    pass over every entry (an exact repeat lies at distance 0 and joins its
+    copies' group). In a group the zeros cancel the poles: an excess of
+    zeros leaves one zero at the zeros' multiplicity-weighted mean, an
+    excess of poles one pole at the poles' mean, a balance nothing. Both
+    multisets come sorted by (real, imaginary) part."""
     # poles carry negative multiplicities
     roots = [(complex(r), int(m)) for r, m in zeros if m > 0]
     roots += [(complex(r), -int(m)) for r, m in poles if m > 0]
-    points = [r for r, _ in roots]
-    if len(set(points)) < len(points):
-        # group distinct values once (0j, -0j are one), then hand each group to its entries
-        entries: dict[complex, list[int]] = {}
-        for i, r in enumerate(points):
-            entries.setdefault(r, []).append(i)
-        members = list(entries.values())
-        groups = [members[g[0]] if len(g) == 1 else sorted(i for k in g for i in members[k])
-                  for g in _group_roots(list(entries), EPS_ROOT)]
-    else:  # no value repeats: the entries are the distinct values
-        groups = _group_roots(points, EPS_ROOT)
     zs, ps = [], []
-    for group in groups:
+    for group in _group_roots([r for r, _ in roots], EPS_ROOT):
         if len(group) == 1:
             r, m = roots[group[0]]
         else:
@@ -818,7 +813,7 @@ class RationalFunction(Frozen):
         return RationalFunction._from_roots(1.0 if unit_gain else gain, zeros, poles)
 
     def __pow__(self, n: int):
-        n = int(n)
+        n = _integer(n, "n")
         if self.is_zero and n != 0:
             if n < 0:
                 raise ZeroDenominator("negative power of the zero function")
@@ -1062,7 +1057,8 @@ def winding_number(s) -> int:
 
 
 def monomial(k: int) -> RationalFunction:
-    """z**k as a rational function; negative k gives 1/z**(-k)."""
+    """z**k for an integer-valued k; negative k gives 1/z**(-k)."""
+    k = _integer(k, "k")
     return RationalFunction._from_roots(1.0, [(0j, max(k, 0))], [(0j, max(-k, 0))])
 
 

@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+import tkern.rational
 from tkern import (
     BlaschkeParameterOutOfDisc,
     BlaschkeProduct,
@@ -16,6 +17,7 @@ from tkern import (
     monomial,
     parse_expression,
 )
+from tkern.cli import main
 from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
 
 
@@ -42,6 +44,17 @@ def test_complex_literals():
     assert lower("0.5i").is_close(RationalFunction([0.5j]))
     assert lower("1.5e-3i*z").is_close(RationalFunction([0, 0.0015j]))
     assert lower("-0.5").is_close(RationalFunction([-0.5]))
+
+
+@pytest.mark.parametrize(("symbol", "degrees"), [("zbar^2", []), ("zbar^3*(z^2+5*z+6)", [2, 2])])
+def test_a_literal_is_lowered_with_no_root_solve(monkeypatch, symbol, degrees):
+    # a literal is a gain with no roots: only the numerators of the two
+    # sums are solved
+    solved, solve = [], tkern.rational.poly_roots
+    monkeypatch.setattr(tkern.rational, "poly_roots", lambda p: solved.append(p.degree) or solve(p))
+    assert main(["dim", "--symbol", symbol]) == 0
+    assert solved == degrees
+    assert lower("0").is_zero and repr(lower("-2.5i")) == repr(RationalFunction([-2.5j]))
 
 
 def test_combined_literal_prints_in_parentheses_and_lowers_to_itself():

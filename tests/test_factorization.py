@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -13,8 +14,10 @@ from tkern import (
     BlaschkeProduct,
     NotInHardySpace,
     NotInvertibleOnCircle,
+    OutOfRange,
     RationalFunction,
     ZeroFunction,
+    as_rational,
     as_symbol,
     blaschke_divides,
     blaschke_from_rational,
@@ -22,6 +25,7 @@ from tkern import (
     monomial,
     wiener_hopf,
 )
+from tkern.factorization import INNER_TOL
 from tkern.random_instances import random_blaschke, random_rational, random_symbol
 from tkern.rational import BLASCHKE_RADIUS, EPS_ROOT
 
@@ -279,3 +283,102 @@ def test_blaschke_factor_with_its_pole_rotated_is_not_inner():
     # 1e-7 away from 1, which the sampled check catches
     r = RationalFunction._from_roots(-2.0, [(0.5, 1)], [(2.0 * np.exp(5e-8j), 1)])
     assert blaschke_from_rational(r) is None
+
+
+def _blaschke_from_rational_by_quotient(r):
+    # reference: the recognition that built the quotient r / B and read
+    # whether it is a constant, and which constant
+    r = as_rational(r)
+    if r.is_zero:
+        return None
+    zc = r.zero_classification()
+    if zc.on_circle or zc.outside:
+        return None
+    try:
+        candidate = BlaschkeProduct(1.0, zc.inside)
+    except BlaschkeParameterOutOfDisc:
+        return None
+    ratio = r / candidate.to_rational()
+    if not ratio.is_constant:
+        return None
+    c = ratio.constant_value()
+    if abs(abs(c) - 1.0) > INNER_TOL:
+        return None
+    for k in range(64):
+        if abs(abs(r(cmath.exp(2j * math.pi * k / 64))) - 1.0) > INNER_TOL:
+            return None
+    return BlaschkeProduct(c / abs(c), zc.inside)
+
+
+def _blaschke_corpus(rnd):
+    # (gain, zeros, poles) of a Blaschke product or a near miss: zeros from
+    # a small pool with exact repeats and both signed zeros at the origin;
+    # each zero a != 0 gives the candidate's pole 1/conj(a), a pole 0.1 to 2
+    # EPS_ROOT away, no pole, or the pole and one more outside; the gain is
+    # unimodular, a little off, doubled, or 1e-320 times unimodular, which
+    # leaves the quotient's gain below double range
+    pool = [0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    for _ in range(rnd.randint(1, 3)):
+        radius = rnd.choice((1e-30, 1e-3, 0.3, 0.9)) * rnd.uniform(0.5, 1.0)
+        pool.append(radius * cmath.rect(1.0, rnd.uniform(0.0, 2 * math.pi)))
+    zeros = [(rnd.choice(pool), rnd.randint(1, 2)) for _ in range(rnd.randrange(5))]
+    gain = cmath.rect(1.0, rnd.uniform(0.0, 2 * math.pi))
+    gain *= rnd.choice((1.0, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 2.0))
+    poles = []
+    for a, m in zeros:
+        if a == 0:
+            continue
+        gain /= (-a.conjugate()) ** m
+        p, kind = 1 / a.conjugate(), rnd.randrange(4)
+        if kind == 1:
+            p += EPS_ROOT * rnd.uniform(0.1, 2.0) * p * cmath.rect(1.0, rnd.uniform(0.0, 7.0))
+        if kind != 2:
+            poles.append((p, m))
+        if kind == 3:
+            poles.append((cmath.rect(rnd.uniform(1.5, 3.0), rnd.uniform(0.0, 2 * math.pi)), 1))
+    if rnd.random() < 0.1:
+        gain *= 1e-160 * 1e-160
+    return gain, zeros, poles
+
+
+def test_blaschke_recognition_matches_the_quotient_reference():
+    # the same answer and constant, bit for bit, as the quotient r / B
+    # built and read; where that quotient's gain left double range the
+    # reference raised OutOfRange, and the recognition answers None
+    rnd = random.Random(34)
+    seen = {"inner": 0, "not inner": 0, "gain out of range": 0}
+    for i in range(3000):
+        gain, zeros, poles = _blaschke_corpus(rnd)
+        try:
+            r = RationalFunction._from_roots(gain, zeros, poles)
+        except OutOfRange:  # r's own gain below double range
+            continue
+        got = blaschke_from_rational(r)
+        try:
+            want = _blaschke_from_rational_by_quotient(r)
+        except OutOfRange:
+            assert got is None, i
+            seen["gain out of range"] += 1
+            continue
+        assert repr(got) == repr(want), i
+        seen["inner" if got else "not inner"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_blaschke_recognition_builds_no_quotient(monkeypatch):
+    # one reduction, of the candidate B; the reference reduces r / B too
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    r = 1j * BlaschkeProduct(1.0, [(0.5, 2), (0.3j, 1), (0j, 1)]).to_rational()
+    r.zero_classification()
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    want = _blaschke_from_rational_by_quotient(r)
+    assert len(calls) == 2
+    calls.clear()
+    assert repr(blaschke_from_rational(r)) == repr(want)
+    assert len(calls) == 1

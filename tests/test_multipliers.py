@@ -29,6 +29,7 @@ from tkern import (
     is_multiplier,
     is_surjective_multiplier,
     kernel,
+    minimal_kernel,
     monomial,
     multiplier_space,
     multiplier_space_bounded,
@@ -406,6 +407,85 @@ def test_identity_multiplier_keeps_kernel():
 def test_carleson_failure_raises():
     with pytest.raises(CarlesonFailure):
         image_kernel(_one_over([-1, 1]), monomial(-2))
+
+
+def _image_kernel_by_quotient(w, g):
+    # reference: the image kernel as it was found by building the quotient
+    # w * plus_g / plus_v, with gain 1, and reading whether it is a
+    # constant; also whether the call got as far as that test
+    Kg = kernel(g)
+    wk = w * Kg.maximal_vector()
+    if not wk.in_hardy2():
+        return None, False
+    K = minimal_kernel(wk)[1]
+    if K.dimension != Kg.dimension:
+        return None, False
+    ratio = RationalFunction._product((w, Kg.plus), (K.plus,), unit_gain=True)
+    return (K if ratio.is_constant else None), True
+
+
+def _chained_image_pair(rng):
+    """(w, g) whose roots outside the disc form one or two chains of
+    EPS_ROOT links, with exact repeats, each root given at random to a
+    zero or a pole of w or g; g has 1 to 3 poles at 0j or -0j. Three w in
+    four have a zero in the disc, and one in four also a pole at a signed
+    zero of the origin: its image reaches the constant test and fails it."""
+    roles = [[] for _ in range(4)]
+    for _ in range(int(rng.integers(1, 3))):
+        x = complex((1.5 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random()))
+        step = EPS_ROOT * abs(x) * (0.55 + 0.4 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        for _ in range(int(rng.integers(2, 6))):
+            roles[int(rng.integers(0, 4))].append((x, 1))
+            if rng.random() < 0.7:  # else the next root repeats x exactly
+                x += step * np.exp(0.3j * rng.standard_normal())
+    wz, wp, gz, gp = roles
+    kind = int(rng.integers(0, 4))
+    if kind:
+        wz.append((complex(0.5 * rng.random() * np.exp(2j * np.pi * rng.random())), 1))
+    if kind == 2:
+        wp.append(([0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0)][int(rng.integers(0, 4))], 1))
+    origin = (0j, -0j)[int(rng.integers(0, 2))]
+    g = as_symbol(RationalFunction._from_roots(1.0, gz, gp + [(origin, int(rng.integers(1, 4)))]))
+    return RationalFunction._from_roots(1.0, wz, wp), g
+
+
+def test_image_kernel_matches_the_quotient_reference():
+    # the net multiplicities of w * plus_g / plus_v answer as the quotient
+    # built and reduced once did, on chains across w, plus_g and plus_v
+    rng = np.random.default_rng(34)
+    seen = {(reached, image): 0 for reached in (False, True) for image in (False, True)}
+    for i in range(1500):
+        w, g = _chained_image_pair(rng)
+        want, reached = _image_kernel_by_quotient(w, g)
+        got = image_kernel(w, g)
+        assert (got is None) == (want is None), i
+        if got is not None:
+            assert got.dimension == want.dimension
+            assert repr(got.symbol.value) == repr(want.symbol.value), i
+        seen[reached, got is not None] += 1
+    assert seen[False, True] == 0, seen
+    assert min(seen[False, False], seen[True, False], seen[True, True]) >= 200, seen
+
+
+def test_image_kernel_builds_no_quotient(monkeypatch):
+    # with the source kernel kept, the call reduces w * k and the minimal
+    # symbol and kernel of it, and the reference reduces the quotient too
+    g, w = as_symbol(RationalFunction([1, 2], [0, 0, 0, 0, 2, 1])), RationalFunction([3.0, 1.0])
+    assert image_kernel(w, g).dimension == 3
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    want, reached = _image_kernel_by_quotient(w, g)
+    assert reached and want is not None
+    expected = len(calls) - 1
+    calls.clear()
+    assert repr(image_kernel(w, g).symbol.value) == repr(want.symbol.value)
+    assert len(calls) == expected
 
 
 # -- surjective multipliers ---------------------------------------------------------

@@ -249,6 +249,12 @@ def test_the_kept_circle_grid_is_read_only_and_bounded():
     (lambda: numeric_kernel(monomial(-2), degree_cap=-1), "degree_cap"),
     (lambda: boundary_sampling(monomial(1), 0), "sample_count"),
     (lambda: boundary_sampling(monomial(1), -3), "sample_count"),
+    # named ids: an unnamed one would renumber the ids of the cases above
+    pytest.param(lambda: boundary_sampling(monomial(1), 2.5), "sample_count",
+                 id="sample_count-2.5"),
+    pytest.param(lambda: fourier_coefficients(monomial(1), 2.5), "N", id="N-2.5"),
+    pytest.param(lambda: numeric_kernel(monomial(-2), degree_cap=2.5), "degree_cap",
+                 id="degree_cap-2.5"),
 ])
 def test_invalid_oracle_sizes_are_refused(call, name):
     # refused before a circle grid is read or kept

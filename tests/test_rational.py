@@ -995,6 +995,27 @@ def test_powers_match_repeated_products(rng):
     assert (r**0).is_close(RationalFunction([1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 2.0, np.int64(2), np.int32(-3), -3.0, True])
+def test_integer_valued_exponents_are_taken(n):
+    z = RationalFunction([0, 1])
+    assert repr(monomial(n)) == repr(monomial(int(n)))
+    assert repr(z**n) == repr(z ** int(n)) == repr(monomial(int(n)))
+
+
+@pytest.mark.parametrize(("call", "name"), [
+    (lambda: monomial(2.5), "k"),
+    (lambda: monomial(np.float64(-0.5)), "k"),
+    (lambda: monomial(math.nan), "k"),
+    (lambda: RationalFunction([0, 1]) ** 2.7, "n"),
+    (lambda: RationalFunction([1, 1]) ** -1.5, "n"),
+    (lambda: RationalFunction([1, 1]) ** math.inf, "n"),
+])
+def test_a_non_integer_exponent_is_refused(call, name):
+    # refused, not truncated: monomial(2.5) is not z^2
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
 def test_a_value_built_from_roots_solves_nothing(monkeypatch):
     # from_roots keeps its roots, and a copy keeps them; coefficient input
     # is solved, one poly_roots call per polynomial
