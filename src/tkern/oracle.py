@@ -106,7 +106,11 @@ def fourier_coefficients(f, N: int, sample_count: int | None = None) -> np.ndarr
     while m < max(4 * N, 4):
         m *= 2
     if sample_count is not None:
-        if sample_count < 1 or sample_count & (sample_count - 1):
+        if (
+            not isinstance(sample_count, Integral)
+            or sample_count < 1
+            or sample_count & (sample_count - 1)
+        ):
             raise ValueError(f"sample_count must be a positive power of two, got {sample_count}")
         m = max(m, sample_count)
     if m >= _MAX_SAMPLES:

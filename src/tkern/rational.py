@@ -16,6 +16,9 @@ Conventions:
     composition move or merge the root multisets, and a polynomial built
     by ``ComplexPolynomial.from_roots`` keeps its roots; only coefficient
     input and sums find roots (``poly_roots``);
+  * a polynomial built from roots expands its coefficients (``_expand``)
+    on their first read, and at construction only where an expansion could
+    overflow (``EXPANSION_BOUND``), so that an overflow is refused there;
   * one single-linkage grouping (``_group_roots``) decides which roots are
     the same root, in root finding and in reduction: roots that match
     within a relative tolerance are linked, and a chain of links is one
@@ -80,6 +83,10 @@ NEAR_CIRCLE = 1e-6
 # Genuinely distinct roots caught by the net re-separate when the refined
 # factor is re-rooted, so the radius errs on the large side.
 COARSE_CLUSTER = 1e-2
+# A polynomial built from roots defers its expansion when the coefficient
+# bound |lead| prod (1 + |r|)^m is below this, far enough below the largest
+# double that the rounded coefficients cannot overflow.
+EXPANSION_BOUND = 1e300
 
 
 def _power(c: complex, n: int) -> complex:
@@ -208,25 +215,36 @@ def _trim(coeffs) -> tuple:
 class ComplexPolynomial(Frozen):
     """Polynomial with complex coefficients, ascending degree order.
 
-    The coefficients are kept as a tuple of Python ``complex``; ``coeffs``
-    gives them as a read-only numpy array, built on each access. The zero
-    polynomial has no coefficients and degree -1. A polynomial built by
-    ``from_roots`` keeps its roots as given, as (root, multiplicity) pairs,
-    and a copy keeps them too; coefficient input has none (``_roots`` is
-    None). Instances are immutable values.
+    The coefficients are a tuple of Python ``complex`` (``_coeffs``);
+    ``coeffs`` gives them as a read-only numpy array, built on each access.
+    The zero polynomial has no coefficients and degree -1. A polynomial
+    built by ``from_roots`` keeps its roots as given, as (root,
+    multiplicity) pairs, and its lead, and derives its coefficients on
+    their first read and keeps them: its degree, leading coefficient and
+    zero test read the roots and expand nothing. A copy keeps this state,
+    expanded or not; coefficient input has no roots (``_roots`` is None).
+    Instances are immutable values.
     """
 
-    __slots__ = ("_coeffs", "_roots")
+    __slots__ = ("_expansion", "_roots", "_lead")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, ComplexPolynomial):
-            c, roots = coeffs._coeffs, coeffs._roots
+            state = coeffs._expansion, coeffs._roots, coeffs._lead
         else:
-            c, roots = _trim(coeffs), None
-        object.__setattr__(self, "_coeffs", c)
-        object.__setattr__(self, "_roots", roots)
+            state = _trim(coeffs), None, None
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     # -- basic structure ---------------------------------------------------
+
+    @property
+    def _coeffs(self) -> tuple:
+        """The coefficients as a tuple of complex, expanded from the roots
+        on first read (``_expand``) and kept."""
+        if self._expansion is None:
+            object.__setattr__(self, "_expansion", _expand(self._roots, self._lead))
+        return self._expansion
 
     @property
     def coeffs(self):
@@ -239,17 +257,21 @@ class ComplexPolynomial(Frozen):
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        if self._roots is None:
+            return len(self._expansion) - 1
+        return sum(m for _, m in self._roots)  # the root count, untrimmed
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._roots is None and not self._expansion
 
     @property
     def lead(self) -> complex:
-        if self.is_zero:
+        if self._roots is not None:  # the last coefficient of the expansion, to the bit
+            return (1 + 0j) * self._lead
+        if not self._expansion:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self._expansion[-1]
 
     def __call__(self, z):
         """p(z) by Horner's rule, in the order of numpy's ``polyval``: a
@@ -281,7 +303,10 @@ class ComplexPolynomial(Frozen):
         ``RationalFunction`` built from this polynomial finds none. Every
         root and multiplicity is checked, with lead 0 too: a root that is
         not finite, an expansion that overflows, or a degree that no list
-        can hold raises OutOfRange."""
+        can hold raises OutOfRange. The coefficients are expanded on their
+        first read, unless their bound |lead| prod (1 + |r|)^m is not below
+        ``EXPANSION_BOUND``: then they are expanded here, so that an
+        overflow is refused at construction."""
         # the roots at 0 become a shift; the degree is summed before any
         # coefficient is allocated
         factors, shift, degree = [], 0, 0
@@ -300,19 +325,18 @@ class ComplexPolynomial(Frozen):
             return ComplexPolynomial()
         if degree > sys.maxsize:  # no list can hold the coefficients
             raise OutOfRange(f"a polynomial of degree {degree} has no coefficient form")
-        # the monic product so far, ascending; times (z - r), coefficient k
-        # becomes c[k - 1] - r c[k]
-        c = [1 + 0j]
-        for r, m in factors:
-            for _ in range(m):
-                c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
         lead = complex(lead)
-        c = tuple(a * lead for a in [0j] * shift + c)
-        if not all(map(cmath.isfinite, c)):
-            raise OutOfRange("polynomial coefficients overflow double precision")
         p = object.__new__(ComplexPolynomial)
-        object.__setattr__(p, "_coeffs", c)
+        object.__setattr__(p, "_expansion", None)
         object.__setattr__(p, "_roots", (*factors, (0j, shift)) if shift else tuple(factors))
+        object.__setattr__(p, "_lead", lead)
+        try:
+            bound = abs(lead) * math.prod([(1.0 + abs(r)) ** m for r, m in factors])
+        except OverflowError:  # a power, or the modulus of finite parts, is not a double
+            bound = math.inf
+        # an expansion that could overflow is made here, where it is refused
+        if not bound < EXPANSION_BOUND and not all(map(cmath.isfinite, p._coeffs)):
+            raise OutOfRange("polynomial coefficients overflow double precision")
         return p
 
     # -- comparison / display ----------------------------------------------
@@ -482,6 +506,21 @@ def _sorted_roots(pairs):
 
 def _bad_root():
     raise OutOfRange("a root is outside double precision") from None
+
+
+def _expand(roots, lead: complex) -> tuple:
+    """The ascending coefficients of lead * prod (z - r)**m over the
+    (root, multiplicity) pairs ``roots``, each root at 0 a shift."""
+    # the monic product, ascending; times (z - r), coefficient k becomes
+    # c[k - 1] - r c[k]
+    c, shift = [1 + 0j], 0
+    for r, m in roots:
+        if r == 0:
+            shift += m
+            continue
+        for _ in range(m):
+            c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
+    return tuple(a * lead for a in [0j] * shift + c)
 
 
 def _group_roots(points, tol_factor) -> list[list[int]]:
@@ -1011,14 +1050,21 @@ def as_symbol(x) -> ToeplitzSymbol:
 def _reflect(gain, roots, divide=False) -> tuple[complex, list]:
     """On |z| = 1, conj(z - r) = -conj(r) (z - 1/conj(r)) / z: each root
     r != 0 of ``roots`` moves to 1/conj(r), and ``gain`` is multiplied by
-    (-conj r)**m, or divided when ``divide``. Returns both; 0 is dropped."""
+    (-conj r)**m, or divided when ``divide``. Returns both; 0 is dropped.
+    A gain that underflows to 0, or a factor that does, raises OutOfRange
+    (``gain`` is nonzero)."""
     reflected = []
-    for r, m in roots:
-        if r != 0:
-            factor = _power(-r.conjugate(), m)
-            gain = gain / factor if divide else gain * factor
-            reflected.append((1 / r.conjugate(), m))
-    return gain, reflected
+    try:
+        for r, m in roots:
+            if r != 0:
+                factor = _power(-r.conjugate(), m)
+                gain = gain / factor if divide else gain * factor
+                reflected.append((1 / r.conjugate(), m))
+        if gain:
+            return gain, reflected
+    except ZeroDivisionError:  # divided by a factor that underflowed to 0
+        pass
+    raise OutOfRange("a reflected gain is outside double precision")
 
 
 def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:

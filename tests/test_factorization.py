@@ -259,6 +259,20 @@ def test_blaschke_parameters_just_inside_the_bound_keep_their_zeros():
     assert kept >= 200
 
 
+def test_blaschke_gain_that_underflows_is_out_of_range():
+    # (-1e-170)^2 underflows to 0, and so does the product of two factors
+    # that stay apart; one factor keeps its gain and its pole
+    for zeros in ([(1e-170, 2)], [(1e-170, 1), (3e-170, 1)]):
+        with pytest.raises(OutOfRange, match="reflected gain"):
+            BlaschkeProduct(1.0, zeros).to_rational()
+    b = BlaschkeProduct(1.0, [(1e-170, 1)]).to_rational()
+    assert b.zeros() == [(1e-170 + 0j, 1)] and b.poles() == [(1e170 + 0j, 1)]
+    assert abs(b(0.5) - 0.5) <= 1e-15
+    # the circle conjugate divides by the same factor of a double pole
+    with pytest.raises(OutOfRange, match="reflected gain"):
+        RationalFunction._from_roots(1.0, [], [(1e-170, 2)]).circle_conjugate()
+
+
 @pytest.mark.parametrize("multiplicity", [-1, 0, 1.7])
 def test_blaschke_multiplicity_must_be_an_integer_of_at_least_one(multiplicity):
     with pytest.raises(ValueError, match="multiplicity"):

@@ -253,6 +253,10 @@ def test_the_kept_circle_grid_is_read_only_and_bounded():
     pytest.param(lambda: boundary_sampling(monomial(1), 2.5), "sample_count",
                  id="sample_count-2.5"),
     pytest.param(lambda: fourier_coefficients(monomial(1), 2.5), "N", id="N-2.5"),
+    pytest.param(lambda: fourier_coefficients(monomial(1), 4, sample_count=512.0), "sample_count",
+                 id="sample_count-512.0"),
+    pytest.param(lambda: fourier_coefficients(monomial(1), 4, sample_count=512.5), "sample_count",
+                 id="sample_count-512.5"),
     pytest.param(lambda: numeric_kernel(monomial(-2), degree_cap=2.5), "degree_cap",
                  id="degree_cap-2.5"),
 ])

@@ -28,13 +28,16 @@ from tkern import (
     cayley_symbol,
     equals,
     format_complex,
+    format_rational,
     in_kernel,
     inner_outer,
     inverse_cayley_symbol,
+    is_multiplier,
     kernel,
     monomial,
     parse_expression,
     poly_roots,
+    smirnov_multiplier_test,
     transfer_multiplier,
     wiener_hopf,
     winding_number,
@@ -199,6 +202,127 @@ def test_from_roots_keeps_high_multiplicity_degree():
     # every partial product of (z - 2) has integer coefficients below 2**53
     expected = [math.comb(32, j) * (-2) ** (32 - j) for j in range(33)]
     assert p.coeffs.tolist() == [complex(e) for e in expected]
+
+
+def _eager_from_roots(roots, lead):
+    # reference: the expansion as from_roots made it at construction, the
+    # roots at 0 as a shift
+    factors, shift = [], 0
+    for item in roots:
+        r, m = item if isinstance(item, tuple) else (item, 1)
+        r = complex(r)
+        if r == 0:
+            shift += m
+        else:
+            factors.append((r, m))
+    c = [1 + 0j]
+    for r, m in factors:
+        for _ in range(m):
+            c = [0j - r * c[0], *[a - r * b for a, b in zip(c, c[1:])], c[-1]]
+    lead = complex(lead)
+    c = tuple(a * lead for a in [0j] * shift + c)
+    if not all(map(cmath.isfinite, c)):
+        raise OutOfRange("polynomial coefficients overflow double precision")
+    return c
+
+
+def _lazy_expansion_corpus(rng):
+    """(roots, lead) pairs: degree 0..48 with repeated roots, roots at 0 of
+    both signs, bare roots, and complex and subnormal leads."""
+    leads = [1.0, 0.7 - 0.4j, -2j, 5e-324, complex(0.0, -1e-310), complex(-0.0, 3.0)]
+    for degree in range(49):
+        for lead in leads:
+            roots, left = [], degree
+            while left:
+                m = min(left, int(rng.integers(1, 5)))
+                kind = rng.integers(0, 4)
+                if kind == 0:
+                    r = rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+                else:
+                    r = complex(10 ** rng.uniform(-3, 1.5) * cmath.exp(2j * math.pi * rng.random()))
+                roots.append(r if m == 1 and kind == 3 else (r, m))
+                if kind == 1 and left > m:  # the same value again, as its own entry
+                    roots.append((r, 1))
+                    left -= 1
+                left -= m
+            yield roots, lead
+
+
+def test_lazy_coefficients_equal_the_eager_expansion():
+    rng = np.random.default_rng(35)
+    cases = list(_lazy_expansion_corpus(rng))
+    # roots whose coefficient bound |lead| prod (1 + |r|)^m straddles the
+    # guard: deferred just below it, expanded at construction just above
+    for m in (1, 2, 7, 30):
+        for ratio in (0.5, 0.999, 1.001, 2.0):
+            r = (ratio * tkern.rational.EXPANSION_BOUND) ** (1 / m) - 1
+            roots = [(r * cmath.exp(0.3j), m), (0j, 2)]
+            assert (ComplexPolynomial.from_roots(roots)._expansion is None) == (ratio < 1)
+            cases.append((roots, 1.0))
+    deferred = 0
+    for roots, lead in cases:
+        p = ComplexPolynomial.from_roots(roots, lead)
+        deferred += p._expansion is None
+        want = _eager_from_roots(roots, lead)
+        assert repr((p.degree, p.lead)) == repr((len(want) - 1, want[-1])), roots
+        # equal to the bit, the sign of every zero part too
+        assert repr(p._coeffs) == repr(want), roots
+        assert repr(ComplexPolynomial(p)._coeffs) == repr(want)
+    assert 0 < deferred < len(cases)
+
+
+def test_degree_lead_and_zero_test_expand_nothing(monkeypatch):
+    rng = np.random.default_rng(36)
+    cases = list(_lazy_expansion_corpus(rng))[::7]
+    polys = [ComplexPolynomial.from_roots(roots, lead) for roots, lead in cases]
+    want = [_eager_from_roots(roots, lead) for roots, lead in cases]
+
+    def refuse(roots, lead):
+        raise AssertionError("coefficients expanded")
+
+    monkeypatch.setattr(tkern.rational, "_expand", refuse)
+    for p, c in zip(polys, want):
+        for q in (p, ComplexPolynomial(p)):  # a copy keeps the unexpanded state
+            assert q.degree == len(c) - 1 and repr(q.lead) == repr(c[-1]) and not q.is_zero
+    assert ComplexPolynomial.from_roots([(0.5, 3)], 0).is_zero
+    num, den = ComplexPolynomial.from_roots([(0.5, 2), 3j], 2.0), ComplexPolynomial.from_roots([4.0])
+    f = RationalFunction(num, den)
+    assert f.zeros() == [(3j, 1), (0.5 + 0j, 2)] and f.num.degree == 3 and f.den.degree == 1
+
+
+def _kernel_symbol_roots(rng, dim):
+    # winding -dim: dim more poles than zeros inside the disc
+    def point(lo, hi):
+        return complex(rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random()))
+
+    inside = int(rng.integers(0, 3))
+    zeros = [point(0.1, 0.45) for _ in range(inside)]
+    zeros += [point(2.6, 4.0) for _ in range(rng.integers(0, 3))]
+    poles = [point(0.1, 0.45) for _ in range(inside + dim)]
+    poles += [point(2.6, 4.0) for _ in range(rng.integers(0, 3))]
+    return zeros, poles
+
+
+def test_deciding_from_roots_expands_nothing(monkeypatch):
+    expanded, expand = [], tkern.rational._expand
+    monkeypatch.setattr(tkern.rational, "_expand",
+                        lambda roots, lead: expanded.append(roots) or expand(roots, lead))
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        built = []
+        for dim in (int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0):
+            zeros, poles = _kernel_symbol_roots(rng, dim)
+            lead = complex(rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random()))
+            built.append(RationalFunction(ComplexPolynomial.from_roots(zeros, lead),
+                                          ComplexPolynomial.from_roots(poles)))
+        g, h, w = as_symbol(built[0]), as_symbol(built[1]), built[2]
+        assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
+        assert kernel(g).dimension == -g.winding
+        assert expanded == []
+    # printing reads the two printed polynomials and their rounding scales
+    text = format_rational(w)
+    assert len(expanded) == (4 if w.poles() else 2)
+    assert parse_expression(text).to_rational().is_close(w, 1e-9)
 
 
 def _group_points_by_pairs(points, tol_factor):
