@@ -1,8 +1,7 @@
 # Multipliers from one Toeplitz kernel into another.
 #
 # Membership needs only two ingredients: a Carleson condition (no circle
-# poles in any product, at rational scale) and the image of one maximal
-# vector. An independent conjugate-Smirnov route cross-checks every
+# pole of w, at rational scale) and the image of one maximal vector. An independent conjugate-Smirnov route cross-checks every
 # answer.
 
 from tkern import (
@@ -12,12 +11,12 @@ from tkern import (
     is_multiplier,
     monomial,
     multiplier_space,
-    multiplier_space_bounded,
     smirnov_multiplier_test,
 )
 
 s1 = as_symbol(monomial(-1))
 s2 = as_symbol(monomial(-2))
+s3 = as_symbol(monomial(-3))
 
 # 1 + z maps the constants into the two-dimensional model space.
 w = RationalFunction([1, 1])
@@ -35,16 +34,18 @@ for b in (0.3, 0.6, 0.9):
           in_kernel(w * RationalFunction([1.0, b]), s2),
           "| is a multiplier:", is_multiplier(w, s2, s2))
 
-# The whole multiplier space, computed as a Toeplitz kernel of the reduced
-# test symbol h/(zg).
+# The whole multiplier space, read from the two kernels' parametrisations:
+# ker T_g = plus_g * P_{d_g-1} and ker T_h = plus_h * P_{d_h-1} give
+# (plus_h / plus_g) * P_{d_h-d_g}. Its elements have no pole on the closed
+# disc, so the bounded multipliers are the square-integrable ones here.
 print("\nmultiplier spaces between power model spaces:")
 for n, m in [(1, 2), (2, 5), (3, 3), (3, 1)]:
     ms = multiplier_space(monomial(-n), monomial(-m))
     print(f"  K_z{n} -> K_z{m}: dimension {ms.dimension}",
           [str(b) for b in ms.basis])
 
-# Bounded multipliers coincide with the square-integrable ones at rational
-# scale; the bounded variant re-verifies each element.
-mb = multiplier_space_bounded(s1, as_symbol(monomial(-3)))
-print("\nbounded multipliers K_z -> K_z3:", [str(b) for b in mb.basis])
-print("note:", mb.note)
+# From the model space of theta = z * B(0.5), whose plus factor is
+# 1/(1 - 0.5z), into K_z3, whose plus factor is 1.
+theta = monomial(1) * RationalFunction([-0.5, 1.0], [1.0, -0.5])
+ms = multiplier_space(theta.circle_conjugate(), s3)
+print("\nK_theta -> K_z3: factor", ms.factor, "| basis", [str(b) for b in ms.basis])

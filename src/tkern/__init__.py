@@ -44,7 +44,7 @@ _MODULES = {
     "multipliers": (
         "MultiplierSpace", "SurjectivityReport", "carleson_check", "crofoot_companion",
         "image_kernel", "is_multiplier", "is_surjective_multiplier", "multiplier_space",
-        "multiplier_space_bounded", "smirnov_multiplier_test",
+        "smirnov_multiplier_test",
     ),
     "oracle": (
         "BoundarySampling", "NumericSubspace", "boundary_sampling", "circle_samples",

@@ -163,27 +163,12 @@ def _cmd_mult(args):
     }, via_vector != via_smirnov
 
 
-def _space_result(ms):
-    return {
-        "dimension": ms.dimension,
-        **_shown("test_symbol", ms.test_symbol.value),
-        **_shown("basis", ms.basis),
-        "carleson_filtered": ms.carleson_filtered,
-        "bounded_verified": ms.bounded_verified,
-        "note": ms.note,
-    }
-
-
 def _cmd_m2(args):
     from .multipliers import multiplier_space
 
-    return _space_result(multiplier_space(args.g, args.h)), False
-
-
-def _cmd_minf(args):
-    from .multipliers import multiplier_space_bounded
-
-    return _space_result(multiplier_space_bounded(args.g, args.h)), False
+    ms = multiplier_space(args.g, args.h)
+    return {"dimension": ms.dimension, **_shown("factor", ms.factor),
+            **_shown("basis", ms.basis)}, False
 
 
 def _cmd_include(args):
@@ -282,7 +267,8 @@ _COMMANDS = {
                {"--mode": dict(choices=["inner-outer", "wiener-hopf"], required=True)}),
     "mult": (_cmd_mult, ["w", "g", "h"], {}),
     "m2": (_cmd_m2, ["g", "h"], {}),
-    "minf": (_cmd_minf, ["g", "h"], {}),
+    # for rational data the bounded multipliers are the square-integrable ones
+    "minf": (_cmd_m2, ["g", "h"], {}),
     "include": (_cmd_include, ["g", "h"], {}),
     "equal": (_cmd_equal, ["g", "h"], {}),
     "equiv": (_cmd_equiv, ["g1", "g2"], {}),

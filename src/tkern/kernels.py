@@ -45,29 +45,35 @@ class ToeplitzKernel(Record):
     dimension: int
     plus: Optional[RationalFunction]
 
-    def _element(self, j: int) -> RationalFunction:
-        """plus * z**j, built with no reduction: every root of plus lies
-        outside the closed disc, so none meets the zero at the origin, and
-        the element keeps plus's gain and poles (and their classification,
-        where plus has one)."""
-        plus = self.plus
-        if j == 0:
-            return plus
-        zeros = tuple(_sorted_roots(plus._zeros + ((0j, j),)))
-        return RationalFunction._reduced(plus._gain, zeros, plus._poles, plus._pole_split)
-
     @cached_property
     def basis(self) -> tuple:
-        if self.dimension:
-            self.plus.pole_classification()  # classified once, for every element
-        return tuple(map(self._element, range(self.dimension)))
+        return _ladder(self.plus, self.dimension)
 
     def maximal_vector(self) -> RationalFunction:
         """The top ladder element plus * z**(dim-1), always a maximal
         vector of the kernel; built alone, whether or not the basis was read."""
         if self.dimension == 0:
             raise ZeroFunction("the trivial kernel has no maximal vector")
-        return self._element(self.dimension - 1)
+        return _ladder_element(self.plus, self.dimension - 1)
+
+
+def _ladder_element(plus: RationalFunction, j: int) -> RationalFunction:
+    """plus * z**j, built with no reduction: every root of plus lies
+    outside the closed disc, so none meets the zero at the origin, and
+    the element keeps plus's gain and poles (and their classification,
+    where plus has one)."""
+    if j == 0:
+        return plus
+    zeros = tuple(_sorted_roots(plus._zeros + ((0j, j),)))
+    return RationalFunction._reduced(plus._gain, zeros, plus._poles, plus._pole_split)
+
+
+def _ladder(plus: Optional[RationalFunction], d: int) -> tuple:
+    """The ladder plus * z**j, j < d, that spans plus * P_{d-1}; plus is
+    free of roots in the closed disc, and None when d = 0."""
+    if d:
+        plus.pole_classification()  # classified once, for every element
+    return tuple(_ladder_element(plus, j) for j in range(d))
 
 
 class MaximalityCertificate(Record):

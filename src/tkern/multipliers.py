@@ -1,28 +1,25 @@
 """Multipliers between Toeplitz kernels.
 
-The membership test uses a single maximal vector of the source kernel as
-a test function, guarded by a Carleson condition which, for rational data,
-is exact and reads w alone: w has no circle pole. An independent route,
-conjugate-Smirnov pole bookkeeping on its own ratio with no kernel built,
-is provided for cross-checking, together with multiplier spaces,
-surjective multipliers, image kernels and the companion inner function of
-a surjective multiplier between model spaces.
+The membership test uses the top ladder vector of the source kernel, a
+maximal vector, as a test function, guarded by a Carleson condition which,
+for rational data, is exact and reads w alone: w has no circle pole. An
+independent route, conjugate-Smirnov pole bookkeeping on its own ratio
+with no kernel built, is provided for cross-checking. The multiplier space
+from ker T_g = plus_g * P_{d_g-1} into ker T_h = plus_h * P_{d_h-1} is
+read from the two parametrisations: (plus_h / plus_g) * P_{d_h-d_g}. The
+module also decides surjective multipliers and image kernels, and builds
+the companion inner function of a surjective multiplier between model
+spaces.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
-from .errors import (
-    CarlesonFailure,
-    NotInvertibleOnCircle,
-    NotOuter,
-    PreconditionViolation,
-    TrivialKernel,
-    ZeroFunction,
-)
+from .errors import CarlesonFailure, NotOuter, TrivialKernel, ZeroFunction
 from .factorization import BlaschkeProduct, blaschke_from_rational
-from .kernels import ToeplitzKernel, _in_span, equals, is_maximal, kernel, minimal_kernel
+from .kernels import ToeplitzKernel, _in_span, _ladder, equals, kernel, minimal_kernel
 from .rational import (
     RationalFunction,
     Record,
@@ -30,41 +27,25 @@ from .rational import (
     _quotient_zero_count,
     as_rational,
     as_symbol,
-    monomial,
 )
 
 class MultiplierSpace(Record):
-    """Multipliers from ker T_g into ker T_h as an explicit kernel.
-
-    ``test_symbol`` is the reduction of (1/z) * h / g; the space is its
-    Toeplitz kernel. The class constant ``carleson_filtered`` records
-    that every basis element satisfies the Carleson condition for the
-    source kernel. This holds by construction: both kernels consist of
-    rational Hardy-space functions, which have no poles on the closed
-    disc, and neither has a product of two of them. Each is bounded there
-    too, which ``multiplier_space_bounded`` marks as ``bounded_verified``.
-    """
+    """Multipliers from ker T_g = plus_g * P_{d_g-1} into ker T_h =
+    plus_h * P_{d_h-1}: the space factor * P_{d_h-d_g}, held as its
+    dimension max(0, d_h - d_g + 1) and its factor plus_h / plus_g (None
+    when the dimension is 0). Every element is rational and free of poles
+    on the closed disc, so bounded there and Carleson for the source
+    kernel. The basis, the ladder ``factor * z**j``, is built on its first
+    read."""
 
     source: ToeplitzSymbol
     target: ToeplitzSymbol
-    test_symbol: ToeplitzSymbol
-    space: ToeplitzKernel
-    bounded_verified: bool = False
+    dimension: int
+    factor: Optional[RationalFunction]
 
-    carleson_filtered = True
-    note = (
-        "for rational symbols every Smirnov-class multiplier with Carleson "
-        "control is rational, so the unrestricted and square-integrable "
-        "multiplier spaces coincide here"
-    )
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dimension
-
-    @property
-    def basis(self):
-        return self.space.basis
+    @cached_property
+    def basis(self) -> tuple:
+        return _ladder(self.factor, self.dimension)
 
 
 class SurjectivityReport(Record):
@@ -109,14 +90,14 @@ def _nontrivial_kernel(s: ToeplitzSymbol) -> ToeplitzKernel:
     return kernel(s)
 
 
-def is_multiplier(w, g, h, test_vector=None) -> bool:
+def is_multiplier(w, g, h) -> bool:
     """Membership of ``w`` in the multiplier space from ker T_g to ker T_h.
 
     True iff w has no pole in the open disc, satisfies the Carleson
     condition for the source kernel, and w * k lands in ker T_h for the
     canonical maximal vector k (the top ladder element), read from the
-    roots of w, k and the plus factor of ker T_h. A user-supplied
-    maximal vector may be passed instead; it is verified before use.
+    roots of w, k and the plus factor of ker T_h. Any other maximal vector
+    would decide the same.
     """
     w = as_rational(w)
     g, h = as_symbol(g), as_symbol(h)
@@ -126,12 +107,7 @@ def is_multiplier(w, g, h, test_vector=None) -> bool:
         return False
     if not carleson_check(w, Kg):
         return False
-    if test_vector is None:
-        k = Kg.maximal_vector()
-    else:
-        k = as_rational(test_vector)
-        if not is_maximal(k, g).is_maximal:
-            raise PreconditionViolation("supplied test vector is not maximal for the source kernel")
+    k = Kg.maximal_vector()
     # w has no pole on the closed disc and k lies in the Hardy space, so
     # w * k does too: its membership reads the roots of w and k, with no
     # product or gain formed
@@ -155,24 +131,18 @@ def smirnov_multiplier_test(w, g, h) -> bool:
 
 
 def multiplier_space(g, h) -> MultiplierSpace:
-    """The square-integrable multipliers from ker T_g into ker T_h,
-    computed as the kernel of the symbol (1/z) * h / g, reduced once.
-    The source kernel must be nontrivial (TrivialKernel otherwise), and
-    the test symbol free of circle roots (NotInvertibleOnCircle)."""
+    """The multipliers from ker T_g into ker T_h, read from the two
+    kernels, which stay kept on their symbols: w * plus_g * p lies in
+    plus_h * P_{d_h-1} for every p of degree below d_g exactly when w is
+    plus_h / plus_g times a polynomial of degree at most d_h - d_g. The
+    source kernel must be nontrivial (TrivialKernel otherwise), and g
+    and h free of circle roots (NotInvertibleOnCircle)."""
     g, h = as_symbol(g), as_symbol(h)
-    _require_nontrivial(g)
-    t = ToeplitzSymbol(RationalFunction._product((monomial(-1), h.value), (g.value,)))
-    if not t.circle_invertible:
-        raise NotInvertibleOnCircle("reduced multiplier test symbol has circle zeros or poles")
-    return MultiplierSpace(g, h, t, kernel(t))
-
-
-def multiplier_space_bounded(g, h) -> MultiplierSpace:
-    """Same space, marked bounded: every element plus * p is pole-free on
-    the closed disc by construction of plus; for rational data with a
-    finite-dimensional target this coincides with ``multiplier_space``."""
-    ms = multiplier_space(g, h)
-    return MultiplierSpace(ms.source, ms.target, ms.test_symbol, ms.space, bounded_verified=True)
+    Kg = _nontrivial_kernel(g)
+    Kh = kernel(h)
+    d = max(0, Kh.dimension - Kg.dimension + 1)
+    factor = RationalFunction._product((Kh.plus,), (Kg.plus,)) if d else None
+    return MultiplierSpace(g, h, d, factor)
 
 
 def image_kernel(w, g) -> Optional[ToeplitzKernel]:

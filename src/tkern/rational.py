@@ -487,6 +487,8 @@ def _refine_factor(parent, factor):
             unit[j] = 1.0
             col = npoly.polydiv(npoly.polymul(q, unit[: j + 1]), factor)[1]
             M[: col.size, j] = col[:m] if col.size > m else col
+        if not np.all(np.isfinite(M)) or not np.all(np.isfinite(rvec)):
+            break  # an untrustworthy correction; lstsq would print LAPACK errors to stdout
         try:
             delta = np.linalg.lstsq(M, rvec, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -1073,7 +1075,8 @@ def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
     M(z) - p = ((a - c p) z + (b - d p))/(c z + d), so each root p moves
     to (d p - b)/(a - c p) and puts a - c p into the gain; a root at a/c
     (the image of infinity) leaves only the constant b - d p. The degree
-    difference becomes a power of c z + d. No root finding.
+    difference becomes a power of c z + d. No root finding. A pole
+    factor that underflows to 0 raises OutOfRange.
     """
     if r.is_zero:
         return r
@@ -1093,6 +1096,8 @@ def _compose_mobius(r: RationalFunction, a, b, c, d) -> RationalFunction:
     shift = r.order_at_infinity
     zeros.append((-d / c, max(shift, 0)))
     poles.append((-d / c, max(-shift, 0)))
+    if not pole_factor:  # underflowed to 0: the gain would be infinite
+        raise OutOfRange("a composed gain is outside double precision")
     gain = r._gain * zero_factor / pole_factor * _power(c, shift)
     return RationalFunction._from_roots(gain, zeros, poles)
 

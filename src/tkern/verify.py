@@ -31,7 +31,6 @@ from .multipliers import (
     is_surjective_multiplier,
     crofoot_companion,
     multiplier_space,
-    multiplier_space_bounded,
 )
 from .oracle import principal_angle, subspace_from_rationals
 from .random_instances import random_blaschke, random_conjugate_outer, random_outer, random_symbol
@@ -121,9 +120,6 @@ def paper_examples_suite(seed: int = 42, tol: float = 1e-8) -> list[dict]:
             if ms.dimension != expected:
                 ok = False
                 details.append(f"(n={n},m={m})->{ms.dimension}")
-            if n <= m:
-                mb = multiplier_space_bounded(_model_space_symbol(n), _model_space_symbol(m))
-                ok = ok and mb.dimension == expected
     checks.append(_check("power-multiplier-spaces", ok, " ".join(details)))
 
     # 1 + z carries the constants into the two-dimensional model space

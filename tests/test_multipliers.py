@@ -15,7 +15,6 @@ from tkern import (
     ClassificationWarning,
     NotInvertibleOnCircle,
     NotOuter,
-    PreconditionViolation,
     RationalFunction,
     TrivialKernel,
     as_symbol,
@@ -32,7 +31,6 @@ from tkern import (
     minimal_kernel,
     monomial,
     multiplier_space,
-    multiplier_space_bounded,
     smirnov_multiplier_test,
 )
 from tkern.rational import EPS_ROOT
@@ -184,34 +182,27 @@ def test_trivial_kernel_rejected():
         is_multiplier(RationalFunction([1.0]), monomial(2), monomial(-2))
 
 
-def test_any_maximal_test_vector_gives_same_answer(rng):
-    # "some and hence all": the canonical ladder vector and a perturbed
-    # maximal vector agree on membership decisions
+def test_any_maximal_vector_decides():
+    # "some and hence all": where w has no pole in the disc and no circle
+    # pole, w * k lies in the target kernel for another maximal vector k
+    # exactly when w is a multiplier
     s2 = as_symbol(monomial(-2))
     other_max = RationalFunction([0.3, 1.0])
+    assert is_maximal(other_max, s2).is_maximal
     for w in (RationalFunction([1, 1]), monomial(1), _one_over([1, 0.5]), monomial(2)):
-        default = is_multiplier(w, s2, s2)
-        assert is_multiplier(w, s2, s2, test_vector=other_max) == default
+        assert not w.pole_classification().inside and carleson_check(w, kernel(s2))
+        assert in_kernel(w * other_max, s2) == is_multiplier(w, s2, s2)
 
 
 def test_pole_in_the_disc_is_no_multiplier_whichever_vector_tests_it():
-    # the maximal vector z + 0.5 cancels w's pole, but w * 1 is not in H^2
+    # the maximal vector z + 0.5 cancels w's pole and carries w into the
+    # target, but w * 1 is not in H^2: the pole guard decides
     w = _one_over([0.5, 1])
     s2, s1 = as_symbol(monomial(-2)), as_symbol(monomial(-1))
     assert is_maximal(RationalFunction([0.5, 1]), s2).is_maximal
-    for k in (None, RationalFunction([0.5, 1])):
-        assert not is_multiplier(w, s2, s1, test_vector=k)
+    assert in_kernel(w * RationalFunction([0.5, 1]), s1)
+    assert not is_multiplier(w, s2, s1)
     assert not smirnov_multiplier_test(w, s2, s1)
-
-
-def test_supplied_test_vector_must_be_maximal():
-    with pytest.raises(PreconditionViolation):
-        is_multiplier(
-            RationalFunction([1, 1]),
-            monomial(-2),
-            monomial(-3),
-            test_vector=RationalFunction([1, 0.5]),
-        )
 
 
 def test_two_route_agreement(rng):
@@ -319,14 +310,36 @@ def test_power_multiplier_space_dimensions():
 def test_reverse_inclusion_collapses_to_zero():
     ms = multiplier_space(monomial(-2), monomial(-1))
     assert ms.dimension == 0
-    assert ms.test_symbol.value.is_close(RationalFunction([1.0]))
+    assert ms.factor is None and ms.basis == ()
 
 
 def test_space_from_kz_to_kz2():
     ms = multiplier_space(monomial(-1), monomial(-2))
-    assert ms.test_symbol.value.is_close(monomial(-2))
+    assert ms.factor.is_close(RationalFunction([1.0]))
     assert ms.dimension == 2
-    assert ms.carleson_filtered
+
+
+_B = RationalFunction([-0.5, 1], [1, -0.5])
+
+
+# (g, h, basis of the multiplier space)
+SPACES = {
+    "power-example": (monomial(1).circle_conjugate(), monomial(3).circle_conjugate(),
+                      [1.0, monomial(1), monomial(2)]),
+    "constants": (monomial(-1), monomial(-1), [1.0]),
+    # conj(theta) * phi reduces to z for theta = z * B, phi = z * theta: the
+    # multipliers form the two-dimensional model space
+    "blaschke-pair": (as_symbol((monomial(1) * _B).circle_conjugate()),
+                      as_symbol((monomial(2) * _B).circle_conjugate()), [1.0, monomial(1)]),
+}
+
+
+@pytest.mark.parametrize("g, h, basis", SPACES.values(), ids=SPACES)
+def test_space_dimension_and_basis(g, h, basis):
+    ms = multiplier_space(g, h)
+    assert ms.dimension == len(basis)
+    assert ms.factor.is_close(RationalFunction([1.0]))
+    assert all(b.is_close(e) for b, e in zip(ms.basis, basis, strict=True))
 
 
 def test_space_rejects_source_with_circle_zero():
@@ -339,9 +352,9 @@ def test_space_rejects_source_with_circle_zero():
 
 
 def test_space_rejects_test_symbol_with_circle_zero():
-    # h / (z g) = (z - 1)/z^2 has its zero on the circle
+    # the target h = (z - 1)/z^2, and so h / (z g), has its zero on the circle
     h = RationalFunction([-1.0, 1.0]) * monomial(-2)
-    with pytest.raises(NotInvertibleOnCircle, match="test symbol"):
+    with pytest.raises(NotInvertibleOnCircle):
         multiplier_space(monomial(-1), h)
 
 
@@ -352,33 +365,6 @@ def test_space_elements_are_multipliers(rng):
         ms = multiplier_space(g, h)
         for b in ms.basis:
             assert is_multiplier(b, g, h)
-
-
-def test_bounded_space_power_example():
-    mb = multiplier_space_bounded(
-        monomial(1).circle_conjugate(), monomial(3).circle_conjugate()
-    )
-    assert mb.dimension == 3
-    assert mb.bounded_verified
-
-
-def test_bounded_space_constants():
-    mb = multiplier_space_bounded(monomial(-1), monomial(-1))
-    assert mb.dimension == 1
-    assert mb.basis[0].is_close(RationalFunction([1.0]))
-
-
-def test_bounded_space_blaschke_pair():
-    b = RationalFunction([-0.5, 1], [1, -0.5])
-    theta = monomial(1) * b
-    phi = theta * monomial(1)
-    mb = multiplier_space_bounded(
-        as_symbol(theta.circle_conjugate()), as_symbol(phi.circle_conjugate())
-    )
-    # conj(theta) * phi reduces to z: multipliers form the two-dimensional
-    # model space
-    assert mb.dimension == 2
-    assert mb.test_symbol.value.is_close(monomial(-2))
 
 
 # -- image kernels ----------------------------------------------------------------

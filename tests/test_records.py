@@ -30,11 +30,6 @@ from tkern.expressions import BinOp, Blaschke, Conj, Lit, Neg, Pow, Var
 
 F = RationalFunction([1.0, 0.5])
 S = as_symbol(monomial(-2))
-K = ToeplitzKernel(S, 2, F)
-NOTE = (
-    "for rational symbols every Smirnov-class multiplier with Carleson control is rational, "
-    "so the unrestricted and square-integrable multiplier spaces coincide here"
-)
 
 
 def tree():
@@ -60,9 +55,7 @@ RECORDS = [
     (EquivalenceWitness, lambda: {"h_minus": F, "h_plus": F}, {}),
     (InnerOuterFactorization, lambda: {"inner": BlaschkeProduct(1.0, [0.5]), "outer": F}, {}),
     (WienerHopfFactorization, lambda: {"symbol": S, "index": -2, "plus": F}, {}),
-    (MultiplierSpace,
-     lambda: {"source": S, "target": S, "test_symbol": S, "space": K},
-     {"bounded_verified": False}),
+    (MultiplierSpace, lambda: {"source": S, "target": S, "dimension": 2, "factor": F}, {}),
     (SurjectivityReport,
      lambda: {"multiplier": F, "outer_ok": True, "carleson_forward_ok": True,
               "carleson_inverse_ok": False, "symbol_identity_ok": True},
