@@ -26,6 +26,7 @@ from .rational import (
     Record,
     ToeplitzSymbol,
     _multiplicity,
+    _nonzero_gain,
     _power,
     _quotient_zero_count,
     _reflect,
@@ -123,7 +124,10 @@ def wiener_hopf(s) -> WienerHopfFactorization:
     ``plus`` carries the zeros and poles strictly outside the circle and is
     normalized to plus(0) = 1; ``minus`` carries those strictly inside,
     written so that minus is finite and nonzero at infinity; ``k`` is the
-    winding number.
+    winding number. plus is built with no reduction: its zeros are the
+    value's outside poles and its poles the value's outside zeros, each a
+    sorted sub-multiset of the value's reduced state (the classification
+    keeps the order).
     """
     s = as_symbol(s)
     index = s.winding  # raises NotInvertibleOnCircle when undefined
@@ -136,7 +140,7 @@ def wiener_hopf(s) -> WienerHopfFactorization:
         gain *= _power(-r, m)
     for r, m in pc.outside:
         gain /= _power(-r, m)
-    plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
+    plus = RationalFunction._reduced(_nonzero_gain(gain), pc.outside, zc.outside)
     return WienerHopfFactorization(s, index, plus)
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import warnings
 from itertools import zip_longest
@@ -135,7 +136,9 @@ class Record(Frozen):
     class. A record takes its fields positionally or by keyword, refuses
     assignment, compares and hashes by class and fields, and shows as
     ``Name(field=value, ...)``. Instances keep their fields in
-    ``__dict__``, so ``cached_property`` works on them."""
+    ``__dict__``, so ``cached_property`` works on them. A call that gives
+    every field by position, and no keyword, stores them with no checks
+    to make."""
 
     __slots__ = ()
 
@@ -146,6 +149,9 @@ class Record(Frozen):
     def __init__(self, *args, **kwargs):
         cls = type(self)
         fields = cls._fields
+        if not kwargs and len(args) == len(fields):
+            self.__dict__.update(zip(fields, args))
+            return
         if len(args) > len(fields):
             raise TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(args)}")
         values = dict(zip(fields, args))
@@ -529,12 +535,14 @@ def _group_roots(points, tol_factor) -> list[list[int]]:
     """Single-linkage groups of ``points``, as lists of indices into it:
     x and y are linked when abs(x - y) <= tol_factor * max(1, |x|, |y|),
     and a chain of links is one group. Groups come in the order of their
-    first member, members in input order. A sweep over the points sorted
-    by real part tests only pairs whose real parts lie within
-    tol_factor * max(1, largest |point|); the union-find is built only once
-    a first link is found. Every root of a factored form passes through
+    first member, members in input order. Only pairs whose real parts lie
+    within w = tol_factor * max(1, largest |point|) can link: when no two
+    neighbours in real-part order do, every point is its own group and no
+    pair is tested. Otherwise a sweep over the points sorted by real part
+    tests the pairs within w, and the union-find is built only once a
+    first link is found. Every root of a factored form passes through
     here, and one that is not finite, or whose modulus is not a double,
-    raises OutOfRange."""
+    raises OutOfRange, at every n."""
     n = len(points)
     try:
         if n < 2:
@@ -546,7 +554,11 @@ def _group_roots(points, tol_factor) -> list[list[int]]:
     except OverflowError:  # abs of finite parts whose modulus is not a double
         _bad_root()
     w = tol_factor * max(size)
-    order = sorted(range(n), key=[p.real for p in points].__getitem__)
+    reals = [p.real for p in points]
+    xs = sorted(reals)
+    if min(map(operator.sub, xs[1:], xs)) > w:  # no pair within w can link
+        return [[i] for i in range(n)]
+    order = sorted(range(n), key=reals.__getitem__)
     # parent[i] <= i: the root of a group is its first member
     parent = None
     for k in range(n - 1):
@@ -606,13 +618,24 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
     pass over every entry (an exact repeat lies at distance 0 and joins its
     copies' group). In a group the zeros cancel the poles: an excess of
     zeros leaves one zero at the zeros' multiplicity-weighted mean, an
-    excess of poles one pole at the poles' mean, a balance nothing. Both
-    multisets come sorted by (real, imaginary) part."""
+    excess of poles one pole at the poles' mean, a balance nothing. When
+    no entry links, the zeros and poles are kept as given. Both multisets
+    come sorted by (real, imaginary) part.
+
+    One pass guarantees that no two entries of the input within EPS_ROOT
+    of each other survive apart. It does not guarantee the same of its
+    output: the means of two groups can end up within EPS_ROOT of each
+    other, so a second pass may merge or cancel them, and reduction is
+    not always idempotent."""
+    zs = [(complex(r), int(m)) for r, m in zeros if m > 0]
+    ps = [(complex(r), int(m)) for r, m in poles if m > 0]
+    groups = _group_roots([r for r, _ in zs] + [r for r, _ in ps], EPS_ROOT)
+    if len(groups) == len(zs) + len(ps):  # no link: every entry is kept
+        return tuple(_sorted_roots(zs)), tuple(_sorted_roots(ps))
     # poles carry negative multiplicities
-    roots = [(complex(r), int(m)) for r, m in zeros if m > 0]
-    roots += [(complex(r), -int(m)) for r, m in poles if m > 0]
+    roots = zs + [(r, -m) for r, m in ps]
     zs, ps = [], []
-    for group in _group_roots([r for r, _ in roots], EPS_ROOT):
+    for group in groups:
         if len(group) == 1:
             r, m = roots[group[0]]
         else:
@@ -687,19 +710,27 @@ class RationalFunction(Frozen):
     @classmethod
     def _reduced(cls, gain, zeros, poles, pole_split=None) -> "RationalFunction":
         """Package-internal constructor of a value whose state is already
-        reduced: a nonzero double gain and root multisets in the form
-        ``_reduce`` leaves them, sorted, with no zero and pole within
-        ``EPS_ROOT`` of each other. ``pole_split``, when given, is the
-        circle classification of ``poles``."""
+        reduced: a nonzero double gain, and root multisets that one
+        ``_reduce`` pass left, or sub-multisets of them, so sorted by (real,
+        imaginary) part. One pass does not always leave its roots more than
+        ``EPS_ROOT`` apart (see ``_reduce``), and such a pair is kept as it
+        is. ``pole_split``, when given, is the circle classification of
+        ``poles``."""
         out = object.__new__(cls)
         out._assign(gain, zeros, poles, pole_split)
         return out
 
     def _assign(self, gain: complex, zeros, poles, pole_split=None) -> None:
-        # the one place that sets the slots, from a reduced state
-        state = {"_gain": gain, "_zeros": zeros, "_poles": poles, "_pole_split": pole_split}
-        for name in self.__slots__:  # the other derived slots start empty
-            object.__setattr__(self, name, state.get(name))
+        # the one place that sets the slots, from a reduced state; the other
+        # derived slots start empty
+        put = object.__setattr__
+        put(self, "_gain", gain)
+        put(self, "_zeros", zeros)
+        put(self, "_poles", poles)
+        put(self, "_num", None)
+        put(self, "_den", None)
+        put(self, "_zero_split", None)
+        put(self, "_pole_split", pole_split)
 
     # -- basic structure ---------------------------------------------------
 
@@ -1000,11 +1031,13 @@ class ToeplitzSymbol(Frozen):
     powers of 1/z). ``circle_invertible`` is true exactly when the reduced
     value has no zeros and no poles on the circle; the winding number
     (zeros inside minus poles inside, with multiplicity) is defined only
-    in that case. ``kernels.kernel`` stores the symbol's kernel in the
-    private ``_kernel`` slot on first use.
+    in that case. ``winding`` keeps its first result in the private
+    ``_winding`` slot (a circle root raises on every call), and
+    ``kernels.kernel`` stores the symbol's kernel in the private
+    ``_kernel`` slot on first use.
     """
 
-    __slots__ = ("value", "_kernel")
+    __slots__ = ("value", "_kernel", "_winding")
 
     def __init__(self, value):
         value = RationalFunction._coerce(value)
@@ -1012,6 +1045,7 @@ class ToeplitzSymbol(Frozen):
             raise ZeroFunction("the zero symbol is rejected")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_kernel", None)
+        object.__setattr__(self, "_winding", None)
 
     @property
     def circle_invertible(self) -> bool:
@@ -1022,13 +1056,15 @@ class ToeplitzSymbol(Frozen):
 
     @property
     def winding(self) -> int:
-        zc = self.value.zero_classification()
-        pc = self.value.pole_classification()
-        if zc.on_circle or pc.on_circle:
-            raise NotInvertibleOnCircle(
-                "symbol has a zero or pole on the unit circle; winding undefined"
-            )
-        return zc.count_inside() - pc.count_inside()
+        if self._winding is None:
+            zc = self.value.zero_classification()
+            pc = self.value.pole_classification()
+            if zc.on_circle or pc.on_circle:
+                raise NotInvertibleOnCircle(
+                    "symbol has a zero or pole on the unit circle; winding undefined"
+                )
+            object.__setattr__(self, "_winding", zc.count_inside() - pc.count_inside())
+        return self._winding
 
     def __repr__(self):
         return f"ToeplitzSymbol({self.value!r})"

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+import tkern.kernels
 import tkern.rational
 from tkern import (
     BlaschkeParameterOutOfDisc,
@@ -16,16 +17,22 @@ from tkern import (
     NotInvertibleOnCircle,
     OutOfRange,
     RationalFunction,
+    ToeplitzSymbol,
     ZeroFunction,
     as_rational,
     as_symbol,
     blaschke_divides,
     blaschke_from_rational,
+    in_kernel,
     inner_outer,
+    is_multiplier,
+    kernel,
     monomial,
+    multiplier_space,
+    smirnov_multiplier_test,
     wiener_hopf,
 )
-from tkern.factorization import INNER_TOL
+from tkern.factorization import INNER_TOL, WienerHopfFactorization
 from tkern.random_instances import random_blaschke, random_rational, random_symbol
 from tkern.rational import BLASCHKE_RADIUS, EPS_ROOT
 
@@ -153,6 +160,106 @@ def test_blaschke_symbol_winds_by_degree(rng):
 def test_circle_zero_rejected():
     with pytest.raises(NotInvertibleOnCircle):
         wiener_hopf(RationalFunction([1, -1]))
+
+
+def _wiener_hopf_by_reduction(s):
+    # reference: plus reduced again from the value's outside roots, as one
+    # reduced product
+    s = as_symbol(s)
+    zc, pc = s.value.zero_classification(), s.value.pole_classification()
+    gain = 1.0 + 0j
+    for r, m in zc.outside:
+        gain *= tkern.rational._power(-r, m)
+    for r, m in pc.outside:
+        gain /= tkern.rational._power(-r, m)
+    plus = RationalFunction._from_roots(gain, pc.outside, zc.outside)
+    return WienerHopfFactorization(s, s.winding, plus)
+
+
+def _rooted(rnd, radii):
+    return cmath.rect(rnd.uniform(*radii), rnd.uniform(0.0, 2 * math.pi))
+
+
+def _plus_corpus(rnd, stratum):
+    """(gain, zeros, poles) of a symbol with a nontrivial kernel: inside
+    poles outnumber inside zeros. ``chains`` draws 1-4 chains of 1-5
+    outside roots each, started within 3 EPS_ROOT of one centre with steps
+    of 0.3-1.2 EPS_ROOT (relative), so that one reduction can leave two
+    means within EPS_ROOT; ``planted`` is such a value by construction: two
+    zeros 0.8 EPS_ROOT apart merge, and a pole 0.95 EPS_ROOT from their mean
+    but more than EPS_ROOT from each is kept beside it."""
+    inside, outside = {"safe": ((0.05, 0.45), (2.6, 4.0)), "near": ((0.5, 0.9), (1.1, 2.0))}.get(
+        stratum, ((0.05, 0.45), (1.5, 3.0)))
+    gain = _rooted(rnd, (0.5, 2.0))
+    k = rnd.randint(0, 1)
+    zeros = [(_rooted(rnd, inside), 1) for _ in range(k)]
+    poles = [(_rooted(rnd, inside), rnd.randint(1, 2)) for _ in range(k + rnd.randint(1, 3))]
+    centre = _rooted(rnd, outside)
+    step = EPS_ROOT * abs(centre)
+    if stratum == "planted":
+        zeros += [(centre - 0.4 * step, 1), (centre + 0.4 * step, 1)]
+        poles.append((centre + 0.95j * step, 1))
+    elif stratum == "chains":
+        for _ in range(rnd.randint(1, 4)):
+            r = centre + cmath.rect(3 * step * rnd.random(), rnd.uniform(0.0, 2 * math.pi))
+            direction = cmath.rect(1.0, rnd.uniform(0.0, 2 * math.pi))
+            for _ in range(rnd.randint(1, 5)):
+                (zeros if rnd.random() < 0.5 else poles).append((r, 1))
+                r += direction * rnd.uniform(0.3, 1.2) * step
+    else:
+        for _ in range(rnd.randint(0, 3)):
+            root = (_rooted(rnd, outside), rnd.randint(1, 2))
+            (zeros if rnd.random() < 0.5 else poles).append(root)
+    return gain, zeros, poles
+
+
+def test_plus_reuses_the_reduced_roots_and_decides_as_the_reduced_reference(monkeypatch):
+    # plus is built from the value's outside roots with no reduction; the
+    # reference reduces them again. Where the value is a fixed point of
+    # _reduce the two are equal by repr; everywhere, every decision that
+    # reads plus agrees
+    rnd = random.Random(37)
+    cases = [(stratum, *_plus_corpus(rnd, stratum))
+             for stratum, n in (("safe", 200), ("near", 200), ("chains", 1200), ("planted", 20))
+             for _ in range(n)]
+    symbols = [as_symbol(RationalFunction._from_roots(gain, z, p)) for _, gain, z, p in cases]
+    references = [ToeplitzSymbol(s.value) for s in symbols]
+    with monkeypatch.context() as patch:
+        patch.setattr(tkern.kernels, "wiener_hopf", _wiener_hopf_by_reduction)
+        for s in references:
+            kernel(s)  # kept on the reference symbol for the decisions below
+    reduce = tkern.rational._reduce
+    moved, answers = set(), set()
+    for (stratum, *_), s, ref in zip(cases, symbols, references):
+        K, R = kernel(s), kernel(ref)
+        assert K.plus is not R.plus
+        assert K.dimension == R.dimension > 0
+        if reduce(s.value._zeros, s.value._poles) == (s.value._zeros, s.value._poles):
+            assert repr(K.plus) == repr(R.plus)
+        elif repr(K.plus) != repr(R.plus):
+            moved.add(stratum)
+        assert [in_kernel(b, s) for b in K.basis] == [in_kernel(b, ref) for b in R.basis]
+    # both multiplier routes, on consecutive symbols as (g, h), for a drawn
+    # w (a tenth with a pole at 1), the top of the space from g into h, and
+    # that element moved off the space by a zero and a pole 3 EPS_ROOT apart
+    for i in range(len(symbols) - 1):
+        g, h, g_ref, h_ref = symbols[i], symbols[i + 1], references[i], references[i + 1]
+        w = RationalFunction._from_roots(1.0, [(_rooted(rnd, (2.6, 4.0)), 1)],
+                                         [(1.0 + 0j, 1)] if i % 10 == 9 else [])
+        candidates = [w]
+        space = multiplier_space(g_ref, h_ref)
+        if space.dimension:
+            top = space.basis[-1]
+            candidates.append(top)
+            far = _rooted(rnd, (2.6, 4.0))
+            off = RationalFunction._from_roots(1.0, [(far, 1)], [(far * (1 + 3 * EPS_ROOT), 1)])
+            candidates.append(top * off)
+        for w in candidates:
+            by_vector = is_multiplier(w, g, h)
+            assert by_vector == is_multiplier(w, g_ref, h_ref)
+            assert smirnov_multiplier_test(w, g, h) == smirnov_multiplier_test(w, g_ref, h_ref)
+            answers.add(by_vector)
+    assert "planted" in moved and answers == {True, False}
 
 
 # -- Blaschke products --------------------------------------------------------

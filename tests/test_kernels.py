@@ -238,8 +238,8 @@ def test_192_distinct_zeros_model_space_stays_fast():
 
 
 def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
-    # the kernel reduces its one product, plus; membership of a ladder
-    # element reduces and groups nothing
+    # the kernel builds plus from its symbol's reduced roots, with no
+    # reduction; membership of a ladder element reduces and groups nothing
     calls, grouped = [], []
     reduce, group_roots = tkern.rational._reduce, tkern.rational._group_roots
 
@@ -260,9 +260,9 @@ def test_kernel_and_membership_reduce_each_product_once(monkeypatch):
     monkeypatch.setattr(tkern.rational, "_reduce", counted)
     K = kernel(g)
     assert K.dimension == 3
-    assert len(calls) == 1  # plus
+    assert len(calls) == 0  # plus reuses the symbol's reduced roots
     assert len(K.basis) == 3
-    assert len(calls) == 1  # plus * z and plus * z^2 are built with no reduction
+    assert len(calls) == 0  # plus * z and plus * z^2 are built with no reduction
     monkeypatch.setattr(tkern.rational, "_group_roots", counted_group)
     for b in K.basis:
         calls.clear()
@@ -282,7 +282,7 @@ def test_dimension_only_question_costs_one_reduction(monkeypatch):
     monkeypatch.setattr(tkern.rational, "_reduce", counted)
     K = kernel(s)
     assert K.dimension == 100000
-    assert len(calls) == 1  # the plus factor; no ladder element is built
+    assert len(calls) == 0  # plus reuses the symbol's roots; no ladder element is built
     monkeypatch.undo()
 
     # the ladder, built on the first read and kept: plus, then each

@@ -286,6 +286,33 @@ def test_two_route_check_classifies_each_root_multiset_once(monkeypatch, rng):
         check(w, g, h)
 
 
+def test_two_route_check_reduces_only_the_smirnov_ratio(monkeypatch, rng):
+    # on prebuilt g, h and w, each kernel's plus reuses its symbol's reduced
+    # roots and membership reads net root counts, so the one reduction is
+    # the Smirnov route's ratio h * w / g, which it builds unless w has a
+    # pole in the disc
+    calls = []
+    reduce = tkern.rational._reduce
+
+    def counted(zeros, poles):
+        calls.append(1)
+        return reduce(zeros, poles)
+
+    triples = _seeded_triples(rng)
+    triples.append((RationalFunction([1, 1]), as_symbol(monomial(-1)), as_symbol(monomial(-2))))
+    monkeypatch.setattr(tkern.rational, "_reduce", counted)
+    answers, ratios = set(), 0
+    for w, g, h in triples:
+        calls.clear()
+        answers.add(is_multiplier(w, g, h))
+        assert calls == []
+        smirnov_multiplier_test(w, g, h)
+        built = not w.pole_classification().inside
+        assert calls == ([1] if built else [])
+        ratios += built
+    assert answers == {True, False} and ratios > len(triples) // 2
+
+
 def test_composition_of_multipliers(rng):
     for _ in range(25):
         g = random_kernel_symbol(rng, 2, 1)

@@ -677,6 +677,82 @@ def test_sweep_matches_the_matrix_reference(tol, monkeypatch):
         assert tkern.rational._reduce(zeros, poles) == _reduce_by_pairs(zeros, poles, tol)
 
 
+def _screen_corpus(rnd, w):
+    """Points of at most 6 entries (sizes 0, 1 and 2 included) in the
+    strata where the real-part screen of ``_group_roots`` decides, for the
+    relative radius ``w`` (the screen's width where every modulus is at
+    most 1): real parts that tie or lie within w with imaginary parts far
+    apart (the screen passes them on, nothing links); neighbours whose real
+    gap is exactly w (0, +-w and +-2w are doubles whose differences are
+    exact, all of modulus below 1), linked or not; exact repeats; and the
+    four signed zeros."""
+    n = rnd.choice((0, 1, 2, 2, 3, 4, 6))
+    stratum = rnd.randrange(4)
+    points = []
+    for _ in range(n):
+        if stratum == 0:  # ties or near ties, imaginary parts 3 to 40 w apart
+            p = complex(0.25 + rnd.choice((0.0, 0.0, 0.5, 0.99)) * w * rnd.randrange(3),
+                        w * rnd.randrange(3, 40, 3))
+        elif stratum == 1:  # real gaps of exactly w, on the real axis or off it
+            p = complex(w * rnd.randrange(-2, 3), rnd.choice((0.0, 0.0, 0.5 * w, 2 * w, 0.3)))
+        elif stratum == 2:  # exact repeats of a few values
+            p = rnd.choice((0.5 + 0.25j, -0.75j, 0.125, complex(0.5, 3 * w)))
+        else:  # the signed zeros among values far from them
+            p = rnd.choice((0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0), 0.5j, -0.5))
+        points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("tol", [tkern.rational.EPS_ROOT, 2.0**-20, 2.0**-3])
+def test_grouping_fast_paths_match_the_pairwise_references(tol, monkeypatch):
+    # no link: _group_roots returns singletons, whether its real-part
+    # screen or its sweep finds none, and _reduce keeps the entries as
+    # given; both are checked against the all-pairs references
+    monkeypatch.setattr(tkern.rational, "EPS_ROOT", tol)
+    rnd = random.Random(3737)
+    seen = set()
+    for _ in range(3000):
+        points = _screen_corpus(rnd, tol)
+        groups = tkern.rational._group_roots(points, tol)
+        assert [[points[i] for i in g] for g in groups] == _group_points_by_pairs(points, tol)
+        signs = [rnd.choice((-3, -1, 0, 1, 2)) for _ in points]
+        zeros = [(p, m) for p, m in zip(points, signs) if m >= 0]
+        poles = [(p, -m) for p, m in zip(points, signs) if m < 0]
+        assert tkern.rational._reduce(zeros, poles) == _reduce_by_pairs(zeros, poles, tol)
+        xs = sorted(p.real for p in points)
+        gaps = [b - a for a, b in zip(xs, xs[1:])]
+        width = tol * max([1.0, *map(abs, points)])
+        linked = len(groups) < len(points)
+        seen.add(("screened" if min(gaps, default=math.inf) > width else "swept", linked))
+        if width in gaps:
+            seen.add(("gap of exactly w", linked))
+    kinds = ("swept", "gap of exactly w")
+    assert seen == {("screened", False)} | {(kind, link) for kind in kinds for link in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(math.inf, 0.0), complex(0.0, math.nan), complex(1.5e308, 1.5e308)]
+)
+def test_grouping_refuses_a_root_that_is_not_a_double_at_every_size(bad):
+    # the refusal runs before the real-part screen, wherever the bad root
+    # stands among far-apart, tied or repeated neighbours; 1.5e308 + 1.5e308i
+    # has finite parts and a modulus beyond double range, while
+    # 1e308 + 1e308i has the modulus 1.41e308, a double, and is kept
+    tol = tkern.rational.EPS_ROOT
+    for others in ([], [0.5], [0.5, 3j], [0.5, 0.5 + 1j, 0.5], [2.0, -7.0, 40j, 1e8]):
+        for k in range(len(others) + 1):
+            points = [*others[:k], bad, *others[k:]]
+            with pytest.raises(OutOfRange):
+                tkern.rational._group_roots(points, tol)
+            with pytest.raises(OutOfRange):
+                tkern.rational._reduce([(p, 1) for p in points], [])
+            with pytest.raises(OutOfRange):
+                tkern.rational._reduce([(p, 1) for p in others], [(bad, 2)])
+            big = [*others[:k], complex(1e308, 1e308), *others[k:]]
+            groups = tkern.rational._group_roots(big, tol)
+            assert [[big[i] for i in g] for g in groups] == _group_points_by_pairs(big, tol)
+
+
 def _reduce_over_every_entry(zeros, poles):
     # reference: the reduction that grouped every entry, repeated values
     # included, in one pass of ``_group_roots``
@@ -1030,6 +1106,22 @@ def test_winding_mixed_symbol_with_quadrature():
 def test_winding_undefined_on_circle_zero():
     with pytest.raises(NotInvertibleOnCircle):
         winding_number(RationalFunction([1, -1]))
+
+
+def test_symbol_keeps_its_winding_and_refuses_a_circle_root_on_every_call(monkeypatch):
+    # zero -0.5 inside, double pole at 0: winding -1. It is kept after the
+    # first read, as a winding of 0 is, so a later read classifies nothing
+    s, flat = as_symbol(RationalFunction([0.5, 1], [0, 0, 1])), as_symbol(monomial(0))
+    assert (s._winding, flat._winding) == (None, None)
+    assert (s.winding, flat.winding) == (-1, 0)
+    monkeypatch.setattr(RationalFunction, "zero_classification", lambda self: pytest.fail("read"))
+    assert (s.winding, flat.winding) == (-1, 0)
+    monkeypatch.undo()
+    on_circle = as_symbol(RationalFunction([1, -1]))
+    for _ in range(2):
+        with pytest.raises(NotInvertibleOnCircle):
+            on_circle.winding
+        assert on_circle._winding is None
 
 
 def test_winding_additive_under_products(rng):

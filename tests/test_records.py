@@ -101,6 +101,63 @@ def test_records_are_frozen_values(cls, fields, defaults):
         assert other == by_position and hash(other) == hash(by_position)
 
 
+def _record_init_by_checks(self, *args, **kwargs):
+    # reference: the constructor that checks every call, with no fast path
+    cls = type(self)
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(args)}")
+    values = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name not in fields or name in values:
+            raise TypeError(f"{cls.__name__} got an unexpected or repeated argument {name!r}")
+        values[name] = value
+    for name in fields:
+        if name not in values and name not in cls.__dict__:  # no default
+            raise TypeError(f"{cls.__name__} is missing the argument {name!r}")
+    self.__dict__.update(values)
+
+
+def _built(build):
+    """(record, its fields in order) or (TypeError, its message)."""
+    try:
+        record = build()
+    except TypeError as exc:
+        return TypeError, str(exc)
+    return record, list(vars(record).items())
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_record_constructor_matches_the_checking_reference(cls, fields, defaults):
+    # positional, keyword, mixed and defaulted calls, and every refusal:
+    # too many arguments, a missing one, an unexpected or repeated keyword
+    def by_reference(*args, **kwargs):
+        record = object.__new__(cls)
+        _record_init_by_checks(record, *args, **kwargs)
+        return record
+
+    values = list({**fields(), **defaults}.items())
+    required = len(fields())
+    calls = []
+    for k in range(len(values) + 1):  # the first k by position, the rest by keyword
+        for given in range(required, len(values) + 1):  # the fields after ``given`` defaulted
+            calls.append(([v for _, v in values[:min(k, given)]], dict(values[k:given])))
+    calls += [
+        ([v for _, v in values] + [None], {}),
+        ([v for _, v in values[:-1]], {}),
+        ([v for _, v in values[1:]], {}),
+        ([], dict(values[1:])),
+        ([v for _, v in values], {"no_such_field": None}),
+        ([v for _, v in values], {values[0][0]: values[0][1]}),
+        ([v for _, v in values[:1]], {values[0][0]: values[0][1]}),
+    ]
+    for args, kwargs in calls:
+        got = _built(lambda: cls(*args, **kwargs))
+        assert got == _built(lambda: by_reference(*args, **kwargs)), (args, kwargs)
+        if got[0] is not TypeError:
+            assert type(got[0]) is cls
+
+
 def test_equal_records_of_different_classes_differ():
     assert Conj(Var("z")) != Neg(Var("z"))
     assert parse_expression("conj(z)^2").tree == parse_expression("conj( z )^2").tree
