@@ -15,8 +15,10 @@ Report envelope:
       "tolerances": {name: value},
       "seed": int }
 
-Numbers inside ``result`` are printed at 12 significant digits; parallel
-``*_raw`` fields keep full precision as [real, imaginary] pairs.
+A rational value prints from its gain and roots (``format_rational``), a
+complex number at 12 significant digits; parallel ``*_raw`` fields keep
+full precision: a number as [real, imaginary], a rational value as
+{"gain": [re, im], "zeros": [[re, im, m], ...], "poles": [...]}.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def _log(msg: str) -> None:
 
 
 def _shown(key: str, value) -> dict:
-    """``key`` at 12 significant digits and ``key_raw`` at full precision,
-    for a rational or complex value, a sequence of them, or None."""
+    """``key`` printed and ``key_raw`` at full precision, for a rational
+    or complex value, a sequence of them, or None."""
     if isinstance(value, (list, tuple)):
         shown = [_shown(key, v) for v in value]
         return {k: [s[k] for s in shown] for k in (key, f"{key}_raw")}
@@ -74,8 +76,9 @@ def _shown(key: str, value) -> dict:
         text = raw = None
     elif isinstance(value, RationalFunction):
         text = format_rational(value)
-        raw = {part: [[c.real, c.imag] for c in p._coeffs]
-               for part, p in (("num", value.num), ("den", value.den))}
+        raw = {"gain": [value._gain.real, value._gain.imag],
+               "zeros": [[r.real, r.imag, m] for r, m in value._zeros],
+               "poles": [[r.real, r.imag, m] for r, m in value._poles]}
     else:
         c = complex(value)
         text, raw = format_complex(c), [c.real, c.imag]

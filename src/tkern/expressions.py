@@ -17,7 +17,7 @@ Blaschke factor (z - a)/(1 - conj(a) z), with its bound
 |a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). The exponent of '^' must
 lower to an integer-valued constant (z^-2, z^(1+1), z^2.0). Unary minus
 binds tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a
-value in the one form that re-parses to it, up to its 12 printed digits.
+value from its gain and roots, in the form that re-parses to the same ones.
 
 Half-plane expressions use the variable 's' instead of 'z'; 'zbar',
 'conj' and 'B' are circle constructions and are rejected there.

@@ -218,7 +218,8 @@ def is_equivalent(g1, g2) -> Optional[EquivalenceWitness]:
 
 def is_rigid(p) -> bool:
     """A rational outer function spans a one-dimensional Toeplitz kernel
-    exactly when its minimal kernel has dimension one."""
+    exactly when its minimal kernel, of dimension 1 plus its circle zeros
+    with multiplicity, has dimension one: when it has no circle zero."""
     p = as_rational(p)
     if p.is_zero:
         raise ZeroFunction("the zero function is not rigid")
@@ -226,7 +227,7 @@ def is_rigid(p) -> bool:
         raise NotInHardySpace("rigidity is defined for Hardy-space functions")
     if p.zero_classification().inside:
         raise NotOuter("rigidity test expects an outer function")
-    return minimal_kernel(p)[1].dimension == 1
+    return not p.zero_classification().on_circle
 
 
 def dim_from_factorization(g_minus, theta: BlaschkeProduct, N: int, g_plus) -> int:

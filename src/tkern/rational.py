@@ -29,6 +29,8 @@ Conventions:
     range raises ``OutOfRange`` (in ``_group_roots``, which every root of a
     factored form passes through);
   * roots are classified against the unit circle with band ``EPS_CIRCLE``;
+  * a value prints from its gain and roots (``format_rational``), in a form
+    that re-parses to the same ones, with no coefficient expanded;
   * coefficients and values at a number are computed in Python ``complex``
     arithmetic. Numpy is imported only where arrays are needed: the
     companion-matrix eigenvalues of ``poly_roots`` at degree 3 and more
@@ -58,9 +60,7 @@ from .errors import (
 )
 
 # A coefficient of a sum is zero when it cancels to at most this fraction
-# of its summands' rounding scale (``RationalFunction.__add__``). Display
-# hides a coefficient of a rational function at most this fraction of its
-# rounding scale (``format_rational``); the value keeps it.
+# of its summands' rounding scale (``RationalFunction.__add__``).
 EPS_COEFF = 1e-12
 # Relative tolerance for folding roots into multiplicities and for
 # cancelling matching numerator/denominator roots.
@@ -354,9 +354,6 @@ class ComplexPolynomial(Frozen):
 
     def __repr__(self):
         return f"ComplexPolynomial({list(self._coeffs)})"
-
-    def __str__(self):
-        return format_polynomial(self)
 
 
 def poly_roots(p: ComplexPolynomial) -> list[tuple[complex, int]]:
@@ -1173,49 +1170,44 @@ def format_complex(c) -> str:
     return f"{re:.12g}{im:+.12g}i"
 
 
-def format_polynomial(p: ComplexPolynomial, variable: str = "z", scale=None) -> str:
-    """The printed form of ``p``. Coefficient k is hidden when it is at
-    most ``EPS_COEFF`` times ``scale[k]``; without a scale (a bare
-    polynomial has no roots to bound its rounding) only exact zeros are."""
-    p = ComplexPolynomial._coerce(p)
-    if scale is None:
-        scale = [0.0] * len(p._coeffs)
-    terms = []
-    for j, (cj, sj) in enumerate(zip(p._coeffs, scale)):
-        if abs(cj) <= EPS_COEFF * sj:
-            continue
-        cs = format_complex(cj)
-        needs_parens = ("+" in cs[1:]) or ("-" in cs[1:]) or cs.endswith("i")
-        if j == 0:
-            terms.append(f"({cs})" if needs_parens else cs)
-            continue
-        zpow = variable if j == 1 else f"{variable}^{j}"
-        if cs == "1":
-            terms.append(zpow)
-        elif cs == "-1" and (j == 1 or terms):
-            # a leading -z^k would re-parse as (-z)^k, so it prints -1*z^k
-            terms.append(f"-{zpow}")
-        elif needs_parens:
-            terms.append(f"({cs})*{zpow}")
-        else:
-            terms.append(f"{cs}*{zpow}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+def _literal(c: complex) -> str:
+    """A complex scalar as the shortest text that parses to its bits: the
+    ``repr`` of each part, an integral one without ``.0``, and a value with
+    a real and an imaginary part in parentheses."""
+    re, im = (repr(x).removesuffix(".0") for x in (c.real, c.imag))
+    if not c.imag or not c.real:
+        return f"{im}i" if c.imag else re
+    return f"({re}{'' if im[0] == '-' else '+'}{im}i)"
+
+
+def _factors(roots, variable: str) -> list[str]:
+    """The factors (z - a)^m of (root, multiplicity) pairs, the power of the
+    variable for the root 0 first."""
+    out = []
+    for r, m in sorted(roots, key=lambda rm: rm[0] != 0):
+        a = _literal(r)
+        sign, a = ("+", a[1:]) if a[0] == "-" else ("-", a)
+        base = f"({variable}{sign}{a})" if r else variable
+        out.append(base if m == 1 else f"{base}^{m}")
     return out
 
 
 def format_rational(r: RationalFunction, variable: str = "z") -> str:
-    """The printed form of ``r``, numerator over monic denominator. Each
-    coefficient is hidden when it is rounding noise of its expansion from
-    the roots (``_rounding_scale``), so the printed form re-parses to the
-    value."""
+    """The printed form of ``r``, gain * prod (z - a)^m / prod (z - b)^n,
+    read from its gain and roots: no coefficient is expanded, and each
+    double prints as the shortest text that re-parses to it, so the printed
+    form re-parses to the same gain, zeros and poles. Unary minus binds
+    tighter than '^', so a gain -1 before a power prints as ``-1*``."""
     r = RationalFunction._coerce(r)
-    num = format_polynomial(r.num, variable, _rounding_scale([(r._gain, r._zeros)]))
+    num = _factors(r._zeros, variable)
+    gain = _literal(r._gain)
+    if num and gain == "-1" and "^" not in num[0]:
+        num[0] = "-" + num[0]
+    elif not num or gain != "1":
+        num.insert(0, gain)
     if not r._poles:
-        return num
-    den = format_polynomial(r.den, variable, _rounding_scale([(1.0, r._poles)]))
-    nwrap = f"({num})" if (" " in num) else num
-    return f"{nwrap}/({den})"
+        return "*".join(num)
+    den = _factors(r._poles, variable)
+    text = "*".join(den)
+    # a lone (z - b) is parenthesised already
+    return "*".join(num) + "/" + (text if len(den) == 1 and text[-1] == ")" else f"({text})")

@@ -11,6 +11,7 @@ import tkern.random_instances
 import tkern.rational
 from tkern import (
     BlaschkeProduct,
+    ClassificationWarning,
     NotInKernel,
     NotInvertibleOnCircle,
     NotOuter,
@@ -698,6 +699,27 @@ def test_rigid_examples():
 def test_rigid_rejects_inner_part():
     with pytest.raises(NotOuter):
         is_rigid(RationalFunction([-0.5, 1.0]))
+
+
+def test_rigidity_reads_the_circle_zeros():
+    # the minimal kernel of an outer p has dimension 1 + (p's circle zeros)
+    rng = np.random.default_rng(7)
+    for _ in range(600):
+        count = int(rng.integers(0, 3))
+        circle_zeros = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(count)]
+        p = random_outer(rng, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        p = RationalFunction._from_roots(p._gain, p.zeros() + [(a, 1) for a in circle_zeros],
+                                         p.poles())
+        assert minimal_kernel(p)[1].dimension == 1 + count
+        assert is_rigid(p) == (count == 0)
+
+
+@pytest.mark.parametrize("text", ["1+0.99999999*z", "1/(1-0.99999999*z)"])
+def test_rigid_with_a_root_just_outside_the_circle_band(text):
+    # the minimal kernel's symbol cancels that root against its reflection
+    # across the circle, 2e-8 away; rigidity reads no minimal kernel
+    with pytest.warns(ClassificationWarning, match="just outside"):
+        assert is_rigid(parse_expression(text).to_rational())
 
 
 # -- dimension theorem ------------------------------------------------------------

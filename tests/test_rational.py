@@ -319,9 +319,9 @@ def test_deciding_from_roots_expands_nothing(monkeypatch):
         assert is_multiplier(w, g, h) == smirnov_multiplier_test(w, g, h)
         assert kernel(g).dimension == -g.winding
         assert expanded == []
-    # printing reads the two printed polynomials and their rounding scales
+    # printing reads the gain and the roots
     text = format_rational(w)
-    assert len(expanded) == (4 if w.poles() else 2)
+    assert expanded == []
     assert parse_expression(text).to_rational().is_close(w, 1e-9)
 
 
@@ -1492,3 +1492,61 @@ def test_an_overflowing_taylor_expansion_holds_non_finite_values_without_warning
     assert not np.all(np.isfinite(c))
     finite = np.isfinite(expected)
     assert np.all(np.abs(c[finite] - expected[finite]) <= 1e-11 * np.abs(expected[finite]))
+
+
+# -- refusals across the package ---------------------------------------------
+
+
+def _unequal_caps():
+    from tkern import principal_angle, subspace_from_rationals
+
+    return principal_angle(subspace_from_rationals([monomial(0)], 4),
+                           subspace_from_rationals([monomial(0)], 8))
+
+
+_POLE_INSIDE = RationalFunction._from_roots(1.0, [], [(0.5, 1)])
+# BlaschkeProduct refuses the zero 0.99999999 as a parameter, so the value
+# is no Blaschke product it can build
+_ZERO_IN_THE_BAND = RationalFunction._from_roots(1.0, [(0.99999999, 1)])
+
+# each public refusal, and the branch for the zero function, with what it
+# raises or returns
+REFUSALS = {
+    "maximal_vector of a trivial kernel": (lambda: kernel(monomial(1)).maximal_vector(),
+                                           tkern.ZeroFunction),
+    "minimal_kernel of 0": (lambda: tkern.minimal_kernel(0), tkern.ZeroFunction),
+    "minimal_kernel of a pole inside": (lambda: tkern.minimal_kernel(_POLE_INSIDE),
+                                        tkern.NotInHardySpace),
+    "is_rigid of 0": (lambda: tkern.is_rigid(0), tkern.ZeroFunction),
+    "is_rigid of a pole inside": (lambda: tkern.is_rigid(_POLE_INSIDE), tkern.NotInHardySpace),
+    "image_kernel of w = 0": (lambda: tkern.image_kernel(0, monomial(-2)), tkern.ZeroFunction),
+    "is_surjective_multiplier of w = 0": (
+        lambda: tkern.is_surjective_multiplier(0, monomial(-1), monomial(-2)), tkern.ZeroFunction),
+    "crofoot_companion of w = 0": (
+        lambda: tkern.crofoot_companion(BlaschkeProduct(1.0, [0.5]), 0), tkern.ZeroFunction),
+    "blaschke_from_rational of 0": (lambda: tkern.blaschke_from_rational(0), None),
+    "blaschke_from_rational of a zero in the band": (
+        lambda: tkern.blaschke_from_rational(_ZERO_IN_THE_BAND), None),
+    "BlaschkeProduct(2.0)": (lambda: BlaschkeProduct(2.0), ValueError),
+    "fourier_coefficients of 0": (
+        lambda: tkern.fourier_coefficients(RationalFunction(0.0), 3).tolist(), [0j] * 7),
+    "principal_angle with unequal caps": (_unequal_caps, ValueError),
+    "lead of the zero polynomial": (lambda: ComplexPolynomial().lead, ZeroPolynomial),
+    "zero denominator": (lambda: RationalFunction([1], [0]), ZeroDenominator),
+    "constant_value of z": (lambda: monomial(1).constant_value(), ValueError),
+    "ToeplitzSymbol(0)": (lambda: tkern.ToeplitzSymbol(0), tkern.ZeroFunction),
+    "an infinite coefficient": (lambda: ComplexPolynomial([1, math.inf]), ValueError),
+    "the variable w": (lambda: parse_expression("z", variable="w"), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, outcome", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_across_the_package(call, outcome):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClassificationWarning)  # the zero in the band
+        if not isinstance(outcome, type):
+            assert call() == outcome
+            return
+        with pytest.raises(Exception) as info:
+            call()
+    assert type(info.value) is outcome
