@@ -2,8 +2,10 @@
 #
 # Every nonzero Hardy-space rational k sits in a smallest Toeplitz kernel,
 # computed from its inner-outer factorization. A vector is maximal for a
-# kernel when that smallest kernel is the whole thing; maximality is
-# decided by a single certificate function.
+# kernel plus * P_{d-1} when that smallest kernel is the whole thing:
+# exactly when k / plus has degree d - 1 and no zero outside the closed
+# disc. The certificate function conj(z * symbol * k), built when read,
+# shows the same: it has no zero inside the disc.
 
 import numpy as np
 

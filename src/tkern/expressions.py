@@ -15,7 +15,9 @@ lowers to z^-1, conj(.) through circle conjugation, and B(a), for a
 constant a (B(0.3+0.4i), not B(z)), through ``BlaschkeProduct`` to the
 Blaschke factor (z - a)/(1 - conj(a) z), with its bound
 |a| < BLASCHKE_RADIUS, about sqrt(1 - EPS_ROOT). The exponent of '^' must
-lower to an integer-valued constant (z^-2, z^(1+1), z^2.0). Unary minus
+lower to an integer-valued constant (z^-2, z^(1+1), z^2.0); a digit string,
+or a negated one, is read as an exact integer, so an echoed multiplicity
+beyond 2^53 re-parses to itself. Unary minus
 binds tighter than '^' (-z^2 is (-z)^2). ``format_rational`` prints a
 value from its gain and roots, in the form that re-parses to the same ones.
 
@@ -35,6 +37,8 @@ from .rational import RationalFunction, Record, monomial
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a literal that is a digit string alone: no fraction, exponent or 'i'
+_DIGITS = re.compile(r"\d+(?![.\deEi])")
 
 
 class Lit(Record):
@@ -171,12 +175,29 @@ class _Parser:
         if self.lex.peek()[0] == "^":
             self.lex.advance()
             start = self.lex.peek()[2]
-            e = _lower(self._base())
-            n = e.constant_value() if e.is_constant else None
-            if n is None or n.imag != 0 or not n.real.is_integer():
-                raise ExpressionSyntaxError("exponent must be an integer", start)
-            return Pow(base, int(n.real))
+            n = self._digits()
+            if n is None:
+                e = _lower(self._base())
+                n = e.constant_value() if e.is_constant else None
+                if n is None or n.imag != 0 or not n.real.is_integer():
+                    raise ExpressionSyntaxError("exponent must be an integer", start)
+                n = int(n.real)
+            return Pow(base, n)
         return base
+
+    def _digits(self):
+        """A digit-string literal, or a negated one, next in the input,
+        taken as an exact int (a double would round one beyond 2^53);
+        None, taking nothing, for any other exponent."""
+        tokens, i, sign = self.lex.tokens, self.lex.index, 1
+        if tokens[i][0] == "-":
+            i, sign = i + 1, -1
+        kind, _, pos = tokens[i]
+        m = _DIGITS.match(self.lex.text, pos) if kind == "NUM" else None
+        if m is None:
+            return None
+        self.lex.index = i + 1
+        return sign * int(m.group())
 
     def _base(self) -> Node:
         tok = self.lex.peek()

@@ -3,12 +3,13 @@
 A circle-invertible rational symbol with winding number k has the kernel
 plus * P_{d-1}, d = max(0, -k): the Wiener-Hopf plus factor times the
 polynomials of degree below d, spanned by the ladder ``plus * z**j``.
-This module computes kernels and minimal kernels, decides membership from
-that parametrisation (f / plus must be a polynomial of degree below d,
-read from net root multiplicities), decides maximality of a kernel
-vector, decides inclusion and equality of kernels by membership of one
-maximal vector, and equivalence of kernels through their symbols. Every
-kernel question reaches the one circle gate, ``ToeplitzSymbol.winding``.
+This module computes kernels and minimal kernels, decides membership and
+maximality from that parametrisation (f / plus must be a polynomial of
+degree below d, and a maximal vector's of degree d - 1 with no zero
+outside the closed disc, each read from net root multiplicities), decides
+inclusion and equality of kernels by membership of one maximal vector,
+and equivalence of kernels through their symbols. Every kernel question
+reaches the one circle gate, ``ToeplitzSymbol.winding``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .rational import (
     ToeplitzSymbol,
     Z,
     _quotient_zero_count,
+    _quotient_zeros,
     _sorted_roots,
     as_rational,
     as_symbol,
+    classify_roots,
 )
 
 
@@ -77,18 +80,33 @@ def _ladder(plus: Optional[RationalFunction], d: int) -> tuple:
 
 
 class MaximalityCertificate(Record):
-    """Outcome of the maximal-vector test on a kernel vector.
+    """Outcome of the maximal-vector test of ``vector`` for ker T_symbol =
+    plus * P_{d-1}, decided by ``is_maximal`` on p = vector / plus.
 
-    ``certificate`` is the circle conjugate of z * symbol * vector, a
-    Hardy-space function since the vector is in the kernel; the vector is
-    maximal exactly when the certificate has no zeros in the open disc.
-    ``failure_witness`` is such a disc zero, when one exists.
+    The vector is maximal when p has degree d - 1 and no zero outside the
+    closed disc. ``failure_witness`` is None for a maximal vector and
+    otherwise the first, by (real, imaginary) part, of the candidates: 0
+    when p has degree below d - 1, and the reflections 1/conj(r) of p's
+    zeros r outside.
+
+    ``certificate``, built on its first read, is the circle conjugate of
+    z * symbol * vector, a Hardy-space function since the vector is in the
+    kernel. Its zeros in the open disc are those candidates as its
+    reduction leaves them: candidates within EPS_ROOT of each other (0 and
+    the reflections of far-outside zeros) merge, which moves the first by
+    at most their spread, and a candidate within EPS_ROOT of the circle
+    can merge with the reflection of a zero of the symbol into the circle
+    band, so that a vector that is not maximal shows no zero in the disc.
     """
 
     vector: RationalFunction
-    certificate: RationalFunction
+    symbol: ToeplitzSymbol
     is_maximal: bool
     failure_witness: Optional[complex] = None
+
+    @cached_property
+    def certificate(self) -> RationalFunction:
+        return RationalFunction._product((Z, self.symbol.value, self.vector)).circle_conjugate()
 
 
 class EquivalenceWitness(Record):
@@ -120,7 +138,7 @@ def in_kernel(f, s) -> bool:
     f / plus, reduced over the roots of f and plus, is a polynomial of
     degree below d: no pole and at most d - 1 zeros, with multiplicity,
     read from net root multiplicities (``_quotient_zero_count``) with no
-    quotient, root mean or gain formed. A ladder element groups nothing.
+    quotient or gain formed. A ladder element groups nothing.
     The zero function is in every kernel; for d = 0 no other function is.
     """
     f = as_rational(f)
@@ -160,28 +178,42 @@ def minimal_kernel(k) -> tuple[ToeplitzSymbol, ToeplitzKernel]:
 
 
 def is_maximal(k, s) -> MaximalityCertificate:
-    """Decide whether ``k`` is a maximal vector for ker T_s.
+    """Decide whether ``k`` is a maximal vector for ker T_s = plus * P_{d-1}.
 
     The winding of s is read first (a circle root raises
-    NotInvertibleOnCircle). k must be in the kernel, decided on the
-    product z * s * k, reduced once: k in the Hardy space and the product
-    in the conjugate Hardy space. The certificate circle_conjugate(z * s *
-    k), built only then, must have no zeros in the open unit disc (that is
-    outerness, hence maximality).
+    NotInvertibleOnCircle) and gives d. The decision reads p = k / plus
+    from net root multiplicities (``_quotient_zeros``), with no product or
+    gain formed: plus's zeros are the outside poles of s and its poles the
+    outside zeros of s. k is in the kernel when it lies in the Hardy space
+    and p is a polynomial of degree below d (the ``in_kernel`` rule), and
+    NotInKernel is raised otherwise; k is maximal when p has degree d - 1
+    and no zero classified outside the circle, and the failure witness is
+    read from p too (``MaximalityCertificate``). The certificate
+    circle_conjugate(z * s * k) is built only when it is read.
     """
     k = as_rational(k)
     s = as_symbol(s)
-    s.winding  # raises NotInvertibleOnCircle when undefined
+    d = max(0, -s.winding)  # raises NotInvertibleOnCircle when undefined
     if k.is_zero:
         raise ZeroFunction("the zero vector is not a candidate maximal vector")
-    product = RationalFunction._product((Z, s.value, k))
-    if not (k.in_hardy2() and product.in_conjugate_hardy2()):
+    value = s.value
+    p_zeros = None
+    if d and k.in_hardy2():
+        p_zeros = _quotient_zeros(
+            k._zeros + value.zero_classification().outside,
+            k._poles + value.pole_classification().outside,
+        )
+    n = d if p_zeros is None else sum(p_zeros.values())
+    if n >= d:
         raise NotInKernel("vector is not in the kernel of the symbol")
-    cert = product.circle_conjugate()
-    inside_zeros = cert.zero_classification().inside
-    if inside_zeros:
-        return MaximalityCertificate(k, cert, False, failure_witness=inside_zeros[0][0])
-    return MaximalityCertificate(k, cert, True)
+    # the witness's candidates, the certificate's zeros in the open disc:
+    # the reflections of p's outside zeros, and 0 for the zero of
+    # z * s * k at infinity
+    inside = [1 / r.conjugate() for r, _ in classify_roots(list(p_zeros.items())).outside]
+    if n < d - 1:
+        inside.append(0j)
+    witness = min(inside, key=lambda w: (w.real, w.imag), default=None)
+    return MaximalityCertificate(k, s, witness is None, witness)
 
 
 def includes(g, h) -> bool:

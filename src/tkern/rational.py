@@ -647,25 +647,53 @@ def _reduce(zeros, poles) -> tuple[tuple, tuple]:
     return tuple(_sorted_roots(zs)), tuple(_sorted_roots(ps))
 
 
-def _quotient_zero_count(zeros, poles) -> int | None:
-    """None when ``_reduce(zeros, poles)`` leaves a pole, else the number of
-    zeros it leaves, with multiplicity, read from the net multiplicity of
-    each distinct value (zeros +, poles -; 0j and -0j are one value) with no
-    root value formed. Reduction keeps the signed total, and a group leaves
-    a pole exactly when its net is negative, so the distinct values are
-    grouped at EPS_ROOT, once, only when some value's net is negative."""
+def _quotient_zeros(zeros, poles) -> dict | None:
+    """None when ``_reduce(zeros, poles)`` leaves a pole, else the zeros it
+    leaves, as a dict from value to positive multiplicity, read from the
+    net multiplicity of each distinct value (zeros +, poles -; 0j and -0j
+    are one value) with no product or gain formed. A value whose zeros and
+    poles cancel exactly leaves the dict at once, but is kept aside, since
+    it still links its neighbours in a group. Reduction keeps the signed
+    total, and a group leaves a pole exactly when its net is negative, so
+    the distinct values are grouped at EPS_ROOT, once, only when some
+    value's net is negative; each group with a positive net then leaves one
+    zero, at the net-weighted mean of its values with a positive net. The
+    total is the one ``_reduce`` leaves and each zero lies in a group that
+    leaves one, but where roots lie within EPS_ROOT of each other the
+    values and their split can differ from ``_reduce``'s."""
     net: dict[complex, int] = {}
     for r, m in zeros:
         if m > 0:
             net[r] = net.get(r, 0) + m
+    cancelled = []  # values with net 0
     for r, m in poles:
         if m > 0:
-            net[r] = net.get(r, 0) - m
+            m = net.get(r, 0) - m
+            if m:
+                net[r] = m
+            else:
+                del net[r]
+                cancelled.append(r)
     if min(net.values(), default=0) >= 0:
-        return sum(net.values())
-    points = list(net)
-    counts = [sum(net[points[i]] for i in g) for g in _group_roots(points, EPS_ROOT)]
-    return None if min(counts) < 0 else sum(counts)
+        return net
+    points = list(net) + [r for r in cancelled if r not in net]
+    groups = _group_roots(points, EPS_ROOT)
+    counts = [sum(net.get(points[i], 0) for i in g) for g in groups]
+    if min(counts) < 0:
+        return None
+    left: dict[complex, int] = {}
+    for group, m in zip(groups, counts):
+        if m:
+            r = _mean([(points[i], net[points[i]]) for i in group if net.get(points[i], 0) > 0])
+            left[r] = left.get(r, 0) + m
+    return left
+
+
+def _quotient_zero_count(zeros, poles) -> int | None:
+    """The number of zeros, with multiplicity, that ``_quotient_zeros``
+    leaves; None when it leaves a pole."""
+    left = _quotient_zeros(zeros, poles)
+    return None if left is None else sum(left.values())
 
 
 class RationalFunction(Frozen):

@@ -282,6 +282,19 @@ def test_exponent_is_read_by_the_expression_grammar():
     assert lower("z^(-1-1)").is_close(monomial(-2))
 
 
+def test_digit_string_exponent_is_exact():
+    # 2^53 + 1 and 3 * (2^53 - 1) are not doubles; a digit string, or a
+    # negated one, is read as an int, and every other exponent as before
+    # (as a double, 2^53 + 1 in parentheses rounds to 2^53)
+    big = 2**53 + 1
+    for text, k in ((f"z^{big}", big), (f"zbar^-{big}", -big), ("z^27021597764222973", 27021597764222973),
+                    (f"z^({big})", 2**53), (f"z^{big}.0", 2**53), ("z^0012", 12)):
+        tree = parse_expression(text).tree
+        assert type(tree.exponent) is int and tree.exponent == k, text
+    assert lower(f"zbar^-{big}").zeros() == [(0j, big)]
+    assert format_rational(lower("(z^3)^9007199254740991")) == "z^27021597764222973"
+
+
 @pytest.mark.parametrize("text, position", [("z^z", 2), ("z^1.5", 2), ("(1+z)^(2i)", 6)])
 def test_exponent_must_be_an_integer_constant(text, position):
     with pytest.raises(ExpressionSyntaxError, match="exponent must be an integer") as err:

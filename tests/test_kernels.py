@@ -2,6 +2,7 @@
 
 import cmath
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tkern import (
     PreconditionViolation,
     RationalFunction,
     ZeroFunction,
+    as_rational,
     as_symbol,
     dim_from_factorization,
     equals,
@@ -39,6 +41,7 @@ from tkern import (
     subspace_from_rationals,
     wiener_hopf,
 )
+from tkern.rational import EPS_CIRCLE, EPS_ROOT
 from tkern.random_instances import (
     random_blaschke,
     random_conjugate_outer,
@@ -523,6 +526,190 @@ def test_reproducing_kernel_is_not_maximal():
     assert cert.failure_witness is not None
     assert abs(cert.failure_witness - (-0.5)) < 1e-12
     assert cert.certificate.is_close(RationalFunction([0.5, 1.0]))
+
+
+def _is_maximal_by_certificate(k, s):
+    # reference: the rule before maximality was read from the kernel's
+    # parametrisation. k is in the kernel when it is in the Hardy space and
+    # z * s * k, reduced once, in the conjugate Hardy space; it is maximal
+    # when the certificate circle_conjugate(z * s * k) has no zero in the
+    # open disc, the first such zero being the witness
+    k, s = as_rational(k), as_symbol(s)
+    s.winding
+    if k.is_zero:
+        raise ZeroFunction("the zero vector is not a candidate maximal vector")
+    product = RationalFunction._product((monomial(1), s.value, k))
+    if not (k.in_hardy2() and product.in_conjugate_hardy2()):
+        raise NotInKernel("vector is not in the kernel of the symbol")
+    cert = product.circle_conjugate()
+    inside = cert.zero_classification().inside
+    return not inside, inside[0][0] if inside else None, repr(cert)
+
+
+def _outcome(decide, *args):
+    # what decide answers, or the type of the refusal raised on the way
+    try:
+        return decide(*args)
+    except (NotInKernel, OutOfRange) as exc:
+        return type(exc)
+
+
+def _by_parametrisation(k, s):
+    # the decision and witness, then the printed certificate, read after
+    # them, or the refusal of that read
+    out = is_maximal(k, s)
+    return out.is_maximal, out.failure_witness, _outcome(lambda: repr(out.certificate))
+
+
+def _ring(rng, n, lo, hi):
+    return [complex(r * cmath.exp(2j * cmath.pi * rng.random())) for r in lo + (hi - lo) * rng.random(n)]
+
+
+# where the zeros of p lie, for the vectors plus * p: inside the disc, on
+# the circle band, just outside the band on either side, well outside, and
+# so far outside that a certificate's gain overflows; each as a radius range
+P_ZERO_RADII = {
+    "inside": (0.05, 0.95),
+    "band": (1 - 0.5 * EPS_CIRCLE, 1 + 0.5 * EPS_CIRCLE),
+    "near-inside": (1 - 50 * EPS_CIRCLE, 1 - 2 * EPS_CIRCLE),
+    "near-outside": (1 + 2 * EPS_CIRCLE, 1 + 50 * EPS_CIRCLE),
+    "outside": (1.05, 4.0),
+    "far-outside": (1e100, 1e200),
+}
+
+
+def _maximality_candidates(rng, s, d):
+    # vectors plus * p, with plus from the symbol's outside roots (any
+    # gain): p of degree d - 2 to d + 1, its zeros in each stratum or all
+    # inside but one well outside; then the top vector moved off the
+    # kernel by a pole, or by a root of plus moved
+    zc, pc = s.value.zero_classification(), s.value.pole_classification()
+    plus_zeros, plus_poles = list(pc.outside), list(zc.outside)
+    gain = complex(np.exp(2j * np.pi * rng.random()) * (0.5 + rng.random()))
+    out = []
+    for degree in sorted({max(d - 1, 0), max(d - 2, 0), d, d + 1}):
+        for radii in P_ZERO_RADII.values():
+            p = [(a, 1) for a in _ring(rng, degree, *radii)]
+            out.append(RationalFunction._from_roots(gain, plus_zeros + p, plus_poles))
+        mixed = [(a, 1) for a in _ring(rng, degree, 0.1, 0.9)]
+        if mixed:
+            mixed[-1] = (_ring(rng, 1, 1.2, 3.0)[0], 1)
+        out.append(RationalFunction._from_roots(gain, plus_zeros + mixed, plus_poles))
+    top = RationalFunction._from_roots(gain, plus_zeros + [(a, 1) for a in _ring(rng, max(d - 1, 0), 0.1, 0.9)],
+                                       plus_poles)
+    z = monomial(1)
+    out.append(top / (z - _ring(rng, 1, 1.5, 3.0)[0]))  # a pole outside the disc
+    out.append(top / (z - _ring(rng, 1, 0.2, 0.8)[0]))  # a pole in the disc
+    for rel in (1e-9, 1e-6):  # a root of plus moved: linked to it, or not
+        if plus_poles:
+            (r, m), *rest = top._poles
+            out.append(RationalFunction._from_roots(gain, top._zeros, [(r * (1 + rel), m), *rest]))
+        if plus_zeros:
+            zeros = [(r * (1 + rel) if abs(r) > 1 else r, m) for r, m in top._zeros]
+            out.append(RationalFunction._from_roots(gain, zeros, top._poles))
+    return out
+
+
+SYMBOL_STRATA = {
+    "safe": ((0.1, 0.6), (1.6, 4.0)),
+    "near": ((0.9, 0.999), (1.001, 1.1)),
+    "huge": ((0.1, 0.6), (1e100, 1e200)),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_maximality_from_the_parametrisation_matches_the_certificate_rule(seed):
+    # decisions, NotInKernel refusals and certificates agree; a certificate
+    # that overflows refuses on its read, where the reference refused the
+    # decision. Witnesses agree, exactly unless the certificate's reduction
+    # merged them (the reflections of p's far-outside zeros, with 0), and
+    # then within the merged group's reach
+    rng = np.random.default_rng(seed)
+    seen = {True: 0, False: 0, NotInKernel: 0, OutOfRange: 0, "merged witness": 0}
+    tol = 3 * EPS_ROOT
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClassificationWarning)
+        for inside, outside in SYMBOL_STRATA.values():
+            for _ in range(40):
+                d = int(rng.integers(0, 5))
+                zi, zo, po = (int(n) for n in rng.integers(0, 3, size=3))
+                zeros = _ring(rng, zi, *inside) + _ring(rng, zo, *outside)
+                poles = _ring(rng, zi + d, *inside) + _ring(rng, po, *outside)
+                gain = complex(np.exp(2j * np.pi * rng.random()))
+                s = as_symbol(RationalFunction._from_roots(gain, [(a, 1) for a in zeros],
+                                                           [(a, 1) for a in poles]))
+                for k in _maximality_candidates(rng, s, d):
+                    got = _outcome(_by_parametrisation, k, s)
+                    ref = _outcome(_is_maximal_by_certificate, k, s)
+                    if ref is OutOfRange:
+                        assert got is NotInKernel or got[2] is OutOfRange
+                    elif ref is NotInKernel:
+                        assert got is NotInKernel
+                    else:
+                        maximal, witness, cert = got
+                        assert (maximal, cert) == (ref[0], ref[2])
+                        if witness != ref[1]:
+                            assert abs(witness - ref[1]) <= tol * max(1, abs(ref[1]))
+                            seen["merged witness"] += 1
+                    seen[ref if ref in seen else ref[0]] += 1
+    # every kind of answer is reached, and witnesses merge in few of them
+    assert min(seen[True], seen[False], seen[NotInKernel]) > 100 and seen[OutOfRange] > 20
+    assert 0 < seen["merged witness"] < seen[False] // 10
+
+
+def test_maximal_vector_is_decided_beyond_double_range():
+    # the certificate conj(z * s * k) has the gain 1e-320, a subnormal: the
+    # decision and its witness read no gain, and only the certificate, on
+    # its read, refuses
+    s = parse_expression("1e-20*zbar^2").to_rational()
+    cert = is_maximal(parse_expression("1e-300*z").to_rational(), s)
+    assert cert.is_maximal and cert.failure_witness is None
+    with pytest.raises(OutOfRange):
+        cert.certificate
+    # the constant has degree 0 < d - 1: z * s * k vanishes at infinity
+    cert = is_maximal(parse_expression("1e-300").to_rational(), s)
+    assert not cert.is_maximal and cert.failure_witness == 0
+    with pytest.raises(OutOfRange):
+        cert.certificate
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_maximality_reads_the_zeros_of_p_that_the_certificate_merges(seed):
+    # s has an inside zero a, 3e-9 to 4e-8 from the circle, and ker T_s =
+    # plus * P_{d-1}, d >= 2; p's one zero outside is r = 1/conj(a), so
+    # k = plus * p is not maximal and its witness is 1/conj(r). The product
+    # z * s * k merges a with r, 2|1 - |a|| apart, into a double zero in the
+    # circle band, so the certificate has no zero in the open disc, and the
+    # reference, which reads it, answers true
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClassificationWarning)
+        cases = [(parse_expression("(z-0.99999995)/z^3").to_rational(), [1.00000005 + 0j], [])]
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            a = _ring(rng, 1, 1 - 4e-8, 1 - 3e-9)[0]
+            plus_poles = [(b, 1) for b in _ring(rng, int(rng.integers(0, 3)), 1.6, 4.0)]
+            poles = [(b, 1) for b in _ring(rng, d + 1, 0.1, 0.6)]
+            s = RationalFunction._from_roots(complex(np.exp(2j * np.pi * rng.random())),
+                                             [(a, 1)] + plus_poles, poles)
+            cases.append((s, [1 / a.conjugate()] + _ring(rng, d - 2, 0.1, 0.9), plus_poles))
+        for s, p, plus_poles in cases:
+            r = p[0]
+            k = RationalFunction._from_roots(1.0, [(b, 1) for b in p], plus_poles)
+            cert = is_maximal(k, s)
+            assert not cert.is_maximal and cert.failure_witness == 1 / r.conjugate()
+            assert not cert.certificate.zero_classification().inside
+            assert _is_maximal_by_certificate(k, s) == (True, None, repr(cert.certificate))
+
+
+def test_maximality_reads_no_plus_gain():
+    # kernel() refuses this symbol, since its plus factor's gain 1e-400 is
+    # not a double; z^2 is decided outside its kernel from the roots alone
+    s = parse_expression("zbar^3*(z-1e200)^2").to_rational()
+    with pytest.raises(OutOfRange):
+        kernel(s)
+    with pytest.raises(NotInKernel):
+        is_maximal(monomial(2), s)
 
 
 def test_maximality_matches_minimal_kernel_equality(rng):

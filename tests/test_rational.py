@@ -814,14 +814,20 @@ def test_reduce_by_distinct_values_matches_the_every_entry_reference():
 def test_quotient_zero_count_reads_what_reduce_leaves():
     # None when the reduction leaves a pole, else the multiplicity of the
     # zeros it leaves; the corpus crosses chains of EPS_ROOT links between
-    # zeros and poles, so the grouping fallback answers both ways
+    # zeros and poles, so the grouping fallback answers both ways. Each
+    # zero that _quotient_zeros gives, which that count adds up, lies in a
+    # group where the reduction leaves a zero: every group of this corpus
+    # spans less than 3 EPS_ROOT
     rnd = random.Random(29)
     seen = set()
+    tol = 3 * tkern.rational.EPS_ROOT
     for _ in range(3000):
         zeros, poles = _reduction_corpus(rnd)
         left_zeros, left_poles = tkern.rational._reduce(zeros, poles)
         expected = None if left_poles else sum(m for _, m in left_zeros)
         assert tkern.rational._quotient_zero_count(zeros, poles) == expected, (zeros, poles)
+        for r, m in (tkern.rational._quotient_zeros(zeros, poles) or {}).items():
+            assert m > 0 and any(abs(r - a) <= tol * max(1, abs(r), abs(a)) for a, _ in left_zeros)
         net = {}
         for r, m in zeros:
             net[r] = net.get(r, 0) + m

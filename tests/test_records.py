@@ -50,7 +50,7 @@ RECORDS = [
     (SymbolExpression, lambda: {"source": "conj(B(0.5))^2 - -1.5i", "tree": tree()},
      {"variable": "z"}),
     (ToeplitzKernel, lambda: {"symbol": S, "dimension": 2, "plus": F}, {}),
-    (MaximalityCertificate, lambda: {"vector": F, "certificate": F, "is_maximal": True},
+    (MaximalityCertificate, lambda: {"vector": F, "symbol": S, "is_maximal": True},
      {"failure_witness": None}),
     (EquivalenceWitness, lambda: {"h_minus": F, "h_plus": F}, {}),
     (InnerOuterFactorization, lambda: {"inner": BlaschkeProduct(1.0, [0.5]), "outer": F}, {}),
